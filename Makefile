@@ -1,17 +1,18 @@
 GO ?= go
 
-.PHONY: all check lint lint-budget budget lint-fix-scan vet build test race bench-smoke fuzz-smoke chaos-smoke storm-smoke bench bench-full
+.PHONY: all check lint lint-budget budget lint-fix-scan vet build bench-build test race bench-smoke fuzz-smoke chaos-smoke storm-smoke bench bench-full
 
 all: check
 
 # The full pre-merge gate: the custom analyzer suite, the hot-path
 # allocation budget, static checks, build, tests (incl. race on the
 # concurrent packages), a quick allocation-guard smoke over the crypto
-# fast paths, a short fuzz run over the wire-format parsers, and a
-# short-seed chaos run (determinism plus HIP-recovers-the-migration, via
-# the fault-injection harness), and a short-seed storm run
-# (control-plane overload under mass evacuation).
-check: lint budget vet build test race bench-smoke fuzz-smoke chaos-smoke storm-smoke
+# fast paths, a build-and-test of the bench/ module (its own go.mod, so
+# `go build ./...` skips it), a short fuzz run over the wire-format
+# parsers, and a short-seed chaos run (determinism plus
+# HIP-recovers-the-migration, via the fault-injection harness), and a
+# short-seed storm run (control-plane overload under mass evacuation).
+check: lint budget vet build bench-build test race bench-smoke fuzz-smoke chaos-smoke storm-smoke
 
 # hiplint (cmd/hiplint + internal/analysis) machine-checks the DESIGN.md
 # §5a contracts: buffer ownership (bufown), append-API aliasing
@@ -47,6 +48,12 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# bench/ is a module of its own (replace hipcloud => ../): vet and test
+# it here so that a rename in a package it calls cannot break the
+# BENCHMARK.json harness unnoticed.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...
@@ -90,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadRequest$$ -fuzztime=$(FUZZTIME) ./internal/microhttp
 	$(GO) test -run=NONE -fuzz=FuzzReadResponse$$ -fuzztime=$(FUZZTIME) ./internal/microhttp
 	$(GO) test -run=NONE -fuzz=FuzzParseMessage$$ -fuzztime=$(FUZZTIME) ./internal/hipdns
+	$(GO) test -run=NONE -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/hipwire
 
 # Short-seed chaos run: drives the RUBiS tiers through the fault
 # schedule (internal/faults) for all three scenarios and prints the
@@ -105,14 +113,15 @@ storm-smoke:
 
 # Regenerate the tracked benchmark snapshots: BENCH_SIM.json (scheduler
 # microbench latencies plus fig2/chaos short-run wall clock, against the
-# recorded pre-rewrite baseline), BENCH_CONTROL.json (the full-scale
+# recorded pre-rewrite baseline) and BENCH_CONTROL.json (the full-scale
 # storm experiment: re-contact latency, recovery time, shed and
-# retransmit counts per transport tier) and BENCH_DATAPLANE.json (ESP
-# seal/open GB/s per cipher suite plus real-UDP localhost goodput and
-# syscalls-per-packet, batching on vs off). Commit the refreshed files
-# when the numbers move for a reason. Each snapshot is written to a temp
-# file and renamed into place, so an interrupted or failing run can
-# never leave a truncated tracked file behind.
+# retransmit counts per transport tier). Data-plane numbers (ESP seal/open
+# GB/s per suite, real-UDP goodput, syscalls per packet) are per-layer
+# metrics of the BENCHMARK.json workloads: `cd bench && go run . -trace 1`.
+# Commit the refreshed files when the numbers move for a reason. Each
+# snapshot is written to a temp file and renamed into place, so an
+# interrupted or failing run can never leave a truncated tracked file
+# behind.
 bench:
 	$(GO) run ./cmd/benchcloud -run simbench -json > BENCH_SIM.json.tmp
 	mv BENCH_SIM.json.tmp BENCH_SIM.json
@@ -120,9 +129,6 @@ bench:
 	$(GO) run ./cmd/benchcloud -run storm -json > BENCH_CONTROL.json.tmp
 	mv BENCH_CONTROL.json.tmp BENCH_CONTROL.json
 	@cat BENCH_CONTROL.json
-	$(GO) run ./cmd/benchcloud -run dataplane -json > BENCH_DATAPLANE.json.tmp
-	mv BENCH_DATAPLANE.json.tmp BENCH_DATAPLANE.json
-	@cat BENCH_DATAPLANE.json
 
 # Full Go benchmark sweep, including the paper-figure reproductions.
 bench-full:

@@ -13,10 +13,6 @@
 //	benchcloud -run all       everything above
 //	benchcloud -run simbench  scheduler throughput + experiment wall clock
 //	                          (not part of `all`; -json emits BENCH_SIM.json)
-//	benchcloud -run dataplane ESP seal/open throughput per cipher suite +
-//	                          real-UDP localhost goodput and syscall
-//	                          amortization (not part of `all`; -json emits
-//	                          BENCH_DATAPLANE.json)
 //
 // Durations are virtual time; -short trims them for quick runs.
 // -cpuprofile writes a pprof CPU profile covering the selected runs.
@@ -36,10 +32,10 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment: fig2|rtt|fig3|private|bex|dos|chaos|storm|simbench|dataplane|all")
+	run := flag.String("run", "all", "experiment: fig2|rtt|fig3|private|bex|dos|chaos|storm|simbench|all")
 	short := flag.Bool("short", false, "shorter virtual durations")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	jsonOut := flag.Bool("json", false, "simbench/storm/dataplane: emit the BENCH_SIM.json / BENCH_CONTROL.json / BENCH_DATAPLANE.json document on stdout")
+	jsonOut := flag.Bool("json", false, "simbench/storm: emit the BENCH_SIM.json / BENCH_CONTROL.json document on stdout")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	modern := flag.Bool("modern", false, "fig3: negotiate the modern AEAD HIP_CIPHER set (keymat.PreferredAEAD) instead of the 2012 transforms")
 	flag.Parse()
@@ -140,10 +136,6 @@ func main() {
 	if strings.Contains(*run, "simbench") {
 		ran = true
 		runSimBench(*seed, *jsonOut)
-	}
-	if strings.Contains(*run, "dataplane") {
-		ran = true
-		runDataplaneBench(*jsonOut)
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *run)

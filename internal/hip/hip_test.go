@@ -316,6 +316,53 @@ func TestBEXFailsAfterMaxRetries(t *testing.T) {
 	}
 }
 
+// TestGiveUpWipesKeys is the regression test for OnTimer's give-up branch
+// dropping an association without retire(): an initiator that times out
+// in I2Sent already holds the derived key set, and none of it may outlive
+// the association.
+func TestGiveUpWipesKeys(t *testing.T) {
+	w := newWire(t)
+	a := newHost(t, idA, locA)
+	b := newHost(t, idB, locB)
+	w.add(a, locA)
+	w.add(b, locB)
+	// The peer answers the I1 and then goes silent: every R2 is lost.
+	w.loss = func(from, to netip.Addr, data []byte) bool {
+		return from == locB && stateOf(a, b) == I2Sent
+	}
+	if err := a.Connect(b.HIT(), locB, w.now); err != nil {
+		t.Fatal(err)
+	}
+	w.pump()
+	aa, ok := a.Association(b.HIT())
+	if !ok || aa.State() != I2Sent {
+		t.Fatalf("initiator state %v, want I2Sent", stateOf(a, b))
+	}
+	k := aa.keys // the copy shares the key slices' backing arrays
+	held := [][]byte{
+		k.HIPEncOut, k.HIPEncIn, k.HIPMacOut, k.HIPMacIn,
+		k.ESPEncOut, k.ESPAuthOut, k.ESPEncIn, k.ESPAuthIn,
+	}
+	var keyed bool
+	for _, key := range held {
+		keyed = keyed || !bytes.Equal(key, make([]byte, len(key)))
+	}
+	if !keyed {
+		t.Fatal("no key material derived by I2Sent: the test proves nothing")
+	}
+	for i := 0; i < 10; i++ {
+		w.advance(20 * time.Second)
+	}
+	if _, ok := a.Association(b.HIT()); ok {
+		t.Fatal("association still present after max retries")
+	}
+	for i, key := range held {
+		if !bytes.Equal(key, make([]byte, len(key))) {
+			t.Errorf("key slice %d not wiped after give-up", i)
+		}
+	}
+}
+
 func TestResponderStatelessOnI1Flood(t *testing.T) {
 	w := newWire(t)
 	b := newHost(t, idB, locB)

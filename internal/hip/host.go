@@ -512,6 +512,7 @@ func (h *Host) OnTimer(now time.Duration) {
 			a.retransAt = 0
 			a.setState(h, Failed)
 			h.event(EventFailed, a.PeerHIT, a.PeerLocator)
+			a.retire()
 			h.delAssoc(a.PeerHIT)
 			if a.localSPI != 0 {
 				delete(h.bySPI, a.localSPI)

@@ -6,10 +6,6 @@ import (
 	"net/netip"
 )
 
-// rxBatchMax caps the recvmmsg vector length (and thus the per-stack
-// receive buffer arena at rxBatchMax * 64KiB).
-const rxBatchMax = 32
-
 // VectoredIO reports whether this build carries the sendmmsg/recvmmsg
 // fast path (Linux amd64/arm64). Elsewhere batching still amortizes
 // scheduling, but each datagram costs one syscall.

@@ -27,6 +27,10 @@ type mmsghdr struct {
 // batchIO reports whether the vectored fast path is compiled in.
 const batchIO = true
 
+// rxBatchMax is the recvmmsg vector length (and thus the per-stack
+// receive buffer arena is rxBatchMax * 64KiB).
+const rxBatchMax = 32
+
 type txEngine struct {
 	msgs [txBatchSize]mmsghdr
 	iovs [txBatchSize]syscall.Iovec
@@ -103,16 +107,14 @@ type rxEngine struct {
 
 func newRxEngine() *rxEngine { return &rxEngine{} }
 
-// read drains up to len(bufs) datagrams with one recvmmsg, filling
-// sizes and source endpoints per message.
+// read drains up to len(bufs) (at most rxBatchMax) datagrams with one
+// recvmmsg, filling sizes and source endpoints per message. A nil
+// RawConn falls back to a single read.
 func (e *rxEngine) read(pc *net.UDPConn, rc syscall.RawConn, bufs [][]byte, sizes []int, eps []netip.AddrPort) (cnt, nsys int, err error) {
-	if rc == nil || len(bufs) == 1 {
+	if rc == nil {
 		return readOne(pc, bufs, sizes, eps)
 	}
 	n := len(bufs)
-	if n > rxBatchMax {
-		n = rxBatchMax
-	}
 	for i := 0; i < n; i++ {
 		e.iovs[i].Base = &bufs[i][0]
 		e.iovs[i].SetLen(len(bufs[i]))

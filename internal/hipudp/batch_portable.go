@@ -14,6 +14,9 @@ import (
 // batchIO reports whether the vectored fast path is compiled in.
 const batchIO = false
 
+// rxBatchMax is the receive vector length: readOne fills one slot.
+const rxBatchMax = 1
+
 type txEngine struct{}
 
 func newTxEngine() *txEngine { return &txEngine{} }

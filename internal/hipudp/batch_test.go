@@ -1,7 +1,6 @@
 package hipudp
 
 import (
-	"fmt"
 	"hash/maphash"
 	"net/netip"
 	"runtime"
@@ -9,31 +8,7 @@ import (
 	"time"
 
 	"hipcloud/internal/hip"
-	"hipcloud/internal/identity"
 )
-
-// pairOpts is pair with explicit I/O options on both stacks.
-func pairOpts(t *testing.T, opts Options) (*Stack, *Stack) {
-	t.Helper()
-	mk := func(id *identity.HostIdentity) *Stack {
-		h, err := hip.NewHost(hip.Config{Identity: id, Locator: netip.MustParseAddr("127.0.0.1")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewStackOpts(h, "127.0.0.1:0", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	a, b := mk(idA), mk(idB)
-	t.Cleanup(func() { a.Close(); b.Close() })
-	epA := netip.MustParseAddrPort(fmt.Sprintf("127.0.0.1:%d", a.LocalAddr().Port))
-	epB := netip.MustParseAddrPort(fmt.Sprintf("127.0.0.1:%d", b.LocalAddr().Port))
-	a.AddPeer(idB.HIT(), epB)
-	b.AddPeer(idA.HIT(), epA)
-	return a, b
-}
 
 // echoBytes pushes total bytes through one stream and reads the echo.
 func echoBytes(t *testing.T, a, b *Stack, total int) {
@@ -89,50 +64,14 @@ func echoBytes(t *testing.T, a, b *Stack, total int) {
 	}
 }
 
-// TestSyncWriteErrorSurfaces is the regression test for the old
-// writeFrame silently discarding WriteToUDPAddrPort's error and byte
-// count: with the synchronous engine, a write on a closed socket must
-// bump TxErrors and surface through TxErr.
-func TestSyncWriteErrorSurfaces(t *testing.T) {
-	h, err := hip.NewHost(hip.Config{Identity: idA, Locator: netip.MustParseAddr("127.0.0.1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewStackOpts(h, "127.0.0.1:0", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.sender != nil {
-		t.Fatal("Options{} must not start the async sender")
-	}
-	ep := netip.MustParseAddrPort("127.0.0.1:9")
-	s.writeFrame(frameESP, ep, []byte("ok"))
-	if st := s.Stats(); st.TxErrors != 0 || st.TxPackets != 1 {
-		t.Fatalf("healthy write: TxErrors=%d TxPackets=%d, want 0/1", st.TxErrors, st.TxPackets)
-	}
-	s.pc.Close() // break the socket under the stack
-	s.writeFrame(frameESP, ep, []byte("lost"))
-	st := s.Stats()
-	if st.TxErrors != 1 {
-		t.Fatalf("TxErrors = %d after write on closed socket, want 1", st.TxErrors)
-	}
-	if st.TxPackets != 1 {
-		t.Fatalf("TxPackets = %d, failed frame must not be counted as sent", st.TxPackets)
-	}
-	if s.TxErr() == nil {
-		t.Fatal("TxErr() = nil, want the retained write error")
-	}
-	s.Close()
-}
-
-// TestBatchedWriteErrorSurfaces verifies the async sender path also
-// counts socket failures instead of swallowing them.
+// TestBatchedWriteErrorSurfaces verifies the sender counts socket
+// failures instead of swallowing them.
 func TestBatchedWriteErrorSurfaces(t *testing.T) {
 	h, err := hip.NewHost(hip.Config{Identity: idA, Locator: netip.MustParseAddr("127.0.0.1")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewStackOpts(h, "127.0.0.1:0", DefaultOptions())
+	s, err := NewStack(h, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,17 +90,20 @@ func TestBatchedWriteErrorSurfaces(t *testing.T) {
 	if s.TxErr() == nil {
 		t.Fatal("TxErr() = nil, want the retained write error")
 	}
+	if n := s.Stats().TxPackets; n != 0 {
+		t.Fatalf("TxPackets = %d, failed frames must not be counted as sent", n)
+	}
 	s.Close()
 }
 
 // TestBatchingReducesSyscalls drives enough localhost traffic through
-// the batched engine that sendmmsg/recvmmsg must coalesce: strictly
-// fewer syscalls than packets on both sides of the socket.
+// the stack that sendmmsg/recvmmsg must coalesce: strictly fewer
+// syscalls than packets on both sides of the socket.
 func TestBatchingReducesSyscalls(t *testing.T) {
-	if !batchIO {
+	if !VectoredIO() {
 		t.Skip("vectored I/O not compiled in on this platform")
 	}
-	a, b := pairOpts(t, DefaultOptions())
+	a, b := pair(t)
 	echoBytes(t, a, b, 512*1024)
 	for _, tc := range []struct {
 		name string
@@ -181,20 +123,6 @@ func TestBatchingReducesSyscalls(t *testing.T) {
 		if tc.st.TxErrors != 0 {
 			t.Errorf("%s: TxErrors=%d during healthy echo", tc.name, tc.st.TxErrors)
 		}
-	}
-}
-
-// TestSyncEngineStillWorks runs the echo over the fully synchronous
-// engine (the pre-batching behavior) to keep that path honest.
-func TestSyncEngineStillWorks(t *testing.T) {
-	a, b := pairOpts(t, Options{})
-	echoBytes(t, a, b, 64*1024)
-	st := a.Stats()
-	if st.TxSyscalls != st.TxBatches || st.TxPackets != st.TxSyscalls {
-		t.Errorf("sync engine must be one syscall per packet: %+v", st)
-	}
-	if st.TxErrors != 0 {
-		t.Errorf("TxErrors=%d during healthy echo", st.TxErrors)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math/rand"
 	"net"
 	"net/netip"
@@ -22,6 +21,7 @@ import (
 	"syscall"
 	"time"
 
+	"hipcloud/internal/esp"
 	"hipcloud/internal/hip"
 	"hipcloud/internal/stream"
 )
@@ -32,9 +32,13 @@ const (
 	frameESP byte = 1
 )
 
-// Inner ESP payload types (must match across implementations).
 const (
+	// innerStream is the inner ESP payload type (must match across
+	// implementations); muxHeader is that byte plus the two ports.
 	innerStream byte = 1
+	muxHeader        = 1 + 4
+	// ephemeralBase is the bottom of the port range Dial allocates from.
+	ephemeralBase = 41000
 )
 
 // Errors returned by the stack.
@@ -46,25 +50,22 @@ var (
 	ErrPortInUse   = errors.New("hipudp: port already bound")
 )
 
-// Options tunes the stack's socket I/O engine.
-type Options struct {
-	// TxShards is the number of asynchronous sender shards. Outgoing
-	// frames hash by destination endpoint — the stack installs one ESP SA
-	// pair and one endpoint per peer, so endpoint sharding is per-SA
-	// sharding: one association's frames stay ordered on one shard while
-	// different associations transmit concurrently and amortize syscalls
-	// via sendmmsg batching. 0 disables the sender: frames go out
-	// synchronously, one syscall each, from the protocol goroutine.
-	TxShards int
-	// RxBatch is how many datagrams one receive syscall may drain
-	// (recvmmsg on Linux; capped at rxBatchMax). 0 or 1 reads singly.
-	RxBatch int
-}
+// Options carries no field: the stack's socket I/O is not configurable.
+//
+// Deprecated: bench/ (frozen by BENCHMARK.json) still calls
+// NewStackOpts(h, addr, DefaultOptions()); use NewStack.
+type Options struct{}
 
-// DefaultOptions enables batched I/O: two sender shards and full-width
-// receive vectors.
-func DefaultOptions() Options {
-	return Options{TxShards: 2, RxBatch: rxBatchMax}
+// DefaultOptions returns the empty Options.
+//
+// Deprecated: see Options.
+func DefaultOptions() Options { return Options{} }
+
+// NewStackOpts is NewStack; the Options argument configures nothing.
+//
+// Deprecated: see Options.
+func NewStackOpts(host *hip.Host, listen string, _ Options) (*Stack, error) {
+	return NewStack(host, listen)
 }
 
 // Stack is a HIP endpoint over one UDP socket.
@@ -73,7 +74,6 @@ type Stack struct {
 	host  *hip.Host
 	pc    *net.UDPConn
 	rc    syscall.RawConn
-	opts  Options
 	epoch time.Time
 
 	// peers maps HITs to UDP endpoints (the static hosts-file role).
@@ -95,7 +95,11 @@ type Stack struct {
 	closed bool
 	done   chan struct{}
 
-	// Socket counters and the async sender (nil when TxShards == 0).
+	// plain is the scratch in which pumpLocked builds each segment's ESP
+	// plaintext; it is reused under mu.
+	plain []byte
+
+	// Socket counters and the sender shards every frame leaves through.
 	stats   ioStats
 	txErrMu sync.Mutex
 	txErr   error
@@ -121,15 +125,9 @@ func cryptoSeed() int64 {
 }
 
 // NewStack binds a UDP socket at listen (e.g. "127.0.0.1:10500") for the
-// given HIP host, with batched I/O defaults. The host's configured
-// locator should match the bound address.
+// given HIP host. The host's configured locator should match the bound
+// address.
 func NewStack(host *hip.Host, listen string) (*Stack, error) {
-	return NewStackOpts(host, listen, DefaultOptions())
-}
-
-// NewStackOpts is NewStack with explicit I/O options (Options{} yields
-// the fully synchronous, one-syscall-per-packet engine).
-func NewStackOpts(host *hip.Host, listen string, opts Options) (*Stack, error) {
 	addr, err := net.ResolveUDPAddr("udp", listen)
 	if err != nil {
 		return nil, err
@@ -141,7 +139,6 @@ func NewStackOpts(host *hip.Host, listen string, opts Options) (*Stack, error) {
 	s := &Stack{
 		host:      host,
 		pc:        pc,
-		opts:      opts,
 		epoch:     time.Now(),
 		peers:     make(map[netip.Addr]netip.AddrPort),
 		hitToEP:   make(map[netip.Addr]netip.AddrPort),
@@ -149,7 +146,7 @@ func NewStackOpts(host *hip.Host, listen string, opts Options) (*Stack, error) {
 		estab:     make(map[netip.Addr][]chan error),
 		conns:     make(map[connKey]*Conn),
 		listeners: make(map[uint16]*Listener),
-		nextPort:  41000,
+		nextPort:  ephemeralBase,
 		rng:       rand.New(rand.NewSource(cryptoSeed())),
 		done:      make(chan struct{}),
 	}
@@ -158,9 +155,7 @@ func NewStackOpts(host *hip.Host, listen string, opts Options) (*Stack, error) {
 	if rc, rcErr := pc.SyscallConn(); rcErr == nil {
 		s.rc = rc
 	}
-	if opts.TxShards > 0 {
-		s.sender = newSender(s, opts.TxShards)
-	}
+	s.sender = newSender(s)
 	go s.readLoop()
 	go s.timerLoop()
 	return s, nil
@@ -214,34 +209,29 @@ func (s *Stack) Close() error {
 		l.cond.Broadcast()
 	}
 	s.mu.Unlock()
-	// Drain the async sender before tearing the socket down so already
-	// queued frames still reach the wire.
-	if s.sender != nil {
-		s.sender.close()
-	}
+	// Drain the sender before tearing the socket down so already queued
+	// frames still reach the wire.
+	s.sender.close()
 	return s.pc.Close()
 }
 
 // readLoop drains inbound datagrams in recvmmsg-sized vectors and
-// dispatches them. Each datagram is still copied out of the reusable
-// receive arena before the protocol cores see it.
+// dispatches them. ESP frames are opened straight out of the receive
+// arena (OpenData appends the plaintext to a fresh buffer and retains
+// nothing of pkt); control frames are copied out first, since hip.Host
+// may retain parsed parameters.
 func (s *Stack) readLoop() {
 	eng := newRxEngine()
-	nbuf := s.opts.RxBatch
-	if nbuf < 1 {
-		nbuf = 1
-	}
-	if nbuf > rxBatchMax {
-		nbuf = rxBatchMax
-	}
-	bufs := make([][]byte, nbuf)
+	var (
+		bufs  [rxBatchMax][]byte
+		sizes [rxBatchMax]int
+		eps   [rxBatchMax]netip.AddrPort
+	)
 	for i := range bufs {
 		bufs[i] = make([]byte, 64*1024)
 	}
-	sizes := make([]int, nbuf)
-	eps := make([]netip.AddrPort, nbuf)
 	for {
-		cnt, nsys, err := eng.read(s.pc, s.rc, bufs, sizes, eps)
+		cnt, nsys, err := eng.read(s.pc, s.rc, bufs[:], sizes[:], eps[:])
 		s.stats.rxSyscalls.Add(uint64(nsys))
 		if cnt > 0 {
 			s.stats.rxBatches.Add(1)
@@ -253,14 +243,11 @@ func (s *Stack) readLoop() {
 			if n < 1 {
 				continue
 			}
-			buf := bufs[i]
-			data := make([]byte, n-1)
-			copy(data, buf[1:n])
-			switch buf[0] {
+			switch buf := bufs[i]; buf[0] {
 			case frameHIP:
-				s.onControl(data, eps[i])
+				s.onControl(append([]byte(nil), buf[1:n]...), eps[i])
 			case frameESP:
-				s.onData(data)
+				s.onData(buf[1:n])
 			}
 		}
 		if err != nil {
@@ -282,29 +269,35 @@ func (s *Stack) readLoop() {
 func (s *Stack) onControl(data []byte, from netip.AddrPort) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
 	s.locToEP[from.Addr()] = from
 	// Remember the sender HIT's endpoint (header bytes 8..24).
 	if len(data) >= 40 {
-		var h [16]byte
-		copy(h[:], data[8:24])
-		s.hitToEP[netip.AddrFrom16(h)] = from
+		s.hitToEP[netip.AddrFrom16([16]byte(data[8:24]))] = from
 	}
 	s.host.OnPacket(data, from.Addr(), s.now())
 	s.host.TakeCost() // real CPU already paid
 	s.flushLocked()
 }
 
-func (s *Stack) onData(data []byte) {
+// onData opens one ESP packet and feeds the segment inside to its conn.
+// pkt may point into the receive arena: nothing here retains it.
+func (s *Stack) onData(pkt []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	payload, peerHIT, err := s.host.OpenData(data, false)
+	if s.closed {
+		return
+	}
+	payload, peerHIT, err := s.host.OpenData(pkt, false)
 	s.host.TakeCost()
-	if err != nil || len(payload) < 1+4 || payload[0] != innerStream {
+	if err != nil || len(payload) < muxHeader || payload[0] != innerStream {
 		return
 	}
 	remotePort := binary.BigEndian.Uint16(payload[1:])
 	localPort := binary.BigEndian.Uint16(payload[3:])
-	seg, err := stream.ParseSegment(payload[5:])
+	seg, err := stream.ParseSegment(payload[muxHeader:])
 	if err != nil {
 		return
 	}
@@ -331,7 +324,17 @@ func (s *Stack) onData(data []byte) {
 // waiters. Callers hold s.mu.
 func (s *Stack) flushLocked() {
 	for _, op := range s.host.Outgoing() {
-		s.writeFrame(frameHIP, s.controlEndpoint(op), op.Data)
+		// Control packets resolve by the receiver HIT in the header
+		// (bytes 24..40), falling back to our own port on the locator.
+		var hit netip.Addr
+		if len(op.Data) >= 40 {
+			hit = netip.AddrFrom16([16]byte(op.Data[24:40]))
+		}
+		ep, ok := s.endpointFor(hit, op.Dst)
+		if !ok {
+			ep = netip.AddrPortFrom(op.Dst, uint16(s.LocalAddr().Port))
+		}
+		s.writeFrame(frameHIP, ep, op.Data)
 	}
 	for _, ev := range s.host.Events() {
 		var res error
@@ -350,54 +353,27 @@ func (s *Stack) flushLocked() {
 	}
 }
 
-// controlEndpoint resolves a control packet's destination: by the
-// receiver HIT in the packet header first (several peers may share one
-// IP), then by registered peers, then by locator.
-func (s *Stack) controlEndpoint(op hip.OutPacket) netip.AddrPort {
-	if len(op.Data) >= 40 {
-		var h [16]byte
-		copy(h[:], op.Data[24:40])
-		hit := netip.AddrFrom16(h)
-		if ep, ok := s.hitToEP[hit]; ok && ep.Addr() == op.Dst {
-			return ep
-		}
-		if ep, ok := s.peers[hit]; ok && ep.Addr() == op.Dst {
-			return ep
-		}
+// endpointFor resolves a peer's UDP endpoint at locator: by HIT first
+// (HIP locators carry no port, so several peers may share one IP), then
+// by registered peers, then by the locator alone.
+func (s *Stack) endpointFor(hit, locator netip.Addr) (netip.AddrPort, bool) {
+	if ep, ok := s.hitToEP[hit]; ok && ep.Addr() == locator {
+		return ep, true
 	}
-	if ep, ok := s.locToEP[op.Dst]; ok {
-		return ep
+	if ep, ok := s.peers[hit]; ok && ep.Addr() == locator {
+		return ep, true
 	}
-	return netip.AddrPortFrom(op.Dst, uint16(s.LocalAddr().Port))
+	ep, ok := s.locToEP[locator]
+	return ep, ok
 }
 
+// writeFrame queues a copy of data, behind its type byte, on the
+// destination's sender shard.
 func (s *Stack) writeFrame(typ byte, ep netip.AddrPort, data []byte) {
 	buf := make([]byte, 1+len(data))
 	buf[0] = typ
 	copy(buf[1:], data)
-	p := txPacket{buf: buf, ep: ep}
-	if s.sender != nil {
-		s.sender.enqueue(s, p)
-		return
-	}
-	s.writeNow(p)
-}
-
-// writeNow is the synchronous send path (TxShards == 0). Errors and
-// short writes are counted and retained instead of being discarded.
-func (s *Stack) writeNow(p txPacket) {
-	n, err := s.pc.WriteToUDPAddrPort(p.buf, p.ep)
-	s.stats.txSyscalls.Add(1)
-	s.stats.txBatches.Add(1)
-	if err == nil && n != len(p.buf) {
-		err = io.ErrShortWrite
-	}
-	if err != nil {
-		s.noteTxErr(err)
-		return
-	}
-	s.stats.txPackets.Add(1)
-	s.stats.txBytes.Add(uint64(n))
+	s.sender.enqueue(s, txPacket{buf: buf, ep: ep})
 }
 
 // timerLoop drives HIP retransmissions and stream RTOs.
@@ -411,6 +387,10 @@ func (s *Stack) timerLoop() {
 		case <-ticker.C:
 		}
 		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return
+		}
 		now := s.now()
 		if dl := s.host.NextDeadline(); dl != 0 && now >= dl {
 			s.host.OnTimer(now)
@@ -474,36 +454,58 @@ func (s *Stack) newConnLocked(key connKey) *Conn {
 	return c
 }
 
-// pumpLocked flushes a conn's outgoing segments through ESP. Callers hold
-// s.mu.
+// pumpLocked flushes a conn's outgoing segments through ESP and forgets
+// the conn once it is closed on both sides. Each segment is marshaled
+// once into the plaintext scratch and sealed straight into the frame its
+// shard sends. Callers hold s.mu.
 func (s *Stack) pumpLocked(c *Conn) {
+	if s.closed {
+		return
+	}
 	segs, deadline := c.inner.Poll(s.now())
 	c.deadline = deadline
 	for _, seg := range segs {
-		wire := seg.Marshal()
-		payload := make([]byte, 5+len(wire))
-		payload[0] = innerStream
-		binary.BigEndian.PutUint16(payload[1:], c.key.localPort)
-		binary.BigEndian.PutUint16(payload[3:], c.key.remotePort)
-		copy(payload[5:], wire)
-		pkt, dst, err := s.host.SealData(c.key.peer, payload, false)
+		n := muxHeader + stream.HeaderSize + len(seg.Payload)
+		if cap(s.plain) < n {
+			s.plain = make([]byte, n)
+		}
+		plain := s.plain[:n]
+		plain[0] = innerStream
+		binary.BigEndian.PutUint16(plain[1:], c.key.localPort)
+		binary.BigEndian.PutUint16(plain[3:], c.key.remotePort)
+		seg.MarshalInto(plain[muxHeader:])
+		frame := make([]byte, 1, 1+n+esp.MaxOverhead)
+		frame[0] = frameESP
+		frame, dst, err := s.host.SealDataAppend(frame, c.key.peer, plain, false)
 		s.host.TakeCost()
 		if err != nil {
 			c.inner.Abort()
-			return
+			break
 		}
-		// ESP destinations resolve by peer HIT first (shared-IP safety).
-		ep, ok := s.hitToEP[c.key.peer]
-		if !ok || ep.Addr() != dst {
-			if pep, ok2 := s.peers[c.key.peer]; ok2 && pep.Addr() == dst {
-				ep = pep
-			} else if lep, ok3 := s.locToEP[dst]; ok3 {
-				ep = lep
-			} else {
-				continue
-			}
+		if ep, ok := s.endpointFor(c.key.peer, dst); ok {
+			s.sender.enqueue(s, txPacket{buf: frame, ep: ep})
 		}
-		s.writeFrame(frameESP, ep, pkt)
+	}
+	if st := c.inner.State(); c.closedByUser && (st == stream.StateClosed || st == stream.StateReset) {
+		delete(s.conns, c.key)
+	}
+}
+
+// allocPortLocked returns the next ephemeral port that no listener and
+// no live conn holds.
+func (s *Stack) allocPortLocked() uint16 {
+	for {
+		s.nextPort++
+		if s.nextPort < ephemeralBase {
+			s.nextPort = ephemeralBase
+		}
+		_, used := s.listeners[s.nextPort]
+		for k := range s.conns {
+			used = used || k.localPort == s.nextPort
+		}
+		if !used {
+			return s.nextPort
+		}
 	}
 }
 
@@ -513,26 +515,23 @@ func (s *Stack) Dial(peerHIT netip.Addr, port uint16, timeout time.Duration) (*C
 		return nil, err
 	}
 	s.mu.Lock()
-	s.nextPort++
-	key := connKey{peer: peerHIT, localPort: s.nextPort, remotePort: port}
+	defer s.mu.Unlock()
+	key := connKey{peer: peerHIT, localPort: s.allocPortLocked(), remotePort: port}
 	c := s.newConnLocked(key)
 	c.inner.Open(s.now())
 	s.pumpLocked(c)
 	deadline := time.Now().Add(timeout)
-	for !c.inner.Established() && c.inner.State() != stream.StateReset {
+	for !c.inner.Established() {
+		if c.inner.State() == stream.StateReset {
+			delete(s.conns, key)
+			return nil, ErrRefused
+		}
 		if time.Now().After(deadline) {
 			delete(s.conns, key)
-			s.mu.Unlock()
 			return nil, ErrTimeout
 		}
 		c.waitLocked(100 * time.Millisecond)
 	}
-	if c.inner.State() == stream.StateReset {
-		delete(s.conns, key)
-		s.mu.Unlock()
-		return nil, ErrRefused
-	}
-	s.mu.Unlock()
 	return c, nil
 }
 
@@ -590,6 +589,8 @@ type Conn struct {
 	inner    *stream.Conn
 	cond     *sync.Cond
 	deadline time.Duration
+	// closedByUser lets pumpLocked forget the conn once the stream is done.
+	closedByUser bool
 }
 
 // PeerHIT returns the remote host identity tag.
@@ -656,6 +657,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 func (c *Conn) Close() error {
 	c.stack.mu.Lock()
 	defer c.stack.mu.Unlock()
+	c.closedByUser = true
 	c.inner.Close()
 	c.stack.pumpLocked(c)
 	return nil

@@ -1,0 +1,185 @@
+package hipudp
+
+import (
+	"bytes"
+	"net/netip"
+	"testing"
+	"time"
+)
+
+// serveEcho accepts on l until it closes; each conn is echoed until the
+// peer's FIN (or a reset) and then closed.
+func serveEcho(l *Listener) {
+	for {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		go func() {
+			defer c.Close()
+			buf := make([]byte, 256)
+			for {
+				n, err := c.Read(buf)
+				if err != nil {
+					return
+				}
+				if _, err := c.Write(buf[:n]); err != nil {
+					return
+				}
+			}
+		}()
+	}
+}
+
+// dialEcho dials peer:port from s and checks one echo round trip.
+func dialEcho(t *testing.T, s *Stack, peer netip.Addr, port uint16) *Conn {
+	t.Helper()
+	c, err := s.Dial(peer, port, 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial port %d: %v", port, err)
+	}
+	msg := []byte("ping over esp")
+	if _, err := c.Write(msg); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	got := make([]byte, len(msg))
+	for n := 0; n < len(got); {
+		rn, err := c.Read(got[n:])
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		n += rn
+	}
+	if !bytes.Equal(got, msg) {
+		t.Fatalf("echo = %q, want %q", got, msg)
+	}
+	return c
+}
+
+func connCount(s *Stack) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}
+
+// TestClosedConnsAreForgotten is the regression test for conns staying in
+// the stack's table forever: once both sides closed and the handshake
+// finished, neither stack may still hold the entry.
+func TestClosedConnsAreForgotten(t *testing.T) {
+	a, b := pair(t)
+	l, err := b.Listen(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go serveEcho(l)
+	for i := 0; i < 20; i++ {
+		dialEcho(t, a, idB.HIT(), 7).Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for connCount(a) != 0 || connCount(b) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("conns left after 20 dial/echo/close cycles: dialer %d, listener %d",
+				connCount(a), connCount(b))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestDialPortsStayEphemeral is the regression test for Dial's uint16
+// port counter wrapping through 0 and the listener range: ports must stay
+// in the ephemeral range and off live conns, so a low-port listener on
+// the dialing stack keeps receiving its SYNs.
+func TestDialPortsStayEphemeral(t *testing.T) {
+	a, b := pair(t)
+	la, err := a.Listen(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go serveEcho(la)
+	lb, err := b.Listen(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go serveEcho(lb)
+
+	a.mu.Lock()
+	a.nextPort = 65534
+	a.mu.Unlock()
+	seen := make(map[uint16]bool)
+	for i := 0; i < 3; i++ {
+		c := dialEcho(t, a, idB.HIT(), 7)
+		defer c.Close()
+		p := c.key.localPort
+		if p < ephemeralBase || seen[p] {
+			t.Fatalf("dial %d got local port %d (seen %v), want a fresh port >= %d", i, p, seen, ephemeralBase)
+		}
+		seen[p] = true
+	}
+	dialEcho(t, b, idA.HIT(), 1).Close()
+}
+
+// TestCloseIsNotCountedAsLoss is the regression test for work done after
+// Stack.Close landing on the stopped sender shards as TxDrops: closing the
+// stacks under live conns, and the conns after them (the order deferred
+// Closes produce), must leave the counter at zero.
+func TestCloseIsNotCountedAsLoss(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		a, b := pair(t)
+		l, err := b.Listen(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go serveEcho(l)
+		c := dialEcho(t, a, idB.HIT(), 7)
+		a.Close()
+		b.Close()
+		c.Close()
+		if da, db := a.Stats().TxDrops, b.Stats().TxDrops; da != 0 || db != 0 {
+			t.Fatalf("cycle %d: TxDrops dialer=%d listener=%d, want 0", i, da, db)
+		}
+	}
+}
+
+// TestPumpAllocsPerSegment pins the transmit path's allocation count. Per
+// segment written and pumped, stream allocates the payload copy and
+// Poll's slice and pumpLocked allocates the frame; AllocsPerRun counts
+// the whole process, so the shard worker's one closure per send batch
+// (one segment a batch here) is the fourth.
+func TestPumpAllocsPerSegment(t *testing.T) {
+	a, b := pair(t)
+	l, err := b.Listen(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go serveEcho(l)
+	c := dialEcho(t, a, idB.HIT(), 7)
+	defer c.Close()
+	// Send into the void from here on, so that no reply wakes this
+	// stack's read loop during the measurement.
+	a.mu.Lock()
+	a.hitToEP[idB.HIT()] = netip.MustParseAddrPort("127.0.0.1:9")
+	a.mu.Unlock()
+	seg := make([]byte, 1000)
+	sent := func() uint64 {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		as, _ := a.host.Association(idB.HIT())
+		return as.DataSent
+	}
+	before := sent()
+	const runs = 5
+	allocs := testing.AllocsPerRun(runs, func() {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		if n, err := c.inner.Write(seg); n != len(seg) || err != nil {
+			t.Fatalf("stream write: %d %v", n, err)
+		}
+		a.pumpLocked(c)
+	})
+	if got := sent() - before; got < (runs+1)*uint64(len(seg)) {
+		t.Fatalf("sealed %d payload bytes in %d runs: the window closed mid-measurement", got, runs+1)
+	}
+	if allocs > 4 {
+		t.Errorf("%.0f allocations per segment, want <= 4 (payload copy, Poll slice, frame, send closure)", allocs)
+	}
+}

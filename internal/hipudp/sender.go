@@ -13,6 +13,8 @@ type txPacket struct {
 }
 
 const (
+	// txShards is the number of sender workers per stack.
+	txShards = 2
 	// txBatchSize is the most datagrams one sender flush covers (the
 	// sendmmsg vector length on Linux).
 	txBatchSize = 32
@@ -41,9 +43,9 @@ type senderShard struct {
 	closed bool
 }
 
-func newSender(s *Stack, shards int) *sender {
+func newSender(s *Stack) *sender {
 	sd := &sender{
-		shards: make([]*senderShard, shards),
+		shards: make([]*senderShard, txShards),
 		seed:   maphash.MakeSeed(),
 	}
 	for i := range sd.shards {
@@ -61,9 +63,6 @@ func newSender(s *Stack, shards int) *sender {
 
 // shardFor hashes the destination endpoint to a shard.
 func (sd *sender) shardFor(ep netip.AddrPort) *senderShard {
-	if len(sd.shards) == 1 {
-		return sd.shards[0]
-	}
 	var h maphash.Hash
 	h.SetSeed(sd.seed)
 	b := ep.Addr().As16()

@@ -23,8 +23,8 @@ type Stats struct {
 	// TxPackets/TxBytes count datagrams (frames) actually written.
 	TxPackets, TxBytes uint64
 	// TxSyscalls counts send syscalls; with sendmmsg batching it grows
-	// slower than TxPackets — TxSyscalls/TxPackets is the syscalls-per-
-	// packet figure tracked in BENCH_DATAPLANE.json.
+	// slower than TxPackets — TxSyscalls/TxPackets is the benchmark's
+	// hipudp.tx_syscalls_per_pkt.
 	TxSyscalls uint64
 	// TxBatches counts sender flushes (each covering >=1 packet).
 	TxBatches uint64
@@ -32,7 +32,8 @@ type Stats struct {
 	// write). The first such error is retained and exposed via TxErr.
 	TxErrors uint64
 	// TxDrops counts frames dropped because a sender shard's queue was
-	// full (datagram semantics: drop, don't block the protocol core).
+	// full (datagram semantics: drop, don't block the protocol core). A
+	// closed stack enqueues nothing, so shutdown is not counted as loss.
 	TxDrops uint64
 	// Rx counters mirror the Tx ones for the read side.
 	RxPackets, RxBytes, RxSyscalls, RxBatches uint64
@@ -55,8 +56,8 @@ func (s *Stack) Stats() Stats {
 }
 
 // TxErr returns the first socket write error the stack observed (nil if
-// none). Sends are asynchronous under batching, so errors surface here
-// and in Stats().TxErrors rather than from Conn.Write.
+// none). Sends are asynchronous, so errors surface here and in
+// Stats().TxErrors rather than from Conn.Write.
 func (s *Stack) TxErr() error {
 	s.txErrMu.Lock()
 	defer s.txErrMu.Unlock()
@@ -66,9 +67,6 @@ func (s *Stack) TxErr() error {
 // noteTxErr records the first write failure and counts every one.
 func (s *Stack) noteTxErr(err error) {
 	s.stats.txErrors.Add(1)
-	if err == nil {
-		return
-	}
 	s.txErrMu.Lock()
 	if s.txErr == nil {
 		s.txErr = err
