@@ -88,12 +88,16 @@ bench-smoke:
 
 # Short fuzz pass over every wire-format fuzz target (go test allows one
 # -fuzz pattern per invocation, hence one line per target), so the
-# checked-in corpora and 30 s of fresh inputs run in the gate.
+# checked-in corpora and 30 s of fresh inputs run in the gate. esp.FuzzOpen
+# has no keys, so it stops at the ICV check; keymat.FuzzCipherOpen and
+# tlslite.FuzzOpenRecord hold the keys and fuzz what lies behind it.
 FUZZTIME ?= 30s
 
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzOpen$$ -fuzztime=$(FUZZTIME) ./internal/esp
 	$(GO) test -run=NONE -fuzz=FuzzSealOpenRoundTrip$$ -fuzztime=$(FUZZTIME) ./internal/esp
+	$(GO) test -run=NONE -fuzz=FuzzCipherOpen$$ -fuzztime=$(FUZZTIME) ./internal/keymat
+	$(GO) test -run=NONE -fuzz=FuzzOpenRecord$$ -fuzztime=$(FUZZTIME) ./internal/tlslite
 	$(GO) test -run=NONE -fuzz=FuzzReadRequest$$ -fuzztime=$(FUZZTIME) ./internal/microhttp
 	$(GO) test -run=NONE -fuzz=FuzzReadResponse$$ -fuzztime=$(FUZZTIME) ./internal/microhttp
 	$(GO) test -run=NONE -fuzz=FuzzParseMessage$$ -fuzztime=$(FUZZTIME) ./internal/hipdns

@@ -82,6 +82,19 @@ var DefaultHotRoots = []HotRoot{
 	{"tlslite", "Conn", "Read"},
 	{"tlslite", "Conn", "sealRecordAppend"},
 	{"tlslite", "Conn", "openRecordInPlace"},
+	// Every suite's transform sits behind the five-implementor
+	// keymat.AEAD interface, which must-dispatch cannot follow from the
+	// four seal/open roots above: each implementor is a root of its own.
+	{"keymat", "nullHMAC", "Seal"},
+	{"keymat", "nullHMAC", "Open"},
+	{"keymat", "ctrHMAC", "Seal"},
+	{"keymat", "ctrHMAC", "Open"},
+	{"keymat", "cbcHMAC", "Seal"},
+	{"keymat", "cbcHMAC", "Open"},
+	{"keymat", "gcmAEAD", "Seal"},
+	{"keymat", "gcmAEAD", "Open"},
+	{"keymat", "ChaChaPoly", "Seal"},
+	{"keymat", "ChaChaPoly", "Open"},
 	{"hip", "Host", "OnPacket"},
 	{"hip", "Host", "OnTimer"},
 }

@@ -265,8 +265,8 @@ func TestAEADZeroize(t *testing.T) {
 			t.Fatal("encryption key not wiped")
 		}
 	}
-	if pi.Out.aead != nil || pi.In.aead != nil {
-		t.Fatal("aead reference retained")
+	if pi.Out.tf != nil || pi.In.tf != nil {
+		t.Fatal("transform reference retained")
 	}
 	if pi.Out.nonce != ([keymat.NonceLen]byte{}) {
 		t.Fatal("nonce salt not wiped")

@@ -2,18 +2,21 @@ package esp
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/binary"
 	"testing"
 
 	"hipcloud/internal/keymat"
 )
 
-// reMAC recomputes a packet's ICV with the sender's cached MAC state, used
-// by tests that forge header fields on otherwise-valid packets.
-func reMAC(sa *OutboundSA, pkt []byte) {
-	sa.mac.Reset()
-	sa.mac.Write(pkt[:len(pkt)-ICVLen])
-	copy(pkt[len(pkt)-ICVLen:], sa.mac.SumTrunc(ICVLen))
+// reMAC recomputes a 2012-suite packet's ICV under the association's
+// auth key, used by tests that forge header or body bytes on
+// otherwise-valid packets (what only a key holder can do).
+func reMAC(authKey, pkt []byte) {
+	h := hmac.New(sha256.New, authKey)
+	h.Write(pkt[:len(pkt)-ICVLen])
+	copy(pkt[len(pkt)-ICVLen:], h.Sum(nil))
 }
 
 func TestSealAppendOpenAppendRoundTrip(t *testing.T) {
@@ -107,7 +110,8 @@ func TestReplaySeqZeroRejected(t *testing.T) {
 	// must reject it before any decryption.
 	forged := append([]byte(nil), pkt...)
 	binary.BigEndian.PutUint32(forged[4:], 0)
-	reMAC(pi.Out, forged)
+	ak, _ := keysFor(t, keymat.SuiteAESCTRSHA256)
+	reMAC(ak.ESPAuthOut, forged)
 	if _, err := pr.In.Open(forged); err != ErrReplay {
 		t.Fatalf("seq 0 err = %v, want ErrReplay", err)
 	}

@@ -4,14 +4,17 @@
 // number, payload, padding and ICV travel on the wire — the
 // bandwidth-efficiency property the paper highlights over tunnel mode.
 //
-// Supported transforms come from hipcloud/internal/keymat: the 2012
-// suites (AES-128-CTR and AES-128-CBC with HMAC-SHA-256-128 integrity,
-// plus a NULL cipher for integrity-only operation) and the modern
-// single-pass AEAD suites (AES-128/256-GCM, ChaCha20-Poly1305). AEAD
-// packets carry no wire IV: the nonce is implicit — salt(4) || 0(4) ||
-// seq(4), RFC 8750 style — with the salt drawn from KEYMAT per key
-// generation, the 8-byte ESP header authenticated as AAD, and the
-// 16-byte tag in the ICV slot. Combined with the sequence-exhaustion
+// Every transform is a keymat.AEAD built by keymat.NewAEAD: the modern
+// single-pass suites (AES-128/256-GCM, ChaCha20-Poly1305) and the 2012
+// suites (AES-128-CTR, AES-128-CBC and NULL with HMAC-SHA-256-128) as
+// encrypt-then-MAC composites. This package is framing only: the header,
+// the RFC 4303 pad/trailer, the replay window and the counters; it knows
+// two facts per suite (see shape) and seals or opens with one call. The
+// 8-byte ESP header is the AAD and the 16-byte tag fills the ICV slot on
+// every suite. AEAD packets carry no wire IV: the nonce is implicit —
+// salt(4) || 0(4) || seq(4), RFC 8750 style — with the salt drawn from
+// KEYMAT per key generation; the composites derive their IV from the
+// header and ignore the nonce. Combined with the sequence-exhaustion
 // refusal in SealAppend, a (key, nonce) pair can never repeat.
 //
 // # Zero-allocation fast path
@@ -19,12 +22,11 @@
 // SealAppend and OpenAppend are the steady-state APIs: they append the
 // sealed packet (or recovered payload) to a caller-provided buffer and
 // return the extended slice, exactly like cipher.AEAD. With a reused
-// destination buffer they perform zero heap allocations per packet on the
-// AES-CTR and NULL suites (and on AES-CBC when the platform cipher
-// supports IV reuse): the HMAC state is keyed once at SA setup and
-// reset-reused, IVs are derived into stack arrays, and ciphertext is
-// produced in place in the destination. Seal and Open remain as thin
-// allocating wrappers for callers that want a fresh buffer.
+// destination buffer they perform zero heap allocations per packet: the
+// transforms key their state once at SA setup and own their scratch, and
+// the plaintext is framed where its ciphertext lands and sealed in
+// place. Seal and Open remain as thin allocating wrappers for callers
+// that want a fresh buffer.
 //
 // Buffer ownership: SealAppend/OpenAppend never alias SA-internal state
 // in their output — the returned bytes live entirely in dst's (possibly
@@ -35,8 +37,6 @@
 package esp
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 
@@ -53,8 +53,10 @@ var (
 	ErrSeqExhausted = errors.New("esp: outbound sequence space exhausted")
 )
 
-// ICVLen is the truncated HMAC-SHA-256-128 integrity tag length.
+// ICVLen is the integrity tag length: the truncated HMAC-SHA-256-128 and
+// the AEAD tags coincide (the compile-time check pins it both ways).
 const ICVLen = 16
+const _ = uint(ICVLen-keymat.TagLen) + uint(keymat.TagLen-ICVLen)
 
 // HeaderLen is SPI + sequence number.
 const HeaderLen = 8
@@ -72,71 +74,45 @@ const MaxOverhead = HeaderLen + 16 + 17 + ICVLen
 // the BEET-mode convention used throughout).
 const nextHeader = 59
 
-// ivSetter is the optional block-mode interface that lets one CBC
-// encrypter/decrypter be re-IV'd per packet instead of reallocated
-// (implemented by the stdlib AES CBC modes).
-type ivSetter interface {
-	SetIV([]byte)
+// shape reports the two per-suite facts the framing needs: how many IV
+// bytes travel in front of the ciphertext, and the block size (a power
+// of two) the plaintext payload||pad||padlen||nexthdr is padded to. The
+// NULL and AEAD suites send no IV and need no padding.
+func shape(s keymat.Suite) (ivLen, padBlock int) {
+	switch s {
+	case keymat.SuiteAESCTRSHA256:
+		return 8, 1
+	case keymat.SuiteAESCBCSHA256:
+		return 16, 16
+	}
+	return 0, 1
 }
 
-// ivScratch is per-SA scratch for deterministic IV derivation. The arrays
-// are passed through the cipher.Block interface, so they must live in the
-// (already heap-resident) SA rather than on the sealing call's stack to
-// keep the per-packet path allocation-free.
-type ivScratch struct {
-	ctr, iv [16]byte
-}
-
-// derive builds a unique 16-byte IV from the SPI and sequence number
-// keyed through the cipher itself (encrypting the counter block), which is
-// standard practice for deterministic IVs. The result aliases s and is
-// valid until the next derive.
-func (s *ivScratch) derive(block cipher.Block, spi, seq uint32) *[16]byte {
-	binary.BigEndian.PutUint32(s.ctr[0:], spi)
-	binary.BigEndian.PutUint32(s.ctr[4:], seq)
-	block.Encrypt(s.iv[:], s.ctr[:])
-	return &s.iv
+// half is what both directions of an SA share: the SPI, the transform
+// with its implicit-IV nonce scratch — salt(4) || zero(4) || seq(4), the
+// seq field rewritten per packet; it lives in the (heap-resident) SA so
+// the nonce pointer crosses the AEAD interface without a per-packet
+// escape — the suite's shape, and the encryption key, which aliases the
+// AssociationKeys slice it was built from and is kept only to be wiped.
+type half struct {
+	SPI             uint32
+	encKey          []byte
+	tf              keymat.AEAD
+	nonce           [keymat.NonceLen]byte
+	ivLen, padBlock int
 }
 
 // OutboundSA encrypts and authenticates packets for one direction.
 type OutboundSA struct {
-	SPI    uint32
-	suite  keymat.Suite
-	encKey []byte
-	block  cipher.Block
-	seq    uint32
-	// mac is the cached keyed HMAC state, reset-reused per packet
-	// (legacy suites only; nil for AEAD).
-	mac *keymat.MAC
-	// ctr is per-SA CTR scratch so keystream blocks stay off the heap.
-	ctr keymat.CTRScratch
-	// cbc is the cached CBC encrypter when the cipher supports SetIV.
-	cbc cipher.BlockMode
-	ivs ivScratch
-	// aead is the single-pass transform for the modern suites; nil for
-	// the legacy HMAC suites. nonce is the per-SA implicit-IV scratch:
-	// salt(4) || zero(4) || seq(4), the seq field rewritten per packet.
-	// Keeping it in the (heap-resident) SA rather than on the call
-	// stack lets the nonce pointer cross the AEAD interface without a
-	// per-packet escape.
-	aead    keymat.AEAD
-	nonce   [keymat.NonceLen]byte
+	half
+	seq     uint32
 	Packets uint64
 	Bytes   uint64
 }
 
 // InboundSA authenticates, replay-checks and decrypts one direction.
 type InboundSA struct {
-	SPI    uint32
-	suite  keymat.Suite
-	encKey []byte
-	block  cipher.Block
-	mac    *keymat.MAC
-	ctr    keymat.CTRScratch
-	cbc    cipher.BlockMode
-	ivs    ivScratch
-	aead   keymat.AEAD
-	nonce  [keymat.NonceLen]byte
+	half
 	// Anti-replay state: highest sequence seen and a bitmap of the
 	// ReplayWindow sequences at and below it.
 	highest   uint32
@@ -147,82 +123,53 @@ type InboundSA struct {
 	AuthFails uint64
 }
 
-// NewOutbound creates the sending half of an SA. For the legacy suites
-// authKey is the 32-byte HMAC key; for AEAD suites it is the 4-byte
-// implicit-IV salt drawn through the same KEYMAT slot.
+// newHalf builds the shared half of an SA. For the 2012 suites authKey is
+// the 32-byte HMAC key; for AEAD suites it is the 4-byte implicit-IV salt
+// drawn through the same KEYMAT slot.
+func newHalf(spi uint32, suite keymat.Suite, encKey, authKey []byte) (half, error) {
+	h := half{SPI: spi, encKey: encKey}
+	h.ivLen, h.padBlock = shape(suite)
+	tf, err := keymat.NewAEAD(suite, encKey, authKey, h.ivLen)
+	if err != nil {
+		return half{}, err
+	}
+	h.tf = tf
+	if suite.IsAEAD() {
+		copy(h.nonce[:keymat.SaltLen], authKey)
+	}
+	return h, nil
+}
+
+// NewOutbound creates the sending half of an SA; keys of the wrong length
+// for the suite are refused with keymat.ErrKeyLen.
 func NewOutbound(spi uint32, suite keymat.Suite, encKey, authKey []byte) (*OutboundSA, error) {
-	sa := &OutboundSA{SPI: spi, suite: suite, encKey: encKey}
-	switch suite {
-	case keymat.SuiteAESCBCSHA256, keymat.SuiteAESCTRSHA256:
-		sa.mac = keymat.NewMAC(authKey)
-		b, err := aes.NewCipher(encKey)
-		if err != nil {
-			return nil, err
-		}
-		sa.block = b
-		if suite == keymat.SuiteAESCBCSHA256 {
-			var zero [aes.BlockSize]byte
-			if m := cipher.NewCBCEncrypter(b, zero[:]); isIVSetter(m) {
-				sa.cbc = m
-			}
-		}
-	case keymat.SuiteNullSHA256:
-		sa.mac = keymat.NewMAC(authKey)
-	case keymat.SuiteAESGCM128, keymat.SuiteAESGCM256, keymat.SuiteChaCha20Poly1305:
-		if len(authKey) != keymat.SaltLen {
-			return nil, keymat.ErrUnknownSuite
-		}
-		a, err := keymat.NewAEADCipher(suite, encKey)
-		if err != nil {
-			return nil, err
-		}
-		sa.aead = a
-		copy(sa.nonce[:keymat.SaltLen], authKey)
-	default:
-		return nil, keymat.ErrUnknownSuite
+	h, err := newHalf(spi, suite, encKey, authKey)
+	if err != nil {
+		return nil, err
 	}
-	return sa, nil
+	return &OutboundSA{half: h}, nil
 }
 
-// NewInbound creates the receiving half of an SA; authKey follows the
-// NewOutbound convention (HMAC key for legacy, 4-byte salt for AEAD).
+// NewInbound creates the receiving half of an SA; see NewOutbound.
 func NewInbound(spi uint32, suite keymat.Suite, encKey, authKey []byte) (*InboundSA, error) {
-	sa := &InboundSA{SPI: spi, suite: suite, encKey: encKey}
-	switch suite {
-	case keymat.SuiteAESCBCSHA256, keymat.SuiteAESCTRSHA256:
-		sa.mac = keymat.NewMAC(authKey)
-		b, err := aes.NewCipher(encKey)
-		if err != nil {
-			return nil, err
-		}
-		sa.block = b
-		if suite == keymat.SuiteAESCBCSHA256 {
-			var zero [aes.BlockSize]byte
-			if m := cipher.NewCBCDecrypter(b, zero[:]); isIVSetter(m) {
-				sa.cbc = m
-			}
-		}
-	case keymat.SuiteNullSHA256:
-		sa.mac = keymat.NewMAC(authKey)
-	case keymat.SuiteAESGCM128, keymat.SuiteAESGCM256, keymat.SuiteChaCha20Poly1305:
-		if len(authKey) != keymat.SaltLen {
-			return nil, keymat.ErrUnknownSuite
-		}
-		a, err := keymat.NewAEADCipher(suite, encKey)
-		if err != nil {
-			return nil, err
-		}
-		sa.aead = a
-		copy(sa.nonce[:keymat.SaltLen], authKey)
-	default:
-		return nil, keymat.ErrUnknownSuite
+	h, err := newHalf(spi, suite, encKey, authKey)
+	if err != nil {
+		return nil, err
 	}
-	return sa, nil
+	return &InboundSA{half: h}, nil
 }
 
-func isIVSetter(m cipher.BlockMode) bool {
-	_, ok := m.(ivSetter)
-	return ok
+// Zeroize wipes the SA's key material: the encryption key, the
+// transform's keyed state and scratch, and the nonce salt. Idempotent;
+// the SA must not be used afterwards — it is retired by a rekey or
+// teardown.
+func (h *half) Zeroize() {
+	keymat.Zeroize(h.encKey)
+	if h.tf != nil {
+		h.tf.Zeroize()
+		h.tf = nil
+	}
+	h.nonce = [keymat.NonceLen]byte{}
 }
 
 // Seq returns the last sequence number sent.
@@ -234,33 +181,22 @@ func (sa *OutboundSA) Seq() uint32 { return sa.seq }
 // numbers.
 func (sa *OutboundSA) SetSeq(seq uint32) { sa.seq = seq }
 
-// bodyLen reports the on-wire body length (IV + ciphertext + trailer, no
-// header/ICV) a suite produces for a payload of length n.
-func bodyLen(s keymat.Suite, n int) int {
-	switch s {
-	case keymat.SuiteNullSHA256:
-		return n + 2
-	case keymat.SuiteAESCTRSHA256:
-		return 8 + n + 2
-	case keymat.SuiteAESCBCSHA256:
-		padLen := aes.BlockSize - (n+2)%aes.BlockSize
-		if padLen == aes.BlockSize {
-			padLen = 0
-		}
-		return aes.BlockSize + n + padLen + 2
-	case keymat.SuiteAESGCM128, keymat.SuiteAESGCM256, keymat.SuiteChaCha20Poly1305:
-		// No IV on the wire (implicit from seq), no padding (stream
-		// AEAD): ciphertext of payload + 2-byte trailer. The tag lands
-		// in the ICV slot (keymat.TagLen == ICVLen).
-		return n + 2
-	}
-	return 0
-}
+// padLen is the RFC 4303 padding that rounds an n-byte payload plus the
+// 2-byte trailer up to the suite's block size.
+func (h *half) padLen(n int) int { return -(n + 2) & (h.padBlock - 1) }
 
 // SealedLen reports the total packet length SealAppend will produce for a
 // payload of length n, for callers pre-sizing destination buffers.
 func (sa *OutboundSA) SealedLen(n int) int {
-	return HeaderLen + bodyLen(sa.suite, n) + ICVLen
+	return HeaderLen + sa.ivLen + n + sa.padLen(n) + 2 + ICVLen
+}
+
+// Overhead reports the per-packet ESP byte overhead for a suite (header,
+// IV, trailer with worst-case padding, ICV), used by cost models and
+// wire-size accounting.
+func Overhead(s keymat.Suite) int {
+	ivLen, padBlock := shape(s)
+	return HeaderLen + ivLen + padBlock - 1 + 2 + ICVLen
 }
 
 // ensure grows b by n bytes, reallocating only when capacity is short,
@@ -279,8 +215,8 @@ func ensure(b []byte, n int) (grown, region []byte) {
 
 // SealAppend encrypts and authenticates payload, appending the full ESP
 // packet to dst and returning the extended slice. With a dst whose
-// capacity already fits the packet, the CTR and NULL suites allocate
-// nothing. payload and dst must not overlap.
+// capacity already fits the packet it allocates nothing. payload and dst
+// must not overlap.
 func (sa *OutboundSA) SealAppend(dst, payload []byte) ([]byte, error) {
 	// The saturation refusal is what makes implicit-IV AEAD safe even if
 	// a rekey stalls: the final sequence number 2^32-1 is used at most
@@ -290,70 +226,23 @@ func (sa *OutboundSA) SealAppend(dst, payload []byte) ([]byte, error) {
 	if sa.seq == ^uint32(0) {
 		return nil, ErrSeqExhausted
 	}
-	bl := bodyLen(sa.suite, len(payload))
-	if bl == 0 && sa.suite != keymat.SuiteNullSHA256 {
-		return nil, keymat.ErrUnknownSuite
-	}
 	sa.seq++
-	dst, pkt := ensure(dst, HeaderLen+bl+ICVLen)
+	pad := sa.padLen(len(payload))
+	dst, pkt := ensure(dst, sa.SealedLen(len(payload)))
 	binary.BigEndian.PutUint32(pkt[0:], sa.SPI)
 	binary.BigEndian.PutUint32(pkt[4:], sa.seq)
-	if sa.aead != nil {
-		// Single-pass fast path: build the plaintext body (payload +
-		// trailer) in place, then seal it in place — ciphertext
-		// overwrites the body and the tag fills the ICV slot. AAD is
-		// the 8-byte ESP header, so SPI and seq are bound without an
-		// HMAC pass; the nonce is salt || 0 || seq (RFC 8750 style).
-		pt := pkt[HeaderLen : HeaderLen+bl]
-		copy(pt, payload)
-		pt[bl-2] = 0
-		pt[bl-1] = nextHeader
-		binary.BigEndian.PutUint32(sa.nonce[8:], sa.seq)
-		sa.aead.Seal(pt[:0], &sa.nonce, pt, pkt[:HeaderLen])
-		sa.Packets++
-		sa.Bytes += uint64(len(payload))
-		return dst, nil
+	binary.BigEndian.PutUint32(sa.nonce[8:], sa.seq)
+	// Frame the plaintext where its ciphertext will land — behind the
+	// explicit IV the transform writes — and seal it in place: ciphertext
+	// overwrites it and the tag fills the ICV slot.
+	pt := pkt[HeaderLen+sa.ivLen : len(pkt)-ICVLen]
+	n := copy(pt, payload)
+	for i := 0; i < pad; i++ {
+		pt[n+i] = byte(i + 1) // RFC 4303 monotonic padding
 	}
-	body := pkt[HeaderLen : HeaderLen+bl]
-	switch sa.suite {
-	case keymat.SuiteNullSHA256:
-		// pad-len and next-header trailer, zero padding.
-		copy(body, payload)
-		body[len(body)-2] = 0
-		body[len(body)-1] = nextHeader
-	case keymat.SuiteAESCTRSHA256:
-		iv := sa.ivs.derive(sa.block, sa.SPI, sa.seq)
-		// The wire body is built explicitly — 8 IV bytes, then the
-		// in-place-encrypted trailer — so it can never alias the IV
-		// scratch (the old append(iv[:8], ct...) shared backing arrays).
-		copy(body[:8], iv[:8])
-		ct := body[8:]
-		copy(ct, payload)
-		ct[len(ct)-2] = 0
-		ct[len(ct)-1] = nextHeader
-		keymat.CTRXor(sa.block, &sa.ctr, iv, ct, ct)
-	case keymat.SuiteAESCBCSHA256:
-		iv := sa.ivs.derive(sa.block, sa.SPI, sa.seq)
-		copy(body[:aes.BlockSize], iv[:])
-		pt := body[aes.BlockSize:]
-		copy(pt, payload)
-		padLen := len(pt) - len(payload) - 2
-		for i := 0; i < padLen; i++ {
-			pt[len(payload)+i] = byte(i + 1) // RFC 4303 monotonic padding
-		}
-		pt[len(pt)-2] = byte(padLen)
-		pt[len(pt)-1] = nextHeader
-		mode := sa.cbc
-		if mode != nil {
-			mode.(ivSetter).SetIV(iv[:])
-		} else {
-			mode = cipher.NewCBCEncrypter(sa.block, iv[:])
-		}
-		mode.CryptBlocks(pt, pt)
-	}
-	sa.mac.Reset()
-	sa.mac.Write(pkt[:HeaderLen+bl])
-	copy(pkt[HeaderLen+bl:], sa.mac.SumTrunc(ICVLen))
+	pt[len(pt)-2] = byte(pad)
+	pt[len(pt)-1] = nextHeader
+	sa.tf.Seal(pkt[HeaderLen:HeaderLen], &sa.nonce, pt, pkt[:HeaderLen])
 	sa.Packets++
 	sa.Bytes += uint64(len(payload))
 	return dst, nil
@@ -367,9 +256,10 @@ func (sa *OutboundSA) Seal(payload []byte) ([]byte, error) {
 
 // OpenAppend verifies, replay-checks and decrypts an ESP packet,
 // appending the recovered payload to dst and returning the extended
-// slice. With a dst whose capacity already fits the payload, the CTR and
-// NULL suites allocate nothing. pkt and dst must not overlap; pkt is not
-// modified.
+// slice. With a dst whose capacity already fits the packet body it
+// allocates nothing. pkt and dst must not overlap; pkt is not modified.
+// On failure dst is lost (nil is returned) and the replay window is
+// untouched.
 func (sa *InboundSA) OpenAppend(dst, pkt []byte) ([]byte, error) {
 	if len(pkt) < HeaderLen+ICVLen {
 		return nil, ErrShort
@@ -383,109 +273,34 @@ func (sa *InboundSA) OpenAppend(dst, pkt []byte) ([]byte, error) {
 		sa.Replays++
 		return nil, ErrReplay
 	}
-	body := pkt[HeaderLen : len(pkt)-ICVLen]
-	if sa.aead != nil {
-		// Single-pass verify+decrypt: tag covers header (as AAD) and
-		// ciphertext, checked before any plaintext is accepted. On
-		// failure dst is returned untouched at its original length.
-		if len(body) < 2 {
-			return nil, ErrShort
-		}
-		binary.BigEndian.PutUint32(sa.nonce[8:], seq)
-		var region []byte
-		dst, region = ensure(dst, len(body))
-		pt, err := sa.aead.Open(region[:0], &sa.nonce, pkt[HeaderLen:], pkt[:HeaderLen])
-		if err != nil {
-			sa.AuthFails++
-			return nil, ErrAuth
-		}
-		padLen := int(pt[len(pt)-2])
-		n := len(pt) - 2 - padLen
-		if n < 0 {
-			return nil, ErrPad
-		}
-		for i := 0; i < padLen; i++ {
-			if pt[n+i] != byte(i+1) {
-				return nil, ErrPad
-			}
-		}
-		dst = dst[:len(dst)-len(pt)+n]
-		sa.replayAdvance(seq)
-		sa.Packets++
-		sa.Bytes += uint64(n)
-		return dst, nil
-	}
-	icv := pkt[len(pkt)-ICVLen:]
-	sa.mac.Reset()
-	sa.mac.Write(pkt[:len(pkt)-ICVLen])
-	if !sa.mac.VerifyTrunc(icv, ICVLen) {
+	// The tag covers header (as AAD) and body and is checked before any
+	// plaintext is accepted.
+	binary.BigEndian.PutUint32(sa.nonce[8:], seq)
+	dst, region := ensure(dst, len(pkt)-HeaderLen-ICVLen)
+	pt, err := sa.tf.Open(region[:0], &sa.nonce, pkt[HeaderLen:], pkt[:HeaderLen])
+	if err == keymat.ErrAuthFailed {
 		sa.AuthFails++
 		return nil, ErrAuth
 	}
-	var pt []byte
-	switch sa.suite {
-	case keymat.SuiteNullSHA256:
-		// The authenticated body is parsed in place; the single copy into
-		// dst happens below, once the padding is validated.
-		pt = body
-	case keymat.SuiteAESCTRSHA256:
-		if len(body) < 8+2 {
-			return nil, ErrShort
-		}
-		iv := sa.ivs.derive(sa.block, sa.SPI, seq)
-		// Wire carries the first 8 bytes of the derived IV as a
-		// consistency check.
-		for i := 0; i < 8; i++ {
-			if body[i] != iv[i] {
-				sa.AuthFails++
-				return nil, ErrAuth
-			}
-		}
-		ct := body[8:]
-		var region []byte
-		dst, region = ensure(dst, len(ct))
-		keymat.CTRXor(sa.block, &sa.ctr, iv, region, ct)
-		pt = region
-	case keymat.SuiteAESCBCSHA256:
-		if len(body) < aes.BlockSize || (len(body)-aes.BlockSize)%aes.BlockSize != 0 || len(body) == aes.BlockSize {
-			return nil, ErrShort
-		}
-		iv := body[:aes.BlockSize]
-		ct := body[aes.BlockSize:]
-		var region []byte
-		dst, region = ensure(dst, len(ct))
-		mode := sa.cbc
-		if mode != nil {
-			mode.(ivSetter).SetIV(iv)
-		} else {
-			mode = cipher.NewCBCDecrypter(sa.block, iv)
-		}
-		mode.CryptBlocks(region, ct)
-		pt = region
-	default:
-		return nil, keymat.ErrUnknownSuite
+	// Past this point the packet authenticated, so only a key holder can
+	// reach the remaining rejections.
+	if err != nil || len(pt) < 2 {
+		return nil, ErrShort
 	}
-	if len(pt) < 2 {
-		return nil, ErrPad
-	}
-	padLen := int(pt[len(pt)-2])
-	n := len(pt) - 2 - padLen
+	pad := int(pt[len(pt)-2])
+	n := len(pt) - 2 - pad
 	if n < 0 {
 		return nil, ErrPad
 	}
 	// Verify RFC 4303 monotonic padding bytes.
-	for i := 0; i < padLen; i++ {
+	for i := 0; i < pad; i++ {
 		if pt[n+i] != byte(i+1) {
 			return nil, ErrPad
 		}
 	}
-	if sa.suite == keymat.SuiteNullSHA256 {
-		dst, _ = ensure(dst, n)
-		copy(dst[len(dst)-n:], pt[:n])
-	} else {
-		// Shrink the appended region to the payload (drop pad+trailer).
-		dst = dst[:len(dst)-len(pt)+n]
-	}
+	// Shrink the appended region to the payload (drop IV slack, pad and
+	// trailer).
+	dst = dst[:len(dst)-len(region)+n]
 	sa.replayAdvance(seq)
 	sa.Packets++
 	sa.Bytes += uint64(n)
@@ -551,48 +366,6 @@ func NewPair(keys keymat.AssociationKeys, localSPI, remoteSPI uint32) (*Pair, er
 	return &Pair{Out: out, In: in}, nil
 }
 
-// Zeroize wipes the outbound SA's key material: the encryption key (which
-// aliases the AssociationKeys slice it was built from) and the keyed MAC.
-// The expanded AES key schedule inside cipher.Block cannot be wiped
-// portably; dropping the reference is the best available. The SA must not
-// be used afterwards — it is retired by a rekey or teardown.
-func (sa *OutboundSA) Zeroize() {
-	if sa == nil {
-		return
-	}
-	keymat.Zeroize(sa.encKey)
-	sa.block = nil
-	sa.cbc = nil
-	if sa.mac != nil {
-		sa.mac.Zeroize()
-		sa.mac = nil
-	}
-	if sa.aead != nil {
-		sa.aead.Zeroize()
-		sa.aead = nil
-	}
-	sa.nonce = [keymat.NonceLen]byte{}
-}
-
-// Zeroize wipes the inbound SA's key material; see OutboundSA.Zeroize.
-func (sa *InboundSA) Zeroize() {
-	if sa == nil {
-		return
-	}
-	keymat.Zeroize(sa.encKey)
-	sa.block = nil
-	sa.cbc = nil
-	if sa.mac != nil {
-		sa.mac.Zeroize()
-		sa.mac = nil
-	}
-	if sa.aead != nil {
-		sa.aead.Zeroize()
-		sa.aead = nil
-	}
-	sa.nonce = [keymat.NonceLen]byte{}
-}
-
 // Zeroize retires both SAs of the pair. Nil-safe: rekey and teardown
 // paths call it on associations that may never have installed SAs.
 func (p *Pair) Zeroize() {
@@ -601,20 +374,4 @@ func (p *Pair) Zeroize() {
 	}
 	p.Out.Zeroize()
 	p.In.Zeroize()
-}
-
-// Overhead reports the per-packet ESP byte overhead for a suite (header,
-// IV, trailer, ICV), used by cost models and wire-size accounting.
-func Overhead(s keymat.Suite) int {
-	switch s {
-	case keymat.SuiteNullSHA256:
-		return HeaderLen + 2 + ICVLen
-	case keymat.SuiteAESCTRSHA256:
-		return HeaderLen + 8 + 2 + ICVLen
-	case keymat.SuiteAESCBCSHA256:
-		return HeaderLen + 16 + 2 + 15 + ICVLen // worst-case padding
-	case keymat.SuiteAESGCM128, keymat.SuiteAESGCM256, keymat.SuiteChaCha20Poly1305:
-		return HeaderLen + 2 + ICVLen // trailer + tag, no wire IV
-	}
-	return HeaderLen + ICVLen
 }

@@ -25,8 +25,9 @@ var aeadSuites = []keymat.Suite{
 	keymat.SuiteChaCha20Poly1305,
 }
 
-// pairFor builds matched initiator/responder SA pairs for a suite.
-func pairFor(t *testing.T, s keymat.Suite) (*Pair, *Pair) {
+// keysFor derives matched initiator/responder association keys for a
+// suite.
+func keysFor(t *testing.T, s keymat.Suite) (ak, bk keymat.AssociationKeys) {
 	t.Helper()
 	hitI := netip.MustParseAddr("2001:10::1")
 	hitR := netip.MustParseAddr("2001:10::2")
@@ -36,10 +37,17 @@ func pairFor(t *testing.T, s keymat.Suite) (*Pair, *Pair) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bk, err := keymat.DeriveAssociation(kr, s, false)
+	bk, err = keymat.DeriveAssociation(kr, s, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ak, bk
+}
+
+// pairFor builds matched initiator/responder SA pairs for a suite.
+func pairFor(t *testing.T, s keymat.Suite) (*Pair, *Pair) {
+	t.Helper()
+	ak, bk := keysFor(t, s)
 	// Initiator's inbound SPI 100, responder's inbound SPI 200.
 	pi, err := NewPair(ak, 100, 200)
 	if err != nil {

@@ -3,6 +3,7 @@ package keymat
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"testing"
 )
 
@@ -118,41 +119,85 @@ func TestChaChaPolyEmptyPlaintext(t *testing.T) {
 	}
 }
 
-// AEAD in-place operation: dst = region[:0] aliasing the input, the
-// pattern the ESP fast path relies on.
+// transform names one NewAEAD configuration; its subtest name is the
+// suite's, suffixed when an explicit IV is on.
+type transform struct {
+	s     Suite
+	ivLen int
+}
+
+func (tf transform) String() string {
+	if tf.ivLen == 0 {
+		return tf.s.String()
+	}
+	return fmt.Sprintf("%v-iv%d", tf.s, tf.ivLen)
+}
+
+// transforms is the whole registry as NewAEAD builds it, with the
+// explicit-IV lengths the two record layers use (ESP-CTR 8, ESP-CBC 16,
+// tlslite and every other suite 0).
+var transforms = []transform{
+	{SuiteNullSHA256, 0}, {SuiteAESCTRSHA256, 0}, {SuiteAESCTRSHA256, 8},
+	{SuiteAESCBCSHA256, 0}, {SuiteAESCBCSHA256, 16},
+	{SuiteAESGCM128, 0}, {SuiteAESGCM256, 0}, {SuiteChaCha20Poly1305, 0},
+}
+
+// testKeys returns deterministic keys of the suite's registry lengths.
+func testKeys(s Suite) (enc, auth []byte) {
+	el, _ := s.EncKeyLen()
+	al, _ := s.AuthKeyLen()
+	enc, auth = make([]byte, el), make([]byte, al)
+	for i := range enc {
+		enc[i] = byte(i + 1)
+	}
+	for i := range auth {
+		auth[i] = byte(0xA0 + i)
+	}
+	return enc, auth
+}
+
+func newTestAEAD(tb testing.TB, s Suite, ivLen int) AEAD {
+	tb.Helper()
+	enc, auth := testKeys(s)
+	a, err := NewAEAD(s, enc, auth, ivLen)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a
+}
+
+// In-place operation on every transform, the pattern both record layers
+// rely on: the plaintext sits where its ciphertext will land — behind
+// the explicit IV when there is one — and Open's output lands back on
+// the ciphertext it came from.
 func TestAEADInPlace(t *testing.T) {
-	for _, s := range []Suite{SuiteAESGCM128, SuiteAESGCM256, SuiteChaCha20Poly1305} {
-		t.Run(s.String(), func(t *testing.T) {
-			kl, _ := s.EncKeyLen()
-			key := make([]byte, kl)
-			for i := range key {
-				key[i] = byte(i + 1)
-			}
-			a, err := NewAEADCipher(s, key)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, tf := range transforms {
+		t.Run(tf.String(), func(t *testing.T) {
+			a := newTestAEAD(t, tf.s, tf.ivLen)
 			var nonce [NonceLen]byte
 			nonce[11] = 7
-			pt := []byte("in-place payload 0123456789abcdef")
-			aad := []byte{0xde, 0xad}
+			pt := []byte("in-place payload 0123456789abcdef!")[:32] // whole blocks for CBC
+			aad := []byte{0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 1}
 
-			region := make([]byte, len(pt), len(pt)+TagLen)
-			copy(region, pt)
-			sealed := a.Seal(region[:0], &nonce, region, aad)
+			region := make([]byte, tf.ivLen+len(pt), tf.ivLen+len(pt)+TagLen)
+			copy(region[tf.ivLen:], pt)
+			sealed := a.Seal(region[:0], &nonce, region[tf.ivLen:], aad)
 			if &sealed[0] != &region[0] {
 				t.Fatal("seal did not operate in place")
+			}
+			if len(sealed) != tf.ivLen+len(pt)+TagLen {
+				t.Fatalf("sealed length %d", len(sealed))
 			}
 			ref := a.Seal(nil, &nonce, pt, aad)
 			if !bytes.Equal(sealed, ref) {
 				t.Fatal("in-place seal differs from append seal")
 			}
 
-			opened, err := a.Open(sealed[:0], &nonce, sealed, aad)
+			opened, err := a.Open(sealed[tf.ivLen:tf.ivLen], &nonce, sealed, aad)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if &opened[0] != &region[0] {
+			if &opened[0] != &region[tf.ivLen] {
 				t.Fatal("open did not operate in place")
 			}
 			if !bytes.Equal(opened, pt) {
@@ -163,21 +208,17 @@ func TestAEADInPlace(t *testing.T) {
 }
 
 func TestAEADSealOpenZeroAlloc(t *testing.T) {
-	for _, s := range []Suite{SuiteAESGCM128, SuiteAESGCM256, SuiteChaCha20Poly1305} {
-		t.Run(s.String(), func(t *testing.T) {
-			kl, _ := s.EncKeyLen()
-			key := make([]byte, kl)
-			a, err := NewAEADCipher(s, key)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, tf := range transforms {
+		t.Run(tf.String(), func(t *testing.T) {
+			a := newTestAEAD(t, tf.s, tf.ivLen)
 			nonce := new([NonceLen]byte)
-			pt := make([]byte, 1400)
-			buf := make([]byte, 0, len(pt)+TagLen)
+			pt := make([]byte, 1408)
+			buf := make([]byte, 0, tf.ivLen+len(pt)+TagLen)
 			aad := make([]byte, 8)
 
 			sealAllocs := testing.AllocsPerRun(100, func() {
 				nonce[11]++
+				aad[7]++
 				buf = a.Seal(buf[:0], nonce, pt, aad)
 			})
 			if sealAllocs != 0 {
@@ -201,12 +242,24 @@ func TestAEADSealOpenZeroAlloc(t *testing.T) {
 	}
 }
 
+// The single constructor refuses unregistered suites and, for every
+// registered one, keys that are not exactly the registry's lengths — at
+// the parent AES-256 ran silently under an AES-128 suite and a 5-byte
+// HMAC key was accepted.
 func TestNewAEADCipherErrors(t *testing.T) {
-	if _, err := NewAEADCipher(SuiteAESCTRSHA256, make([]byte, 16)); err == nil {
-		t.Fatal("non-AEAD suite accepted")
+	if _, err := NewAEAD(Suite(999), nil, nil, 0); err != ErrUnknownSuite {
+		t.Fatalf("unknown suite: err = %v", err)
 	}
-	if _, err := NewAEADCipher(SuiteAESGCM128, make([]byte, 17)); err == nil {
-		t.Fatal("wrong GCM key length accepted")
+	for _, tf := range transforms {
+		enc, auth := testKeys(tf.s)
+		for _, bad := range [][2][]byte{
+			{append(enc, 0), auth}, {enc, append(auth, 0)},
+			{make([]byte, 48-len(enc)), auth}, {enc, auth[:len(auth)-1]},
+		} {
+			if _, err := NewAEAD(tf.s, bad[0], bad[1], tf.ivLen); err != ErrKeyLen {
+				t.Fatalf("%v: enc %d / auth %d bytes: err = %v, want ErrKeyLen", tf.s, len(bad[0]), len(bad[1]), err)
+			}
+		}
 	}
 	if _, err := NewChaChaPoly(make([]byte, 16)); err == nil {
 		t.Fatal("wrong chacha key length accepted")
@@ -222,11 +275,7 @@ func BenchmarkSealAESGCM128_1400(b *testing.B) {
 }
 
 func benchAEADSeal(b *testing.B, s Suite) {
-	kl, _ := s.EncKeyLen()
-	a, err := NewAEADCipher(s, make([]byte, kl))
-	if err != nil {
-		b.Fatal(err)
-	}
+	a := newTestAEAD(b, s, 0)
 	nonce := new([NonceLen]byte)
 	pt := make([]byte, 1400)
 	buf := make([]byte, 0, len(pt)+TagLen)

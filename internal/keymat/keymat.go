@@ -1,6 +1,10 @@
 // Package keymat implements HIP keying-material derivation (RFC 5201
 // §6.5) and the cipher-suite registry shared by the HIP control plane,
-// the ESP data plane and the TLS-like baseline.
+// the ESP data plane and the TLS-like baseline, together with the
+// transforms themselves: NewAEAD builds any registered suite — the
+// single-pass AEADs and the 2012 encrypt-then-MAC composites (etm.go) —
+// behind the one AEAD interface, so esp and tlslite are framing only and
+// run on literally the same crypto code.
 //
 // KEYMAT = K1 | K2 | ... with
 //

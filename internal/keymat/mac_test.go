@@ -11,7 +11,7 @@ import (
 
 func TestMACMatchesStdlib(t *testing.T) {
 	key := []byte("0123456789abcdef0123456789abcdef")
-	m := NewMAC(key)
+	m := newMAC(key)
 	for _, msg := range [][]byte{nil, []byte("a"), bytes.Repeat([]byte{0x5c}, 200)} {
 		m.Reset()
 		m.Write(msg)
@@ -38,7 +38,7 @@ func TestMACMatchesStdlib(t *testing.T) {
 }
 
 func TestMACZeroAllocSteadyState(t *testing.T) {
-	m := NewMAC([]byte("0123456789abcdef0123456789abcdef"))
+	m := newMAC([]byte("0123456789abcdef0123456789abcdef"))
 	msg := bytes.Repeat([]byte{7}, 1400)
 	// One full cycle to settle any lazy state caching.
 	m.Reset()
@@ -65,19 +65,18 @@ func TestCTRXorMatchesStdlib(t *testing.T) {
 		src := bytes.Repeat([]byte{0xA5}, n)
 		want := make([]byte, n)
 		cipher.NewCTR(block, iv[:]).XORKeyStream(want, src)
-		var scratch CTRScratch
+		c := &ctrHMAC{etm: etm{block: block, iv: iv}}
 		got := make([]byte, n)
-		ivCopy := iv
-		CTRXor(block, &scratch, &ivCopy, got, src)
+		c.ctrXor(got, src)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("CTRXor mismatch at len %d (counter carry case)", n)
+			t.Fatalf("ctrXor mismatch at len %d (counter carry case)", n)
 		}
-		// In-place operation must give the same result.
+		// In-place operation must give the same result, and the IV the
+		// keystream started from must survive the run.
 		inPlace := append([]byte(nil), src...)
-		ivCopy = iv
-		CTRXor(block, &scratch, &ivCopy, inPlace, inPlace)
-		if !bytes.Equal(inPlace, want) {
-			t.Fatalf("in-place CTRXor mismatch at len %d", n)
+		c.ctrXor(inPlace, inPlace)
+		if !bytes.Equal(inPlace, want) || c.iv != iv {
+			t.Fatalf("in-place ctrXor mismatch at len %d", n)
 		}
 	}
 }
@@ -85,13 +84,12 @@ func TestCTRXorMatchesStdlib(t *testing.T) {
 func TestCTRXorZeroAlloc(t *testing.T) {
 	block, _ := aes.NewCipher([]byte("0123456789abcdef"))
 	buf := make([]byte, 1400)
-	scratch := new(CTRScratch)
+	c := &ctrHMAC{etm: etm{block: block}}
 	allocs := testing.AllocsPerRun(100, func() {
-		var iv [16]byte
-		iv[15] = 1
-		CTRXor(block, scratch, &iv, buf, buf)
+		c.iv[15] = 1
+		c.ctrXor(buf, buf)
 	})
 	if allocs != 0 {
-		t.Fatalf("CTRXor allocates %v times per run, want 0", allocs)
+		t.Fatalf("ctrXor allocates %v times per run, want 0", allocs)
 	}
 }

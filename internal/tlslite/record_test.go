@@ -43,6 +43,17 @@ func connPairSuite(tb testing.TB, s keymat.Suite) (a, b *Conn) {
 	return a, b
 }
 
+// sealRecord protects one application record into a fresh buffer.
+func (c *Conn) sealRecord(plain []byte) []byte {
+	return c.sealRecordAppend(nil, plain)
+}
+
+// openRecord verifies and decrypts one record body without modifying it,
+// returning the plaintext in a fresh buffer.
+func (c *Conn) openRecord(body []byte) ([]byte, error) {
+	return c.openRecordInPlace(append([]byte(nil), body...))
+}
+
 func TestRecordSealAppendMatchesSealRecord(t *testing.T) {
 	a1, _ := connPair(t)
 	a2, _ := connPair(t)

@@ -178,11 +178,7 @@ func resumeClient(s Stream, cfg Config, sess clientSession, clientRand []byte) (
 	}
 	// The resumed connection runs under the suite negotiated during the
 	// original full handshake, carried in the cache entry.
-	cliEnc, cliAuth, srvEnc, srvAuth, err := keySchedule(sess.secret, clientRand, serverRand, sess.suite)
-	if err != nil {
-		return nil, false, err
-	}
-	conn, err := newConn(s, cfg, sess.suite, cliEnc, cliAuth, srvEnc, srvAuth, true, nil)
+	conn, err := establish(s, cfg, sess.secret, clientRand, serverRand, sess.suite, true, nil)
 	return conn, true, err
 }
 

@@ -15,8 +15,6 @@
 package tlslite
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/hmac"
 	"crypto/rand"
@@ -226,23 +224,15 @@ type Conn struct {
 
 	outSeq, inSeq uint64
 	suite         keymat.Suite
-	outEnc, inEnc cipher.Block
-	// Cached keyed HMAC states, reset-reused per record (the keyed pads
-	// are computed once here instead of hmac.New per record).
-	outMAC, inMAC *keymat.MAC
-	// AEAD record protection (nil on legacy connections). The nonce
-	// arrays hold the per-direction 4-byte salt in their head and the
-	// record sequence number in their tail; like the CTR scratch below
-	// they live on the heap-resident Conn so crossing the AEAD interface
+	// Record protection, one keymat.AEAD per direction (nil once closed).
+	// The nonce arrays hold the per-direction 4-byte AEAD salt in their
+	// head and the record sequence number in their tail; the seq arrays
+	// are the 8 AAD bytes (from which the 2012 composite derives its IV).
+	// They live on the heap-resident Conn so crossing the AEAD interface
 	// never forces a per-record escape.
-	outAEAD, inAEAD   keymat.AEAD
+	out, in           keymat.AEAD
 	outNonce, inNonce [keymat.NonceLen]byte
-	// Per-direction CTR keystream and IV scratch. The arrays cross the
-	// cipher.Block interface, so they live on the (heap-resident) Conn to
-	// keep the per-record path allocation-free.
-	outCTR, inCTR   keymat.CTRScratch
-	outIV, inIV     [16]byte
-	outSeqB, inSeqB [8]byte
+	outSeqB, inSeqB   [8]byte
 
 	wbuf []byte // reusable wire buffer for outgoing records
 	rrec []byte // reusable buffer holding the current incoming record
@@ -498,11 +488,7 @@ func clientFull(s Stream, cfg Config, clientRand, hello, shRec, body []byte) (*C
 			cfg.Cache.put(cfg.ServerName, ticket, secret, suite)
 		}
 	}
-	cliEnc, cliAuth, srvEnc, srvAuth, err := keySchedule(secret, clientRand, serverRand, suite)
-	if err != nil {
-		return nil, err
-	}
-	return newConn(s, cfg, suite, cliEnc, cliAuth, srvEnc, srvAuth, true, peer)
+	return establish(s, cfg, secret, clientRand, serverRand, suite, true, peer)
 }
 
 // Server performs the server side of the handshake over s.
@@ -627,11 +613,7 @@ func Server(s Stream, cfg Config) (*Conn, error) {
 	if err := writeRecord(s, recHandshake, msg(msgFinished, srvFin)); err != nil {
 		return nil, err
 	}
-	cliEnc, cliAuth, srvEnc, srvAuth, err := keySchedule(secret, clientRand, serverRand, suite)
-	if err != nil {
-		return nil, err
-	}
-	return newConn(s, cfg, suite, cliEnc, cliAuth, srvEnc, srvAuth, false, nil)
+	return establish(s, cfg, secret, clientRand, serverRand, suite, false, nil)
 }
 
 // serverResume completes the abbreviated handshake. The record suite is
@@ -654,11 +636,7 @@ func serverResume(s Stream, cfg Config, chRec, clientRand, serverRand []byte, se
 	if err := writeRecord(s, recHandshake, msg(msgFinished, transcriptMAC(sess.secret, chRec, srRec, []byte("server")))); err != nil {
 		return nil, err
 	}
-	cliEnc, cliAuth, srvEnc, srvAuth, err := keySchedule(sess.secret, clientRand, serverRand, sess.suite)
-	if err != nil {
-		return nil, err
-	}
-	return newConn(s, cfg, sess.suite, cliEnc, cliAuth, srvEnc, srvAuth, false, nil)
+	return establish(s, cfg, sess.secret, clientRand, serverRand, sess.suite, false, nil)
 }
 
 func takeField(b []byte) (field, rest []byte, err error) {
@@ -678,42 +656,40 @@ func appendField(b, field []byte) []byte {
 	return append(append(b, l[:]...), field...)
 }
 
+// establish ends every handshake: it derives the directional keys, builds
+// the Conn and wipes the key slices — whole PRF outputs, not only the
+// truncation in use — now that the transforms hold their own keyed state.
+func establish(s Stream, cfg Config, secret, clientRand, serverRand []byte, suite keymat.Suite, isClient bool, peer *identity.PublicID) (*Conn, error) {
+	cliEnc, cliAuth, srvEnc, srvAuth, err := keySchedule(secret, clientRand, serverRand, suite)
+	if err != nil {
+		return nil, err
+	}
+	c, err := newConn(s, cfg, suite, cliEnc, cliAuth, srvEnc, srvAuth, isClient, peer)
+	for _, k := range [][]byte{cliEnc, cliAuth, srvEnc, srvAuth} {
+		keymat.Zeroize(k[:cap(k)])
+	}
+	return c, err
+}
+
+// newConn builds both directions' transforms through keymat.NewAEAD (no
+// explicit IV on records); keys of the wrong length for the suite are
+// refused with keymat.ErrKeyLen.
 func newConn(s Stream, cfg Config, suite keymat.Suite, cliEnc, cliAuth, srvEnc, srvAuth []byte, isClient bool, peer *identity.PublicID) (*Conn, error) {
+	outEnc, outAuth, inEnc, inAuth := cliEnc, cliAuth, srvEnc, srvAuth
+	if !isClient {
+		outEnc, outAuth, inEnc, inAuth = inEnc, inAuth, outEnc, outAuth
+	}
 	c := &Conn{stream: s, rd: readerOf(s), cfg: cfg, suite: suite, peer: peer}
+	var err error
+	if c.out, err = keymat.NewAEAD(suite, outEnc, outAuth, 0); err != nil {
+		return nil, err
+	}
+	if c.in, err = keymat.NewAEAD(suite, inEnc, inAuth, 0); err != nil {
+		return nil, err
+	}
 	if suite.IsAEAD() {
-		ca, err := keymat.NewAEADCipher(suite, cliEnc)
-		if err != nil {
-			return nil, err
-		}
-		sa, err := keymat.NewAEADCipher(suite, srvEnc)
-		if err != nil {
-			return nil, err
-		}
-		if isClient {
-			c.outAEAD, c.inAEAD = ca, sa
-			copy(c.outNonce[:keymat.SaltLen], cliAuth)
-			copy(c.inNonce[:keymat.SaltLen], srvAuth)
-		} else {
-			c.outAEAD, c.inAEAD = sa, ca
-			copy(c.outNonce[:keymat.SaltLen], srvAuth)
-			copy(c.inNonce[:keymat.SaltLen], cliAuth)
-		}
-		return c, nil
-	}
-	ce, err := aes.NewCipher(cliEnc)
-	if err != nil {
-		return nil, err
-	}
-	se, err := aes.NewCipher(srvEnc)
-	if err != nil {
-		return nil, err
-	}
-	if isClient {
-		c.outEnc, c.outMAC = ce, keymat.NewMAC(cliAuth)
-		c.inEnc, c.inMAC = se, keymat.NewMAC(srvAuth)
-	} else {
-		c.outEnc, c.outMAC = se, keymat.NewMAC(srvAuth)
-		c.inEnc, c.inMAC = ce, keymat.NewMAC(cliAuth)
+		copy(c.outNonce[:keymat.SaltLen], outAuth)
+		copy(c.inNonce[:keymat.SaltLen], inAuth)
 	}
 	return c, nil
 }
@@ -736,51 +712,19 @@ func ensure(b []byte, n int) []byte {
 	return b[:off+n]
 }
 
-// deriveRecordIV writes the per-record IV (encrypted big-endian sequence
-// number, matching the original wire format) into the conn-owned array.
-func deriveRecordIV(enc cipher.Block, iv *[16]byte, seq uint64) {
-	binary.BigEndian.PutUint64(iv[:8], seq)
-	for i := 8; i < 16; i++ {
-		iv[i] = 0
-	}
-	enc.Encrypt(iv[:], iv[:])
-}
-
-// sealRecordAppend encrypts and MACs one application record, appending
-// ciphertext||tag to dst and returning the extended slice. With a dst
+// sealRecordAppend protects one application record, appending
+// ciphertext||tag to dst and returning the extended slice. The sequence
+// number is the AAD and, behind the salt, the AEAD nonce. With a dst
 // whose capacity already fits the record, it allocates nothing.
 func (c *Conn) sealRecordAppend(dst, plain []byte) []byte {
 	c.outSeq++
-	if c.outAEAD != nil {
-		// Single-pass AEAD: nonce = salt || big-endian sequence, AAD = the
-		// sequence bytes (redundant with the nonce but symmetric with the
-		// legacy MAC input). Sealing is in place into the ensured region.
-		binary.BigEndian.PutUint64(c.outSeqB[:], c.outSeq)
-		binary.BigEndian.PutUint64(c.outNonce[keymat.SaltLen:], c.outSeq)
-		off := len(dst)
-		dst = ensure(dst, len(plain)+macLen)
-		c.outAEAD.Seal(dst[off:off], &c.outNonce, plain, c.outSeqB[:])
-		c.cfg.charge(c.cfg.Costs.symmetric(len(plain)))
-		return dst
-	}
-	deriveRecordIV(c.outEnc, &c.outIV, c.outSeq)
+	binary.BigEndian.PutUint64(c.outSeqB[:], c.outSeq)
+	binary.BigEndian.PutUint64(c.outNonce[keymat.SaltLen:], c.outSeq)
 	off := len(dst)
 	dst = ensure(dst, len(plain)+macLen)
-	ct := dst[off : off+len(plain)]
-	keymat.CTRXor(c.outEnc, &c.outCTR, &c.outIV, ct, plain)
-	binary.BigEndian.PutUint64(c.outSeqB[:], c.outSeq)
-	c.outMAC.Reset()
-	c.outMAC.Write(c.outSeqB[:])
-	c.outMAC.Write(ct)
-	copy(dst[off+len(plain):], c.outMAC.SumTrunc(macLen))
+	c.out.Seal(dst[off:off], &c.outNonce, plain, c.outSeqB[:])
 	c.cfg.charge(c.cfg.Costs.symmetric(len(plain)))
 	return dst
-}
-
-// sealRecord encrypts and MACs one application record into a fresh
-// buffer. It is a thin wrapper over sealRecordAppend.
-func (c *Conn) sealRecord(plain []byte) []byte {
-	return c.sealRecordAppend(nil, plain)
 }
 
 func (cst Costs) symmetric(n int) time.Duration {
@@ -788,52 +732,29 @@ func (cst Costs) symmetric(n int) time.Duration {
 }
 
 // openRecordInPlace verifies one record body and decrypts it in place,
-// returning the plaintext as a prefix of body. It allocates nothing.
+// returning the plaintext as a prefix of body. The tag is verified before
+// any decryption. It allocates nothing.
 func (c *Conn) openRecordInPlace(body []byte) ([]byte, error) {
 	if len(body) < macLen {
 		return nil, ErrBadRecord
 	}
 	c.inSeq++
 	binary.BigEndian.PutUint64(c.inSeqB[:], c.inSeq)
-	if c.inAEAD != nil {
-		// Tag verification precedes any decryption inside Open; the
-		// plaintext lands in place at the head of body.
-		binary.BigEndian.PutUint64(c.inNonce[keymat.SaltLen:], c.inSeq)
-		pt, err := c.inAEAD.Open(body[:0], &c.inNonce, body, c.inSeqB[:])
-		if err != nil {
-			return nil, ErrBadMAC
-		}
-		c.cfg.charge(c.cfg.Costs.symmetric(len(pt)))
-		return pt, nil
-	}
-	ct, tag := body[:len(body)-macLen], body[len(body)-macLen:]
-	c.inMAC.Reset()
-	c.inMAC.Write(c.inSeqB[:])
-	c.inMAC.Write(ct)
-	if !c.inMAC.VerifyTrunc(tag, macLen) {
+	binary.BigEndian.PutUint64(c.inNonce[keymat.SaltLen:], c.inSeq)
+	pt, err := c.in.Open(body[:0], &c.inNonce, body, c.inSeqB[:])
+	if err != nil {
 		return nil, ErrBadMAC
 	}
-	deriveRecordIV(c.inEnc, &c.inIV, c.inSeq)
-	keymat.CTRXor(c.inEnc, &c.inCTR, &c.inIV, ct, ct)
-	c.cfg.charge(c.cfg.Costs.symmetric(len(ct)))
-	return ct, nil
-}
-
-// openRecord verifies and decrypts one record body without modifying it,
-// returning the plaintext in a fresh buffer.
-func (c *Conn) openRecord(body []byte) ([]byte, error) {
-	return c.openRecordInPlace(append([]byte(nil), body...))
+	c.cfg.charge(c.cfg.Costs.symmetric(len(pt)))
+	return pt, nil
 }
 
 // Write encrypts and sends b, fragmenting into records. The wire record
 // (header, ciphertext, tag) is assembled in a reusable conn-owned buffer,
 // so steady-state writes allocate nothing.
 func (c *Conn) Write(b []byte) (int, error) {
-	if c.closed {
-		return 0, ErrClosed
-	}
 	total := 0
-	for len(b) > 0 {
+	for len(b) > 0 && !c.closed {
 		n := len(b)
 		if n > maxRecord {
 			n = maxRecord
@@ -847,6 +768,9 @@ func (c *Conn) Write(b []byte) (int, error) {
 		}
 		total += n
 		b = b[n:]
+	}
+	if c.closed {
+		return total, ErrClosed
 	}
 	return total, nil
 }
@@ -890,6 +814,9 @@ func (c *Conn) Read(b []byte) (int, error) {
 		if err != nil {
 			return 0, err
 		}
+		if c.closed { // closed while the record was in flight: keys are gone
+			return 0, ErrClosed
+		}
 		pt, err := c.openRecordInPlace(body)
 		if err != nil {
 			return 0, err
@@ -901,12 +828,17 @@ func (c *Conn) Read(b []byte) (int, error) {
 	return n, nil
 }
 
-// Close sends a close alert.
+// Close sends a close alert and wipes the record keys: both transforms
+// are zeroized and dropped and the nonce salts cleared.
 func (c *Conn) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
+	c.out.Zeroize()
+	c.in.Zeroize()
+	c.out, c.in = nil, nil
+	c.outNonce, c.inNonce = [keymat.NonceLen]byte{}, [keymat.NonceLen]byte{}
 	return writeRecord(c.stream, recAlert, []byte{0})
 }
 
