@@ -79,10 +79,10 @@ race:
 # Fast allocation smoke: the Seal/Record benches report B/op and allocs/op;
 # the AllocsPerRun guard tests (run by `test`) enforce the 0-alloc contract.
 # The scheduler microbenches ride along so a regression in the
-# run-to-completion core (event dispatch, timer churn) shows up in B/op
-# before it shows up in BENCH_SIM.json.
+# run-to-completion core (event dispatch, timer churn, process hand-off)
+# shows up in B/op before it shows up in the sim_rubis workload.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Seal|Record|EventThroughput|TimerResetFire|ProcSleepWake' \
+	$(GO) test -run=NONE -bench='Seal|Record|EventThroughput|TimerResetFire|ProcSleepWake|ProcContextSwitch' \
 		-benchtime=10x -benchmem \
 		./internal/esp ./internal/tlslite ./internal/keymat ./internal/netsim
 
@@ -115,21 +115,18 @@ chaos-smoke:
 storm-smoke:
 	$(GO) run ./cmd/benchcloud -run storm -short -seed 1
 
-# Regenerate the tracked benchmark snapshots: BENCH_SIM.json (scheduler
-# microbench latencies plus fig2/chaos short-run wall clock, against the
-# recorded pre-rewrite baseline) and BENCH_CONTROL.json (the full-scale
-# storm experiment: re-contact latency, recovery time, shed and
-# retransmit counts per transport tier). Data-plane numbers (ESP seal/open
-# GB/s per suite, real-UDP goodput, syscalls per packet) are per-layer
-# metrics of the BENCHMARK.json workloads: `cd bench && go run . -trace 1`.
-# Commit the refreshed files when the numbers move for a reason. Each
-# snapshot is written to a temp file and renamed into place, so an
-# interrupted or failing run can never leave a truncated tracked file
-# behind.
+# Regenerate the tracked control-plane snapshot BENCH_CONTROL.json (the
+# full-scale storm experiment: re-contact latency, recovery time, shed and
+# retransmit counts per transport tier), which no BENCHMARK.json workload
+# covers. Everything else is a BENCHMARK.json number: simulator host time
+# is the sim_rubis workload and its netsim.* per-layer metrics, data-plane
+# numbers (ESP seal/open GB/s per suite, real-UDP goodput, syscalls per
+# packet) are per-layer metrics of the udp_* workloads:
+# `cd bench && go run . -trace 1`. Commit the refreshed file when the
+# numbers move for a reason. The snapshot is written to a temp file and
+# renamed into place, so an interrupted or failing run can never leave a
+# truncated tracked file behind.
 bench:
-	$(GO) run ./cmd/benchcloud -run simbench -json > BENCH_SIM.json.tmp
-	mv BENCH_SIM.json.tmp BENCH_SIM.json
-	@cat BENCH_SIM.json
 	$(GO) run ./cmd/benchcloud -run storm -json > BENCH_CONTROL.json.tmp
 	mv BENCH_CONTROL.json.tmp BENCH_CONTROL.json
 	@cat BENCH_CONTROL.json

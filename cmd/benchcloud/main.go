@@ -11,8 +11,6 @@
 //	benchcloud -run storm     control-plane overload: host evacuation under a
 //	                          re-contact herd (-json emits BENCH_CONTROL.json)
 //	benchcloud -run all       everything above
-//	benchcloud -run simbench  scheduler throughput + experiment wall clock
-//	                          (not part of `all`; -json emits BENCH_SIM.json)
 //
 // Durations are virtual time; -short trims them for quick runs.
 // -cpuprofile writes a pprof CPU profile covering the selected runs.
@@ -32,10 +30,10 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment: fig2|rtt|fig3|private|bex|dos|chaos|storm|simbench|all")
+	run := flag.String("run", "all", "experiment: fig2|rtt|fig3|private|bex|dos|chaos|storm|all")
 	short := flag.Bool("short", false, "shorter virtual durations")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	jsonOut := flag.Bool("json", false, "simbench/storm: emit the BENCH_SIM.json / BENCH_CONTROL.json document on stdout")
+	jsonOut := flag.Bool("json", false, "storm: emit the BENCH_CONTROL.json document on stdout")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	modern := flag.Bool("modern", false, "fig3: negotiate the modern AEAD HIP_CIPHER set (keymat.PreferredAEAD) instead of the 2012 transforms")
 	flag.Parse()
@@ -132,10 +130,6 @@ func main() {
 	if want("storm") {
 		ran = true
 		runStormBench(*seed, *short, *jsonOut)
-	}
-	if strings.Contains(*run, "simbench") {
-		ran = true
-		runSimBench(*seed, *jsonOut)
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *run)

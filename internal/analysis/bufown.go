@@ -33,41 +33,20 @@ var BufOwn = &Analyzer{
 	Run:  runBufOwn,
 }
 
-// isPoolGet reports whether call obtains a pooled buffer: netsim.GetBuf,
-// or a Get method on one of the module's buffer-pool adapters
-// (netsim.BufPool, the stream.BufferPool interface).
+// isPoolGet reports whether call obtains a pooled buffer: netsim.GetBuf.
 func isPoolGet(info *types.Info, call *ast.CallExpr) bool {
 	fn := calleeFunc(info, call)
-	if fn == nil || !strings.HasPrefix(pkgPathOf(fn), "hipcloud/") {
-		return false
-	}
-	switch fn.Name() {
-	case "GetBuf":
-		return true
-	case "Get":
-		r := recvTypeName(fn)
-		return r == "BufPool" || r == "BufferPool"
-	}
-	return false
+	return fn != nil && strings.HasPrefix(pkgPathOf(fn), "hipcloud/") && fn.Name() == "GetBuf"
 }
 
-// isPoolPut reports whether call releases a pooled buffer, returning the
-// released argument.
+// isPoolPut reports whether call releases a pooled buffer (netsim.PutBuf),
+// returning the released argument.
 func isPoolPut(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) {
 	fn := calleeFunc(info, call)
-	if fn == nil || !strings.HasPrefix(pkgPathOf(fn), "hipcloud/") || len(call.Args) != 1 {
+	if fn == nil || !strings.HasPrefix(pkgPathOf(fn), "hipcloud/") || len(call.Args) != 1 || fn.Name() != "PutBuf" {
 		return nil, false
 	}
-	switch fn.Name() {
-	case "PutBuf":
-		return call.Args[0], true
-	case "Put":
-		r := recvTypeName(fn)
-		if r == "BufPool" || r == "BufferPool" {
-			return call.Args[0], true
-		}
-	}
-	return nil, false
+	return call.Args[0], true
 }
 
 // isPoolGetProg extends isPoolGet through the call graph: a module

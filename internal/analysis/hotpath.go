@@ -12,7 +12,7 @@ import (
 // plane and the simulator core their 0-alloc hot paths (19.4 ns/event),
 // but the only guard was a handful of runtime AllocsPerRun tests — one
 // stray fmt.Sprintf, boxing conversion or escaping closure in a dispatch
-// loop silently erodes the BENCH_SIM.json trajectory. HotPath computes
+// loop silently erodes the sim_rubis host time. HotPath computes
 // the transitive *hot set* from the declared roots below (the event
 // dispatch loop, the packet pumps, the seal/open fast paths, the HIP
 // packet/timer handlers) by walking the PR 8 call graph, and flags
@@ -212,12 +212,12 @@ type hotWalker struct {
 	decl *ast.FuncDecl
 	hi   *HotInfo
 
-	cold       map[ast.Node]bool       // blocks exempt as error/panic paths
-	exemptConv map[ast.Expr]bool       // conversions in compiler-optimized positions
-	parents    map[ast.Node]ast.Node   // expression parent links, for escape context
-	fresh      map[types.Object]bool   // locals that only ever hold a fresh empty slice
-	loops      []*ast.BlockStmt        // loop bodies, for defer-in-loop
-	flagged    map[*ast.CallExpr]bool  // calls already reported (skip double-tagging)
+	cold       map[ast.Node]bool      // blocks exempt as error/panic paths
+	exemptConv map[ast.Expr]bool      // conversions in compiler-optimized positions
+	parents    map[ast.Node]ast.Node  // expression parent links, for escape context
+	fresh      map[types.Object]bool  // locals that only ever hold a fresh empty slice
+	loops      []*ast.BlockStmt       // loop bodies, for defer-in-loop
+	flagged    map[*ast.CallExpr]bool // calls already reported (skip double-tagging)
 }
 
 func (hw *hotWalker) report(pos token.Pos, format string, args ...interface{}) {

@@ -44,21 +44,34 @@ func runLockedSend(pass *Pass) {
 	}
 }
 
-type lockWalker struct {
-	pass *Pass
+// heldWalker walks one function body in statement order, tracking which
+// mutexes are held: from x.Lock()/x.RLock() to the matching Unlock in
+// statement order, to the end of the function under defer x.Unlock().
+// LockedSend and LockOrder share it; they differ in what they record when
+// a lock is taken and what they look for while one is held.
+type heldWalker struct {
 	info *types.Info
-	held map[string]bool // mutex access chains currently held
+	// held maps the access chain of each mutex currently held to its lock
+	// class ("" where the client assigns none).
+	held map[string]string
+	// acquire is told of each lock taken, before it joins held, and
+	// returns its class.
+	acquire func(call *ast.CallExpr, chain string) string
+	// scan is handed each statement or expression reached with a lock held.
+	scan func(n ast.Node)
 }
 
 func analyzeLockedBody(pass *Pass, body *ast.BlockStmt) {
-	w := &lockWalker{pass: pass, info: pass.Pkg.Info, held: map[string]bool{}}
+	w := &heldWalker{info: pass.Pkg.Info, held: map[string]string{}}
+	w.acquire = func(*ast.CallExpr, string) string { return "" }
+	w.scan = func(n ast.Node) { scanLockedSend(pass, w, n) }
 	w.walk(body)
 }
 
 // mutexOp recognizes <chain>.Lock/RLock/Unlock/RUnlock() on a
 // sync.Mutex/RWMutex-typed receiver and returns the chain and whether the
 // op acquires.
-func (w *lockWalker) mutexOp(call *ast.CallExpr) (chain string, acquire, ok bool) {
+func mutexOp(info *types.Info, call *ast.CallExpr) (chain string, acquire, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel || len(call.Args) != 0 {
 		return "", false, false
@@ -71,7 +84,7 @@ func (w *lockWalker) mutexOp(call *ast.CallExpr) (chain string, acquire, ok bool
 	default:
 		return "", false, false
 	}
-	fn, isFn := w.info.Uses[sel.Sel].(*types.Func)
+	fn, isFn := info.Uses[sel.Sel].(*types.Func)
 	if !isFn || pkgPathOf(fn) != "sync" {
 		return "", false, false
 	}
@@ -79,17 +92,17 @@ func (w *lockWalker) mutexOp(call *ast.CallExpr) (chain string, acquire, ok bool
 	if recv != "Mutex" && recv != "RWMutex" {
 		return "", false, false
 	}
-	chain, base := rootChain(w.info, sel.X)
+	chain, base := rootChain(info, sel.X)
 	if base == nil {
 		return "", false, false
 	}
 	return chain, acquire, true
 }
 
-// walk processes statements in order, updating the held set and flagging
-// emissions under a lock. Branch bodies are walked with the current held
-// set (a lock held at the branch point is held inside it).
-func (w *lockWalker) walk(n ast.Node) {
+// walk processes statements in order, updating the held set and handing
+// everything else to scanHeld. Branch bodies are walked with the current
+// held set (a lock held at the branch point is held inside it).
+func (w *heldWalker) walk(n ast.Node) {
 	switch x := n.(type) {
 	case *ast.BlockStmt:
 		for _, s := range x.List {
@@ -97,28 +110,28 @@ func (w *lockWalker) walk(n ast.Node) {
 		}
 	case *ast.ExprStmt:
 		if call, ok := x.X.(*ast.CallExpr); ok {
-			if chain, acquire, ok := w.mutexOp(call); ok {
+			if chain, acquire, ok := mutexOp(w.info, call); ok {
 				if acquire {
-					w.held[chain] = true
+					w.held[chain] = w.acquire(call, chain)
 				} else {
 					delete(w.held, chain)
 				}
 				return
 			}
 		}
-		w.scan(x)
+		w.scanHeld(x)
 	case *ast.DeferStmt:
-		if _, acquire, ok := w.mutexOp(x.Call); ok && !acquire {
+		if _, acquire, ok := mutexOp(w.info, x.Call); ok && !acquire {
 			// defer mu.Unlock(): held for the rest of the function; the
 			// preceding Lock already put it in the set, keep it there.
 			return
 		}
-		w.scan(x)
+		w.scanHeld(x)
 	case *ast.IfStmt:
 		if x.Init != nil {
 			w.walk(x.Init)
 		}
-		w.scan(x.Cond)
+		w.scanHeld(x.Cond)
 		// Clone so an Unlock on one branch doesn't leak to the other.
 		w.walkBranch(x.Body)
 		if x.Else != nil {
@@ -129,18 +142,18 @@ func (w *lockWalker) walk(n ast.Node) {
 			w.walk(x.Init)
 		}
 		if x.Cond != nil {
-			w.scan(x.Cond)
+			w.scanHeld(x.Cond)
 		}
 		w.walkBranch(x.Body)
 	case *ast.RangeStmt:
-		w.scan(x.X)
+		w.scanHeld(x.X)
 		w.walkBranch(x.Body)
 	case *ast.SwitchStmt:
 		if x.Init != nil {
 			w.walk(x.Init)
 		}
 		if x.Tag != nil {
-			w.scan(x.Tag)
+			w.scanHeld(x.Tag)
 		}
 		w.walkBranch(x.Body)
 	case *ast.TypeSwitchStmt:
@@ -161,31 +174,36 @@ func (w *lockWalker) walk(n ast.Node) {
 	case *ast.LabeledStmt:
 		w.walk(x.Stmt)
 	case ast.Stmt:
-		w.scan(x)
+		w.scanHeld(x)
 	case ast.Expr:
-		w.scan(x)
+		w.scanHeld(x)
 	}
 }
 
 // walkBranch walks a nested region with a copy of the held set, so lock
 // state changes inside a branch stay local to it.
-func (w *lockWalker) walkBranch(n ast.Node) {
+func (w *heldWalker) walkBranch(n ast.Node) {
 	saved := w.held
-	w.held = map[string]bool{}
-	for k := range saved {
-		w.held[k] = true
+	w.held = make(map[string]string, len(saved))
+	for k, v := range saved {
+		w.held[k] = v
 	}
 	w.walk(n)
 	w.held = saved
 }
 
-// scan looks for emissions inside one statement/expression while any
-// mutex is held. Nested function literals are skipped: they run later,
-// typically after the lock is dropped, and are analyzed separately.
-func (w *lockWalker) scan(n ast.Node) {
-	if len(w.held) == 0 {
-		return
+// scanHeld passes n to the client's scan when any mutex is held.
+func (w *heldWalker) scanHeld(n ast.Node) {
+	if len(w.held) > 0 {
+		w.scan(n)
 	}
+}
+
+// scanLockedSend looks for emissions inside one statement/expression
+// reached with a mutex held. Nested function literals are skipped: they
+// run later, typically after the lock is dropped, and are analyzed
+// separately.
+func scanLockedSend(pass *Pass, w *heldWalker, n ast.Node) {
 	heldNames := make([]string, 0, len(w.held))
 	for k := range w.held {
 		heldNames = append(heldNames, k)
@@ -194,16 +212,16 @@ func (w *lockWalker) scan(n ast.Node) {
 	inspectSkipFuncLit(n, func(m ast.Node) {
 		switch x := m.(type) {
 		case *ast.SendStmt:
-			w.pass.Reportf(x.Pos(), "channel send while holding %s; the receiver may need the same lock (deadlock shape)", lockDesc)
+			pass.Reportf(x.Pos(), "channel send while holding %s; the receiver may need the same lock (deadlock shape)", lockDesc)
 		case *ast.CallExpr:
 			if fn := calleeFunc(w.info, x); fn != nil {
 				if sendNames[fn.Name()] && strings.HasPrefix(pkgPathOf(fn), "hipcloud/") {
-					w.pass.Reportf(x.Pos(), "%s.%s while holding %s; delivery can re-enter the lock holder synchronously (deadlock shape)", recvTypeName(fn), fn.Name(), lockDesc)
+					pass.Reportf(x.Pos(), "%s.%s while holding %s; delivery can re-enter the lock holder synchronously (deadlock shape)", recvTypeName(fn), fn.Name(), lockDesc)
 				}
 				return
 			}
 			if isDynamicCall(w.info, x) {
-				w.pass.Reportf(x.Pos(), "callback invocation while holding %s; the callee may need the same lock (deadlock shape)", lockDesc)
+				pass.Reportf(x.Pos(), "callback invocation while holding %s; the callee may need the same lock (deadlock shape)", lockDesc)
 			}
 		}
 	})

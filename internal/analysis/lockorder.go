@@ -73,8 +73,9 @@ func (p *Program) lockOrderGraph() *lockGraph {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				w := &orderWalker{prog: p, pkg: pkg, lw: &lockWalker{info: pkg.Info}, g: g, held: map[string]heldLock{}}
-				w.walk(fd.Body)
+				w := &orderWalker{prog: p, pkg: pkg, g: g}
+				w.hw = &heldWalker{info: pkg.Info, held: map[string]string{}, acquire: w.acquire, scan: w.scan}
+				w.hw.walk(fd.Body)
 			}
 		}
 	}
@@ -126,25 +127,21 @@ func (g *lockGraph) findCycles() {
 	}
 }
 
-type heldLock struct {
-	class string // "" for function-local mutexes
-}
-
-// orderWalker walks one function in statement order, maintaining the
-// held set and recording graph edges and blocking/emitting sites.
+// orderWalker records, for one function, the graph edges and the
+// blocking/emitting sites its heldWalker comes across; held classes are ""
+// for function-local mutexes.
 type orderWalker struct {
 	prog *Program
 	pkg  *Package
-	lw   *lockWalker // for mutexOp recognition only
 	g    *lockGraph
-	held map[string]heldLock // chain → lock
+	hw   *heldWalker
 }
 
 func (w *orderWalker) heldDesc() string {
-	names := make([]string, 0, len(w.held))
-	for chain, h := range w.held {
-		if h.class != "" {
-			names = append(names, h.class)
+	names := make([]string, 0, len(w.hw.held))
+	for chain, class := range w.hw.held {
+		if class != "" {
+			names = append(names, class)
 		} else {
 			names = append(names, chain)
 		}
@@ -153,108 +150,21 @@ func (w *orderWalker) heldDesc() string {
 	return strings.Join(names, ", ")
 }
 
-func (w *orderWalker) acquire(call *ast.CallExpr, chain string) {
+// acquire adds an edge from every held class to the one being taken.
+func (w *orderWalker) acquire(call *ast.CallExpr, chain string) string {
 	class := lockClass(w.pkg.Info, call, chain)
 	if class != "" {
-		for _, h := range w.held {
-			if h.class != "" && h.class != class {
-				w.g.edges = append(w.g.edges, lockEdge{from: h.class, to: class, pos: call.Pos(), pkg: w.pkg})
+		for _, held := range w.hw.held {
+			if held != "" && held != class {
+				w.g.edges = append(w.g.edges, lockEdge{from: held, to: class, pos: call.Pos(), pkg: w.pkg})
 			}
 		}
 	}
-	w.held[chain] = heldLock{class: class}
-}
-
-func (w *orderWalker) walk(n ast.Node) {
-	switch x := n.(type) {
-	case *ast.BlockStmt:
-		for _, s := range x.List {
-			w.walk(s)
-		}
-	case *ast.ExprStmt:
-		if call, ok := x.X.(*ast.CallExpr); ok {
-			if chain, acq, ok := w.lw.mutexOp(call); ok {
-				if acq {
-					w.acquire(call, chain)
-				} else {
-					delete(w.held, chain)
-				}
-				return
-			}
-		}
-		w.scan(x)
-	case *ast.DeferStmt:
-		if _, acq, ok := w.lw.mutexOp(x.Call); ok && !acq {
-			return // defer mu.Unlock(): held to function end
-		}
-		w.scan(x)
-	case *ast.IfStmt:
-		if x.Init != nil {
-			w.walk(x.Init)
-		}
-		w.scan(x.Cond)
-		w.walkBranch(x.Body)
-		if x.Else != nil {
-			w.walkBranch(x.Else)
-		}
-	case *ast.ForStmt:
-		if x.Init != nil {
-			w.walk(x.Init)
-		}
-		if x.Cond != nil {
-			w.scan(x.Cond)
-		}
-		w.walkBranch(x.Body)
-	case *ast.RangeStmt:
-		w.scan(x.X)
-		w.walkBranch(x.Body)
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			w.walk(x.Init)
-		}
-		if x.Tag != nil {
-			w.scan(x.Tag)
-		}
-		w.walkBranch(x.Body)
-	case *ast.TypeSwitchStmt:
-		w.walkBranch(x.Body)
-	case *ast.SelectStmt:
-		w.walkBranch(x.Body)
-	case *ast.CaseClause:
-		for _, s := range x.Body {
-			w.walk(s)
-		}
-	case *ast.CommClause:
-		if x.Comm != nil {
-			w.walk(x.Comm)
-		}
-		for _, s := range x.Body {
-			w.walk(s)
-		}
-	case *ast.LabeledStmt:
-		w.walk(x.Stmt)
-	case ast.Stmt:
-		w.scan(x)
-	case ast.Expr:
-		w.scan(x)
-	}
-}
-
-func (w *orderWalker) walkBranch(n ast.Node) {
-	saved := w.held
-	w.held = make(map[string]heldLock, len(saved))
-	for k, v := range saved {
-		w.held[k] = v
-	}
-	w.walk(n)
-	w.held = saved
+	return class
 }
 
 // scan inspects one statement/expression under the current held set.
 func (w *orderWalker) scan(n ast.Node) {
-	if len(w.held) == 0 {
-		return
-	}
 	info := w.pkg.Info
 	inspectSkipFuncLit(n, func(m ast.Node) {
 		call, ok := m.(*ast.CallExpr)
@@ -293,9 +203,9 @@ func (w *orderWalker) scan(n ast.Node) {
 			}
 			// Transitive acquisitions: edges from every held class.
 			for class, reach := range sum.Acquires {
-				for _, h := range w.held {
-					if h.class != "" && h.class != class {
-						w.g.edges = append(w.g.edges, lockEdge{from: h.class, to: class, pos: call.Pos(), pkg: w.pkg, via: through(name, reach).chain()})
+				for _, held := range w.hw.held {
+					if held != "" && held != class {
+						w.g.edges = append(w.g.edges, lockEdge{from: held, to: class, pos: call.Pos(), pkg: w.pkg, via: through(name, reach).chain()})
 					}
 				}
 			}

@@ -114,9 +114,6 @@ func (s *Summary) paramFacts(i int) ParamFacts {
 	return s.Params[i]
 }
 
-// ParamFactsAt exposes per-parameter facts (receiver first) for tests.
-func (s *Summary) ParamFactsAt(i int) ParamFacts { return s.paramFacts(i) }
-
 // funcInfo ties a declared module function to its AST and package.
 type funcInfo struct {
 	fn   *types.Func
@@ -996,7 +993,7 @@ func (w *sumWalker) call(call *ast.CallExpr) {
 		w.reachEmit(&Reach{What: "callback invocation"})
 	}
 	// Lock acquisition (for the transitive Acquires set).
-	if chain, acquire, ok := (&lockWalker{info: info}).mutexOp(call); ok && acquire {
+	if chain, acquire, ok := mutexOp(info, call); ok && acquire {
 		if class := lockClass(info, call, chain); class != "" {
 			if _, seen := w.out.Acquires[class]; !seen {
 				w.out.Acquires[class] = &Reach{What: class + ".Lock"}

@@ -115,10 +115,6 @@ func (v *VM) AccessLink() *netsim.Link { return v.link }
 // matching a hypervisor pause / host failure from the network's view.
 func (v *VM) Crash() { v.Node.Down = true }
 
-// Restart powers a crashed VM back on in place, with its addresses and
-// routes intact (a host reboot that recovers the same instance).
-func (v *VM) Restart() { v.Node.Down = false }
-
 // RestartIn recovers a crashed VM into zone `to`, reusing the migration
 // machinery: power back on, then attach a fresh interface in the target
 // zone. The new primary address is returned; transports bound to the old

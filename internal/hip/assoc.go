@@ -32,7 +32,6 @@ type Association struct {
 
 	// Handshake scratch (initiator side).
 	puzzleI, puzzleJ uint64
-	dhPrivBytes      []byte // initiator ephemeral DH private key
 	establishedAt    time.Duration
 
 	// UPDATE machinery.
@@ -59,18 +58,16 @@ type Association struct {
 }
 
 // retire wipes the association's key material — the ESP SAs, the full
-// key set, the KEYMAT stream, and the initiator's ephemeral DH private
-// key — before the association is dropped or replaced. Without the wipe
-// the retired keys linger on the heap for as long as the allocator
-// pleases; any path that removes an Association from the host's maps
-// must call retire first.
+// key set and the KEYMAT stream — before the association is dropped or
+// replaced. Without the wipe the retired keys linger on the heap for as
+// long as the allocator pleases; any path that removes an Association
+// from the host's maps must call retire first.
 func (a *Association) retire() {
 	a.espPair.Zeroize()
 	a.keys.Zeroize()
 	if a.km != nil {
 		a.km.Zeroize()
 	}
-	keymat.Zeroize(a.dhPrivBytes)
 }
 
 // State returns the association state.

@@ -160,10 +160,6 @@ type Config struct {
 	// RetransmitBase is the initial control-packet retransmission
 	// timeout (default 500ms, doubling up to 4 retries).
 	RetransmitBase time.Duration
-	// RetransmitCap bounds a single backoff interval (default 8×Base —
-	// the natural maximum of the 4-retry doubling schedule; a lower cap
-	// trades give-up latency for faster probing under long outages).
-	RetransmitCap time.Duration
 	// Jitter, when non-nil, returns uniform [0,1) used to spread
 	// retransmission backoff by ±50%. Synchronized peers (a mass
 	// migration, a re-contact herd) otherwise retry in lockstep and
@@ -472,14 +468,6 @@ func (h *Host) SetJitter(fn func() float64) {
 // SetBacklog reports the driver's admission-queue depth (see Host.backlog).
 func (h *Host) SetBacklog(n int) { h.backlog = n }
 
-// retransmitCap returns the bound on a single backoff interval.
-func (h *Host) retransmitCap() time.Duration {
-	if h.cfg.RetransmitCap > 0 {
-		return h.cfg.RetransmitCap
-	}
-	return 8 * h.cfg.RetransmitBase
-}
-
 // statelessPuzzleI derives the puzzle I for an initiator without storing
 // state: HMAC(secret, HIT-I | HIT-R) truncated to 64 bits.
 func (h *Host) statelessPuzzleI(hitI, hitR netip.Addr) uint64 {
@@ -528,7 +516,7 @@ func (h *Host) OnTimer(now time.Duration) {
 		// deadline. (The previous shift doubled the first retry too and
 		// gave up only at 31×base = 15.5s, past the timeout.)
 		backoff := h.cfg.RetransmitBase << uint(a.retransTries-1)
-		if c := h.retransmitCap(); backoff > c {
+		if c := 8 * h.cfg.RetransmitBase; backoff > c {
 			backoff = c
 		}
 		if h.jitter != nil {

@@ -503,13 +503,6 @@ func (r *Resolver) takeToken(now netsim.VTime) bool {
 	return true
 }
 
-// Invalidate drops the cached records for (name, t) — the hook a caller
-// uses after a cached locator proves dead (connection refused/timed out)
-// to force fresh resolution on the next lookup.
-func (r *Resolver) Invalidate(name string, t RRType) {
-	delete(r.cache, cacheKey{name, t})
-}
-
 // Lookup resolves (name, type), blocking p. Cached answers are served
 // until their TTL expires; when resolution fails while a lapsed entry is
 // still within the serve-stale window, the stale answer is returned

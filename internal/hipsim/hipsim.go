@@ -538,19 +538,6 @@ func (f *Fabric) Ping(p *netsim.Proc, peer netip.Addr, size int, timeout time.Du
 	return w.rtt, nil
 }
 
-// DataOverheadBytes reports the per-segment ESP overhead for established
-// associations with peer, for wire-size accounting.
-func (f *Fabric) DataOverheadBytes(peer netip.Addr) int {
-	hit, _, _, err := f.reg.Resolve(peer)
-	if err != nil {
-		return 0
-	}
-	if a, ok := f.host.Association(hit); ok {
-		return a.DataOverhead() + 1 // inner type byte
-	}
-	return esp.HeaderLen + esp.ICVLen + 1
-}
-
 // MoveTo rehomes the fabric's host to a new locator (VM migration /
 // IPv4-IPv6 handover): the HIP UPDATE announcements are sent immediately
 // and the registry entry follows so new peers resolve the new address.

@@ -14,6 +14,7 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"net/netip"
@@ -95,9 +96,9 @@ type Stack struct {
 	closed bool
 	done   chan struct{}
 
-	// plain is the scratch in which pumpLocked builds each segment's ESP
-	// plaintext; it is reused under mu.
-	plain []byte
+	// plain and rxPlain are the scratches in which pumpLocked builds each
+	// segment's ESP plaintext and onData opens each packet's, reused under mu.
+	plain, rxPlain []byte
 
 	// Socket counters and the sender shards every frame leaves through.
 	stats   ioStats
@@ -217,9 +218,8 @@ func (s *Stack) Close() error {
 
 // readLoop drains inbound datagrams in recvmmsg-sized vectors and
 // dispatches them. ESP frames are opened straight out of the receive
-// arena (OpenData appends the plaintext to a fresh buffer and retains
-// nothing of pkt); control frames are copied out first, since hip.Host
-// may retain parsed parameters.
+// arena (onData retains nothing of pkt); control frames are copied out
+// first, since hip.Host may retain parsed parameters.
 func (s *Stack) readLoop() {
 	eng := newRxEngine()
 	var (
@@ -282,19 +282,20 @@ func (s *Stack) onControl(data []byte, from netip.AddrPort) {
 	s.flushLocked()
 }
 
-// onData opens one ESP packet and feeds the segment inside to its conn.
-// pkt may point into the receive arena: nothing here retains it.
+// onData opens one ESP packet into rxPlain and feeds the segment inside to its
+// conn (OnSegment copies what it keeps). pkt may be arena memory: not retained.
 func (s *Stack) onData(pkt []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
-	payload, peerHIT, err := s.host.OpenData(pkt, false)
+	payload, peerHIT, err := s.host.OpenDataAppend(s.rxPlain[:0], pkt, false)
 	s.host.TakeCost()
 	if err != nil || len(payload) < muxHeader || payload[0] != innerStream {
 		return
 	}
+	s.rxPlain = payload[:0] // keep what OpenDataAppend grew
 	remotePort := binary.BigEndian.Uint16(payload[1:])
 	localPort := binary.BigEndian.Uint16(payload[3:])
 	seg, err := stream.ParseSegment(payload[muxHeader:])
@@ -604,7 +605,9 @@ func (c *Conn) waitLocked(max time.Duration) {
 	t.Stop()
 }
 
-// Read blocks until data, EOF or reset.
+// Read blocks until data, end of stream (io.EOF once the peer has closed
+// and everything is drained), reset (ErrRefused) or the local stack's
+// Close (ErrClosed).
 func (c *Conn) Read(b []byte) (int, error) {
 	c.stack.mu.Lock()
 	defer c.stack.mu.Unlock()
@@ -616,14 +619,15 @@ func (c *Conn) Read(b []byte) (int, error) {
 			}
 			return n, nil
 		}
-		switch err {
-		case stream.ErrEOF:
-			return 0, ErrClosed
-		case stream.ErrReset:
-			return 0, ErrRefused
-		}
+		// Stack.Close aborts every stream, so test it before ErrReset.
 		if c.stack.closed {
 			return 0, ErrClosed
+		}
+		switch err {
+		case stream.ErrEOF:
+			return 0, io.EOF
+		case stream.ErrReset:
+			return 0, ErrRefused
 		}
 		c.waitLocked(200 * time.Millisecond)
 	}

@@ -2,6 +2,7 @@ package hipudp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
@@ -160,6 +161,34 @@ func TestDialNoListener(t *testing.T) {
 	}
 }
 
+// TestReadAllSeesEOF: a clean peer FIN is io.EOF, so the io helpers end
+// without an error.
+func TestReadAllSeesEOF(t *testing.T) {
+	a, b := pair(t)
+	l, err := b.Listen(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := bytes.Repeat([]byte("to the last byte "), 1000)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		c.Write(msg)
+		c.Close()
+	}()
+	c, err := a.Dial(idB.HIT(), 7, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got, err := io.ReadAll(c)
+	if err != nil || !bytes.Equal(got, msg) {
+		t.Fatalf("ReadAll = %d bytes, %v; want %d, nil", len(got), err, len(msg))
+	}
+}
+
 func TestCloseUnblocksReaders(t *testing.T) {
 	a, b := pair(t)
 	l, _ := b.Listen(7)
@@ -183,8 +212,8 @@ func TestCloseUnblocksReaders(t *testing.T) {
 	a.Close()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("read returned nil after close")
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("read after close: %v, want ErrClosed", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("reader not unblocked by Close")

@@ -2,9 +2,12 @@ package hipudp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/netip"
 	"testing"
 	"time"
+
+	"hipcloud/internal/stream"
 )
 
 // serveEcho accepts on l until it closes; each conn is echoed until the
@@ -141,10 +144,10 @@ func TestCloseIsNotCountedAsLoss(t *testing.T) {
 }
 
 // TestPumpAllocsPerSegment pins the transmit path's allocation count. Per
-// segment written and pumped, stream allocates the payload copy and
-// Poll's slice and pumpLocked allocates the frame; AllocsPerRun counts
-// the whole process, so the shard worker's one closure per send batch
-// (one segment a batch here) is the fourth.
+// segment written and pumped, stream lends its payload and its Poll slice
+// and pumpLocked allocates the frame; AllocsPerRun counts the whole
+// process, so the shard worker's one closure per send batch (one segment
+// a batch here) is the second.
 func TestPumpAllocsPerSegment(t *testing.T) {
 	a, b := pair(t)
 	l, err := b.Listen(7)
@@ -179,7 +182,85 @@ func TestPumpAllocsPerSegment(t *testing.T) {
 	if got := sent() - before; got < (runs+1)*uint64(len(seg)) {
 		t.Fatalf("sealed %d payload bytes in %d runs: the window closed mid-measurement", got, runs+1)
 	}
-	if allocs > 4 {
-		t.Errorf("%.0f allocations per segment, want <= 4 (payload copy, Poll slice, frame, send closure)", allocs)
+	if allocs > 2 {
+		t.Errorf("%.0f allocations per segment, want <= 2 (frame, send closure)", allocs)
+	}
+}
+
+// TestOnDataAllocsPerPacket pins the receive path's allocation count for
+// an in-order data packet that the application reads at once: rcvBuf's
+// growth and the frame of the ACK it answers with. The plaintext is opened
+// into the stack's scratch and the ACK comes out of a lent Poll slice.
+func TestOnDataAllocsPerPacket(t *testing.T) {
+	a, b := pair(t)
+	l, err := b.Listen(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := a.Dial(idB.HIT(), 7, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cb, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One byte across, so that both streams are established.
+	if _, err := c.Write([]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cb.Read(make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	// With no endpoint for b the ACKs are sealed and dropped, so that the
+	// count is onData's own: no sender goroutine, no reply.
+	a.mu.Lock()
+	delete(a.hitToEP, idB.HIT())
+	delete(a.peers, idB.HIT())
+	clear(a.locToEP)
+	a.mu.Unlock()
+	// b's stream and SA produce the packets; the test carries them.
+	const runs, total = 5, (5 + 1) * stream.DefaultMSS
+	var pkts [][]byte
+	func() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		if n, err := cb.inner.Write(make([]byte, total)); n != total || err != nil {
+			t.Fatalf("stream write: %d %v", n, err)
+		}
+		segs, _ := cb.inner.Poll(b.now())
+		for _, seg := range segs {
+			plain := make([]byte, muxHeader+stream.HeaderSize+len(seg.Payload))
+			plain[0] = innerStream
+			binary.BigEndian.PutUint16(plain[1:], cb.key.localPort)
+			binary.BigEndian.PutUint16(plain[3:], cb.key.remotePort)
+			seg.MarshalInto(plain[muxHeader:])
+			pkt, _, err := b.host.SealData(idA.HIT(), plain, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkts = append(pkts, pkt)
+		}
+	}()
+	if len(pkts) < runs+1 {
+		t.Fatalf("%d packets, want %d", len(pkts), runs+1)
+	}
+	buf := make([]byte, 4096)
+	read := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		a.onData(pkts[0])
+		pkts = pkts[1:]
+		n, err := c.Read(buf)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		read += n
+	})
+	if read != total {
+		t.Fatalf("read %d bytes in %d runs: a packet was not delivered in order", read, runs+1)
+	}
+	if allocs > 2 {
+		t.Errorf("%.0f allocations per packet, want <= 2 (rcvBuf growth, ACK frame)", allocs)
 	}
 }

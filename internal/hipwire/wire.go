@@ -101,10 +101,6 @@ type Param struct {
 	Data []byte
 }
 
-// Critical reports whether the parameter is critical (even type numbers
-// must be understood by the recipient).
-func (p Param) Critical() bool { return p.Type%2 == 0 }
-
 // Packet is a HIP control packet.
 type Packet struct {
 	Type                   PacketType

@@ -298,11 +298,3 @@ func (a *LSIAllocator) Lookup(lsi netip.Addr) (netip.Addr, bool) {
 	hit, ok := a.byLSI[lsi]
 	return hit, ok
 }
-
-// HITOf returns the LSI previously assigned for hit, if any.
-func (a *LSIAllocator) HITOf(hit netip.Addr) (netip.Addr, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	lsi, ok := a.byHIT[hit]
-	return lsi, ok
-}

@@ -104,9 +104,6 @@ func (nd *Node) EnableNAT(typ NATType, insideAddr netip.Addr) *NAT {
 	return nat
 }
 
-// ExternalAddr returns the NAT's public address.
-func (n *NAT) ExternalAddr() netip.Addr { return n.external }
-
 // Type returns the NAT behaviour.
 func (n *NAT) Type() NATType { return n.typ }
 
@@ -115,9 +112,6 @@ func (n *NAT) Drops() uint64 { return n.drops }
 
 // Mappings reports the number of active mappings.
 func (n *NAT) Mappings() int { return len(n.byKey) }
-
-// SetTimeout configures mapping expiry (default 2 minutes).
-func (n *NAT) SetTimeout(d time.Duration) { n.timeout = d }
 
 // Reset discards every active mapping (a middlebox reboot / conntrack
 // flush — the NAT-rebinding fault of internal/faults). Inbound packets

@@ -159,9 +159,8 @@ type Link struct {
 	// nil costs nothing on the hot path.
 	Fault func(pkt *Packet) FaultDecision
 
-	a, b    *Iface
-	drops   uint64
-	carried uint64
+	a, b  *Iface
+	drops uint64
 }
 
 // FaultDecision is a Link.Fault verdict for one packet.
@@ -184,9 +183,6 @@ type FaultDecision struct {
 
 // Drops reports the number of packets dropped by loss or queue overflow.
 func (l *Link) Drops() uint64 { return l.drops }
-
-// Carried reports the number of packets that traversed the link.
-func (l *Link) Carried() uint64 { return l.carried }
 
 // AddNode creates a node. cores/speed configure its CPU (see CPU).
 func (n *Network) AddNode(name string, cores int, speed float64) *Node {
@@ -227,18 +223,6 @@ func (nd *Node) SetPerPacketCPU(d time.Duration) { nd.perPacketCPU = d }
 
 // PerPacketCPU returns the per-packet host processing charge.
 func (nd *Node) PerPacketCPU() time.Duration { return nd.perPacketCPU }
-
-// SetForwarding enables IP forwarding on the node.
-func (nd *Node) SetForwarding(v bool) { nd.forward = v }
-
-// Addrs returns all interface addresses of the node.
-func (nd *Node) Addrs() []netip.Addr {
-	out := make([]netip.Addr, 0, len(nd.ifaces))
-	for _, i := range nd.ifaces {
-		out = append(out, i.addr)
-	}
-	return out
-}
 
 // Addr returns the node's first address; it panics if the node has none.
 func (nd *Node) Addr() netip.Addr {
@@ -439,7 +423,6 @@ func (nd *Node) transmit(via *Iface, pkt *Packet) {
 	}
 	arrival := start + tx + delay
 	peer := via.peer
-	l.carried++
 	// Typed delivery event: the per-packet hot path schedules a recycled
 	// event node, never a closure.
 	s.scheduleDeliver(arrival, peer, pkt)

@@ -72,14 +72,3 @@ func PutBuf(b []byte) {
 		poolSmall.Put((*[classSmall]byte)(b[:classSmall:c]))
 	}
 }
-
-// BufPool adapts GetBuf/PutBuf to the buffer-pool interfaces other layers
-// (internal/stream, internal/simtcp) accept, without those packages
-// importing netsim types at construction sites that don't need them.
-type BufPool struct{}
-
-// Get returns a length-n pooled buffer.
-func (BufPool) Get(n int) []byte { return GetBuf(n) }
-
-// Put recycles b.
-func (BufPool) Put(b []byte) { PutBuf(b) }

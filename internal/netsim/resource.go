@@ -58,9 +58,6 @@ func (r *Resource) Release() {
 	r.q.WakeOne()
 }
 
-// InUse reports the number of units currently claimed.
-func (r *Resource) InUse() int { return r.inUse }
-
 // Capacity reports the total number of units.
 func (r *Resource) Capacity() int { return r.cap }
 
@@ -208,9 +205,6 @@ func (c *CPU) Cores() int { return c.cores.Capacity() }
 
 // BusyTime reports accumulated core-time consumed.
 func (c *CPU) BusyTime() time.Duration { return c.busy }
-
-// Queue reports how many processes are waiting for or holding cores.
-func (c *CPU) Queue() int { return c.cores.InUse() }
 
 // Speed reports the per-core speed factor.
 func (c *CPU) Speed() float64 { return c.speed }

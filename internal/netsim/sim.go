@@ -787,6 +787,3 @@ func (t *Timer) Stop() {
 
 // Armed reports whether the timer has a pending deadline.
 func (t *Timer) Armed() bool { return t.armed }
-
-// When returns the armed deadline (meaningless when !Armed).
-func (t *Timer) When() VTime { return t.at }

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -396,15 +395,4 @@ func (db *Database) qRegister(nick string) ([]byte, int) {
 	id := len(db.users)
 	db.users = append(db.users, User{ID: id, Nick: nick})
 	return []byte(fmt.Sprintf("registered user %d\n", id)), 2
-}
-
-// TopCategories returns category ids sorted by item count (for workload
-// generators that skew toward popular categories).
-func (db *Database) TopCategories() []int {
-	out := make([]int, NumCategories)
-	for i := range out {
-		out[i] = i
-	}
-	sort.Slice(out, func(a, b int) bool { return len(db.byCat[out[a]]) > len(db.byCat[out[b]]) })
-	return out
 }

@@ -104,7 +104,7 @@ type Stack struct {
 	// simulator's run-to-run determinism (caught by hiplint's simdet).
 	dirty  map[*Conn]bool
 	dirtyQ []*Conn
-	debt   time.Duration          // CPU cost not yet charged
+	debt   time.Duration // CPU cost not yet charged
 	// armed holds the per-conn timer deadlines as a flat list plus an
 	// index map: every service pass scans it for the minimum, and a
 	// slice walk beats ranging a map there (deterministic order, no
@@ -357,9 +357,6 @@ func (s *Stack) flush(c *Conn) {
 		binary.BigEndian.PutUint16(wire[0:], c.key.localPort)
 		binary.BigEndian.PutUint16(wire[2:], c.key.remotePort)
 		seg.MarshalInto(wire[muxHeader:])
-		// The payload was drawn from the pool by the stream core
-		// (Config.Pool below); it is dead once marshaled onto the wire.
-		netsim.PutBuf(seg.Payload)
 		sc, err := s.fabric.Send(c.key.peer, wire)
 		if err != nil {
 			c.inner.Abort()
@@ -387,7 +384,7 @@ func (s *Stack) newConn(key connKey) *Conn {
 	c := &Conn{
 		stack: s,
 		key:   key,
-		inner: stream.New(stream.Config{Pool: netsim.BufPool{}}, uint32(s.sim.Rand().Int63())),
+		inner: stream.New(stream.Config{}, uint32(s.sim.Rand().Int63())),
 		rq:    netsim.NewWaitQueue(s.sim),
 		wq:    netsim.NewWaitQueue(s.sim),
 	}
@@ -532,12 +529,6 @@ type Conn struct {
 	rq, wq       *netsim.WaitQueue
 	closedByUser bool
 }
-
-// RemoteAddr returns the peer address the connection was keyed on.
-func (c *Conn) RemoteAddr() netip.Addr { return c.key.peer }
-
-// LocalPort returns the local port.
-func (c *Conn) LocalPort() uint16 { return c.key.localPort }
 
 // signal wakes blocked readers/writers according to conn state.
 func (c *Conn) signal() {

@@ -6,6 +6,12 @@
 // segments, timer deadlines and readable/writable transitions come out.
 // Drivers bind it to the netsim simulator (hipcloud/internal/netsim) or to
 // real datagram transports (ESP-over-UDP in hipcloud/internal/hipudp).
+//
+// Every payload byte has one owner. Poll lends: the segments it returns,
+// and their payloads, are the connection's own memory and the driver
+// marshals them onto its wire unit before the next call on that Conn.
+// OnSegment borrows: it copies what it keeps, so the driver may recycle
+// the inbound wire unit as soon as it returns.
 package stream
 
 import (
@@ -71,28 +77,12 @@ var (
 	ErrEOF    = errors.New("stream: end of stream")
 )
 
-// BufferPool recycles payload buffers for emitted segments. Drivers that
-// install one (netsim.BufPool) take ownership of Segment.Payload slices
-// drained by Poll and must return each to the pool once marshaled onto the
-// wire; with a nil pool, payloads are plain allocations left to the GC.
-type BufferPool interface {
-	// Get returns a length-n buffer with undefined contents.
-	Get(n int) []byte
-	// Put recycles a buffer previously returned by Get.
-	Put(b []byte)
-}
-
 // Config tunes a connection.
 type Config struct {
 	MSS        int
 	Window     int // receive window advertised to the peer
 	SendBuf    int // local send buffer bound
 	InitialRTO time.Duration
-	// Pool, when non-nil, supplies payload buffers for outgoing segments;
-	// see BufferPool for the ownership contract.
-	Pool BufferPool
-	// Now is the connection's epoch; segments timestamps are durations
-	// from an arbitrary zero maintained by the driver.
 }
 
 func (c *Config) fill() {
@@ -117,10 +107,16 @@ type Conn struct {
 	state State
 
 	// Send side.
-	sndISS  uint32
-	sndUna  uint32 // oldest unacknowledged
-	sndNxt  uint32 // next sequence to send
-	sndBuf  []byte // unsent+unacked bytes, starting at sndUna
+	sndISS uint32
+	sndUna uint32 // oldest unacknowledged
+	sndNxt uint32 // next sequence to send
+	// sndBuf holds the unsent+unacked bytes, starting at sndUna. Queued and
+	// lent segments are views of it, so its memory is never written below
+	// the current start: Write appends (growing the tail or moving to a
+	// fresh array) and an ACK only advances the start. A retransmission
+	// queued before a later ACK therefore still reads the bytes it was cut
+	// from. Do not compact in place.
+	sndBuf  []byte
 	peerWnd uint32
 	// Congestion control (Reno-style slow start + AIMD).
 	cwnd        int
@@ -150,8 +146,9 @@ type Conn struct {
 	// segment, for window-update suppression.
 	advertised uint32
 
-	// Output queue drained by Poll.
-	out []Segment
+	// Output queue drained by Poll, and the slice Poll lent last time,
+	// which becomes the queue again at the next Poll.
+	out, lent []Segment
 
 	// Stats.
 	Retransmits     uint64
@@ -168,7 +165,9 @@ const (
 	FlagRST
 )
 
-// Segment is one protocol datagram.
+// Segment is one protocol datagram. Payload is a view: of the sender's
+// send buffer in a segment from Poll, of the wire unit in one from
+// ParseSegment.
 type Segment struct {
 	Flags   uint8
 	Seq     uint32
@@ -316,12 +315,6 @@ func (c *Conn) Read(b []byte) (int, error) {
 	return n, nil
 }
 
-// Buffered reports bytes available to Read.
-func (c *Conn) Buffered() int { return len(c.rcvBuf) }
-
-// Unacked reports bytes written but not yet acknowledged.
-func (c *Conn) Unacked() int { return len(c.sndBuf) }
-
 // Close initiates an orderly shutdown. Buffered data is still delivered;
 // the FIN goes out after the send buffer drains.
 func (c *Conn) Close() {
@@ -365,27 +358,6 @@ func (c *Conn) MaybeWindowUpdate() bool {
 	return true
 }
 
-// payloadCopy snapshots b into a buffer the emitted segment owns — from
-// the configured pool when there is one, else a fresh allocation.
-func (c *Conn) payloadCopy(b []byte) []byte {
-	if c.cfg.Pool != nil {
-		p := c.cfg.Pool.Get(len(b))
-		copy(p, b)
-		return p
-	}
-	p := make([]byte, len(b))
-	copy(p, b)
-	return p
-}
-
-// payloadFree returns a payloadCopy-derived buffer to the pool, when the
-// connection has one; pool-less configs leave it to the GC.
-func (c *Conn) payloadFree(b []byte) {
-	if c.cfg.Pool != nil {
-		c.cfg.Pool.Put(b)
-	}
-}
-
 func (c *Conn) rcvWindow() uint32 {
 	w := c.cfg.Window - len(c.rcvBuf)
 	if w < 0 {
@@ -420,7 +392,8 @@ func (c *Conn) sendWindowRemaining() int {
 	return int(wnd - fl)
 }
 
-// OnSegment processes an inbound segment at time now.
+// OnSegment processes an inbound segment at time now. It retains nothing
+// of seg.Payload: what it keeps, it copies.
 func (c *Conn) OnSegment(seg Segment, now time.Duration) {
 	if seg.Flags&FlagRST != 0 {
 		if c.state != StateClosed {
@@ -586,8 +559,11 @@ func (c *Conn) processPayload(seg Segment) {
 	case seqLT(c.rcvNxt, seg.Seq):
 		// Future data: buffer out of order (bounded) and dup-ack.
 		if len(c.oooSegs) < 256 {
+			// The one copy on this path: the driver recycles the wire
+			// unit seg.Payload points into.
 			cp := seg
-			cp.Payload = c.payloadCopy(seg.Payload)
+			cp.Payload = make([]byte, len(seg.Payload))
+			copy(cp.Payload, seg.Payload)
 			c.oooSegs = append(c.oooSegs, cp)
 		}
 		c.emit(Segment{Flags: FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt})
@@ -611,7 +587,6 @@ func (c *Conn) processPayload(seg Segment) {
 			o := c.oooSegs[i]
 			oEnd := o.Seq + uint32(len(o.Payload))
 			if seqLE(oEnd, c.rcvNxt) {
-				c.payloadFree(o.Payload)
 				c.oooSegs = append(c.oooSegs[:i], c.oooSegs[i+1:]...)
 				progress = true
 				break
@@ -625,7 +600,6 @@ func (c *Conn) processPayload(seg Segment) {
 				c.rcvBuf = append(c.rcvBuf, d...)
 				c.rcvNxt += uint32(len(d))
 				c.BytesRcvd += uint64(len(d))
-				c.payloadFree(o.Payload)
 				c.oooSegs = append(c.oooSegs[:i], c.oooSegs[i+1:]...)
 				progress = true
 				break
@@ -728,20 +702,25 @@ func (c *Conn) retransmit(now time.Duration) {
 	if n <= 0 {
 		return
 	}
-	payload := c.payloadCopy(c.sndBuf[:n])
-	c.emit(Segment{Flags: FlagACK, Seq: c.sndUna, Ack: c.rcvNxt, Payload: payload})
+	c.emit(Segment{Flags: FlagACK, Seq: c.sndUna, Ack: c.rcvNxt, Payload: c.sndBuf[:n]})
 	c.armRTO(now)
 }
 
 // Poll drains pending output: it first packetizes new send-buffer data
 // permitted by the window, then returns queued segments and the next timer
 // deadline (zero when no timer is armed).
+//
+// The segments are lent: the slice and every Payload in it belong to the
+// connection and are valid only until the next call on it, so the driver
+// marshals each one before then. Two backing slices alternate, so a
+// segment queued while the driver still ranges over the lent one (Abort
+// on a send error) lands in the other and comes out of the next Poll.
 func (c *Conn) Poll(now time.Duration) ([]Segment, time.Duration) {
 	if c.Established() && c.state != StateLastAck {
 		c.packetize(now)
 	}
 	out := c.out
-	c.out = nil
+	c.out, c.lent = c.lent[:0], out
 	return out, c.rtoDeadline
 }
 
@@ -766,8 +745,7 @@ func (c *Conn) packetize(now time.Duration) {
 		if n > wnd {
 			n = wnd
 		}
-		payload := c.payloadCopy(c.sndBuf[unsentStart : unsentStart+n])
-		seg := Segment{Flags: FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt, Payload: payload}
+		seg := Segment{Flags: FlagACK, Seq: c.sndNxt, Ack: c.rcvNxt, Payload: c.sndBuf[unsentStart : unsentStart+n]}
 		if !c.rttTiming {
 			c.rttTiming = true
 			c.rttSeq = c.sndNxt

@@ -61,7 +61,9 @@ func (h *harness) at(d time.Duration, fn func(now time.Duration)) {
 	heap.Push(&h.events, wireEvent{at: h.now + d, seq: h.seq, fn: fn})
 }
 
-// pump flushes output of both conns onto the wire and rearms timers.
+// pump flushes output of both conns onto the wire and rearms timers. Poll
+// lends its segments, so each is marshaled before the next call on the
+// conn and parsed again on delivery, as the real drivers do.
 func (h *harness) pump() {
 	for _, pair := range []struct{ from, to *Conn }{{h.a, h.b}, {h.b, h.a}} {
 		from, to := pair.from, pair.to
@@ -74,8 +76,12 @@ func (h *harness) pump() {
 			if h.reorder > 0 {
 				d += time.Duration(h.rng.Int63n(int64(h.reorder)))
 			}
-			seg := seg
+			wire := seg.Marshal()
 			h.at(d, func(now time.Duration) {
+				seg, err := ParseSegment(wire)
+				if err != nil {
+					panic(err)
+				}
 				to.OnSegment(seg, now)
 				h.pump()
 			})
@@ -234,6 +240,123 @@ func TestKarnFastRetransmitDiscardsRTTSample(t *testing.T) {
 	a.OnSegment(Segment{Flags: FlagACK, Ack: a.sndNxt, Window: 65535}, late)
 	if a.srtt != srttBefore {
 		t.Fatalf("ambiguous ACK was sampled: srtt %v -> %v", srttBefore, a.srtt)
+	}
+}
+
+// TestRetransmitViewSurvivesLaterAck: a retransmission is queued as a view
+// of sndBuf inside OnSegment, and a cumulative ACK (and a Write) may move
+// sndBuf on before the driver polls. What Poll then lends must still be
+// the stream's bytes at that sequence.
+func TestRetransmitViewSurvivesLaterAck(t *testing.T) {
+	h := newHarness(time.Millisecond, 0)
+	h.connect(t)
+	a := h.a
+	mss := a.cfg.MSS
+	data := make([]byte, 8*mss)
+	rand.New(rand.NewSource(11)).Read(data)
+	base := a.sndNxt // sequence of data[0]
+	if n, err := a.Write(data[:5*mss]); n != 5*mss || err != nil {
+		t.Fatalf("write: %d %v", n, err)
+	}
+	if segs, _ := a.Poll(h.now); len(segs) != 5 {
+		t.Fatalf("want 5 segments in flight, got %d", len(segs))
+	}
+	dup := Segment{Flags: FlagACK, Ack: base, Window: 65535}
+	for i := 0; i < 3; i++ {
+		a.OnSegment(dup, h.now)
+	}
+	if a.FastRetransmits != 1 {
+		t.Fatalf("fast retransmits = %d, want 1", a.FastRetransmits)
+	}
+	// Before the driver polls: two segments are acknowledged after all,
+	// and the application writes on.
+	a.OnSegment(Segment{Flags: FlagACK, Ack: base + uint32(2*mss), Window: 65535}, h.now)
+	if n, err := a.Write(data[5*mss:]); n != 3*mss || err != nil {
+		t.Fatalf("write: %d %v", n, err)
+	}
+	segs, _ := a.Poll(h.now)
+	sawRetransmit := false
+	for _, seg := range segs {
+		got, err := ParseSegment(seg.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Payload) == 0 {
+			continue
+		}
+		off := int(got.Seq - base)
+		if !bytes.Equal(got.Payload, data[off:off+len(got.Payload)]) {
+			t.Fatalf("segment at stream offset %d (%d bytes) does not carry the stream's bytes", off, len(got.Payload))
+		}
+		sawRetransmit = sawRetransmit || (off == 0 && len(got.Payload) == mss)
+	}
+	if !sawRetransmit {
+		t.Fatal("the fast retransmission did not come out of Poll")
+	}
+}
+
+// TestAbortWhileRangingLentSegments: a driver that fails to send aborts the
+// conn inside its loop over Poll's segments. The RST must not land in the
+// slice being ranged, and must come out of the next Poll.
+func TestAbortWhileRangingLentSegments(t *testing.T) {
+	h := newHarness(time.Millisecond, 0)
+	h.connect(t)
+	a := h.a
+	for i := 0; i < 2; i++ { // both backing slices in use
+		a.Write(make([]byte, 3*a.cfg.MSS))
+		a.Poll(h.now)
+		a.OnSegment(Segment{Flags: FlagACK, Ack: a.sndNxt, Window: 65535}, h.now)
+	}
+	a.Write(make([]byte, 3*a.cfg.MSS))
+	segs, _ := a.Poll(h.now)
+	if len(segs) != 3 {
+		t.Fatalf("want 3 segments, got %d", len(segs))
+	}
+	a.Abort()
+	for i, seg := range segs {
+		if seg.Flags&FlagRST != 0 || len(seg.Payload) != a.cfg.MSS {
+			t.Fatalf("lent segment %d changed under the driver: %+v", i, seg)
+		}
+	}
+	if next, _ := a.Poll(h.now); len(next) != 1 || next[0].Flags&FlagRST == 0 {
+		t.Fatalf("next Poll = %+v, want the RST", next)
+	}
+}
+
+// TestWritePollMarshalAllocatesNothing pins the lending contract's point:
+// between Write and the wire unit a data segment costs no allocation, as
+// Poll lends views of sndBuf in a reused slice. The send buffer is kept
+// full and the peer's window at one segment, as on a bulk transfer; what
+// remains is sndBuf's own regrowth, once per quarter buffer, far below the
+// integer average AllocsPerRun reports.
+func TestWritePollMarshalAllocatesNothing(t *testing.T) {
+	h := newHarness(time.Millisecond, 0)
+	h.connect(t)
+	a := h.a
+	mss := a.cfg.MSS
+	a.Write(make([]byte, a.cfg.SendBuf))
+	chunk := make([]byte, mss)
+	wire := make([]byte, HeaderSize+mss)
+	sent := 0
+	step := func() {
+		a.Write(chunk)
+		segs, _ := a.Poll(h.now)
+		for _, seg := range segs {
+			seg.MarshalInto(wire)
+			sent += len(seg.Payload)
+		}
+		a.OnSegment(Segment{Flags: FlagACK, Ack: a.sndNxt, Window: uint32(mss)}, h.now)
+	}
+	for i := 0; i < 8; i++ {
+		step()
+	}
+	sent = 0
+	const runs = 200
+	if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
+		t.Errorf("%.0f allocations per segment written, polled and marshaled, want 0", allocs)
+	}
+	if sent != (runs+1)*mss {
+		t.Fatalf("sent %d bytes in %d runs, want one full segment a run", sent, runs+1)
 	}
 }
 
