@@ -23,12 +23,12 @@
 // per-analyzer finding counts as JSON (exit 0 regardless), for tracking
 // the finding trajectory across PRs via `make lint-fix-scan`.
 //
-// -budget runs the compiler-diagnostic layer of the hotpath contract
-// instead of the AST analyzers: it rebuilds the module with
-// -gcflags='-m=2 -d=ssa/check_bce/debug=1', folds the escape and
-// bounds-check diagnostics onto the hotpath hot set, and compares the
-// per-function counts against the tracked LINT_BUDGET.json at the module
-// root. Any drift fails: regressions must be fixed, improvements must be
+// -budget runs the compiler-owned half of the hotpath contract instead
+// of the AST analyzers (hotpath flags only the idioms the compiler does
+// not report): it rebuilds the module with -gcflags='-m=2
+// -d=ssa/check_bce/debug=1', folds the escape and bounds-check
+// diagnostics onto the hot set, and compares the per-function counts
+// against the tracked LINT_BUDGET.json at the module root. Any drift fails: regressions must be fixed, improvements must be
 // committed by regenerating the snapshot with -budget -write (wired as
 // `make lint-budget`).
 package main

@@ -119,7 +119,6 @@ func All() []*Analyzer {
 		AppendAlias,
 		SimDet,
 		SchedBlock,
-		CTCompare,
 		LockedSend,
 		SecFlow,
 		LockOrder,

@@ -6,9 +6,10 @@ import (
 )
 
 // AppendAlias flags append-style crypto/marshal calls whose destination
-// can alias their source. esp.SealAppend/OpenAppend (and tlslite's
-// sealRecordAppend) write ciphertext into dst's spare capacity while
-// reading payload; if both re-slice the same backing array —
+// can alias their source. esp.SealAppend/OpenAppend (and the wrappers
+// both drivers call, hip.Host.SealDataAppend/OpenDataAppend, and
+// tlslite's sealRecordAppend) write ciphertext into dst's spare capacity
+// while reading payload; if both re-slice the same backing array —
 //
 //	sa.SealAppend(b[:0], b[n:])
 //
@@ -32,6 +33,7 @@ var appendAPIs = map[string][2]int{
 	"SealAppend":       {0, 1},
 	"OpenAppend":       {0, 1},
 	"OpenDataAppend":   {0, 1},
+	"SealDataAppend":   {0, 2},
 	"sealRecordAppend": {0, 1},
 }
 

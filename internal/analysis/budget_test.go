@@ -40,9 +40,11 @@ func TestParseDiagLine(t *testing.T) {
 
 // TestFoldDiagnostics feeds synthetic -m=2 output through the fold and
 // checks the dedup rule: -m=2 prints each "escapes to heap" twice (a
-// head ending in ':' plus the plain -m line) and "moved to heap" once,
-// so one escaped value counts exactly once. Diagnostics outside hot
-// function extents are dropped.
+// head ending in ':' plus the plain -m line) and a moved variable as a
+// head plus "moved to heap", so one escaped value counts exactly once —
+// and a head with neither twin (a compiler-synthesised defer/go wrapper
+// closure) counts once too. Diagnostics outside hot function extents
+// are dropped.
 func TestFoldDiagnostics(t *testing.T) {
 	l, err := NewLoader(".")
 	if err != nil {
@@ -77,14 +79,18 @@ func TestFoldDiagnostics(t *testing.T) {
 %[1]s:%[2]d:6: v escapes to heap:
 %[1]s:%[2]d:6:   flow: {heap} = &v:
 %[1]s:%[2]d:6: v escapes to heap
+%[1]s:%[2]d:10: w escapes to heap:
+%[1]s:%[2]d:10:   flow: {heap} = &w:
 %[1]s:%[2]d:10: moved to heap: w
+%[1]s:%[2]d:14: func literal escapes to heap:
+%[1]s:%[2]d:14:   flow: {heap} = &{storage for func literal}:
 %[1]s:%[2]d:3: Found IsInBounds
 %[1]s:%[2]d:5: Found IsSliceInBounds
 %[1]s:1:1: x escapes to heap
 `, file, runLine)
 
 	b := foldDiagnostics(prog, l.ModRoot, l.ModPath, out)
-	want := map[string]BudgetEntry{wantKey: {Escapes: 2, Bounds: 2}}
+	want := map[string]BudgetEntry{wantKey: {Escapes: 3, Bounds: 2}}
 	if !reflect.DeepEqual(b.Functions, want) {
 		t.Errorf("foldDiagnostics = %v, want %v", b.Functions, want)
 	}
@@ -146,7 +152,7 @@ func TestBudgetLoadWriteRoundTrip(t *testing.T) {
 	}
 
 	want := &Budget{Functions: map[string]BudgetEntry{
-		"internal/netsim.Sim.fire": {Escapes: 2, Bounds: 5},
+		"internal/netsim.Sim.fire":           {Escapes: 2, Bounds: 5},
 		"internal/esp.OutboundSA.SealAppend": {Escapes: 0, Bounds: 7},
 	}}
 	if err := WriteBudget(path, want); err != nil {
@@ -186,5 +192,36 @@ func TestBudgetLoadWriteRoundTrip(t *testing.T) {
 	esc, bnd := BudgetTotals(got)
 	if esc != 2 || bnd != 12 {
 		t.Errorf("BudgetTotals = (%d, %d), want (2, 12)", esc, bnd)
+	}
+}
+
+// TestHotPathFixtureBudget runs the real compiler over the hotpath
+// fixture. The idioms hotpath.go leaves to the compiler must each be
+// counted by the budget fold, in the function that holds them: the
+// defer-in-loop wrapper closure (fixture line 79), the four escaping
+// &item{...} shapes (137, 139, 140, 141) and fmt.Sprintf's boxed
+// argument (147).
+func TestHotPathFixtureBudget(t *testing.T) {
+	const fixture = "internal/analysis/testdata/src/hotpath"
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	pkgs, err := l.Load(filepath.Join(l.ModRoot, fixture))
+	if err != nil {
+		t.Fatalf("loading hotpath fixture: %v", err)
+	}
+	b, err := ComputeBudget(NewProgram(pkgs), "go", l.ModRoot, l.ModPath, []string{"./" + fixture})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fn, want := range map[string]int{
+		"Sim.deferLoop":  1,
+		"Sim.composites": 4,
+		"Sim.logging":    1,
+	} {
+		if got := b.Functions[fixture+"."+fn].Escapes; got != want {
+			t.Errorf("%s: budget counts %d escape(s), want %d", fn, got, want)
+		}
 	}
 }

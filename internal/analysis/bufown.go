@@ -56,9 +56,6 @@ func isPoolGetProg(prog *Program, info *types.Info, call *ast.CallExpr) bool {
 	if isPoolGet(info, call) {
 		return true
 	}
-	if prog == nil {
-		return false
-	}
 	for _, cand := range prog.resolveCall(info, call) {
 		if s := prog.SummaryOf(cand); s != nil && s.ReturnsPoolBuf {
 			return true
@@ -73,9 +70,6 @@ func isPoolGetProg(prog *Program, info *types.Info, call *ast.CallExpr) bool {
 func isPoolPutProg(prog *Program, info *types.Info, call *ast.CallExpr) (ast.Expr, bool) {
 	if arg, ok := isPoolPut(info, call); ok {
 		return arg, ok
-	}
-	if prog == nil {
-		return nil, false
 	}
 	for _, cand := range prog.resolveCall(info, call) {
 		sum := prog.SummaryOf(cand)

@@ -45,11 +45,9 @@ func checkFixture(t *testing.T, fixture string, analyzer *Analyzer) {
 	checkPkgs(t, fixture, []*Package{loadFixture(t, fixture)}, analyzer)
 }
 
-// checkFixtureMulti loads every package under testdata/src/<fixture>/...
-// into one shared Program before checking // want comments across all of
-// them: the harness for cross-package interprocedural cases, where the
-// flagged call site and the summarized callee live in different packages.
-func checkFixtureMulti(t *testing.T, fixture string, analyzer *Analyzer) {
+// loadFixtureMulti type-checks every package under
+// testdata/src/<fixture>/... for one shared Program.
+func loadFixtureMulti(t *testing.T, fixture string) []*Package {
 	t.Helper()
 	l, err := NewLoader(".")
 	if err != nil {
@@ -62,7 +60,16 @@ func checkFixtureMulti(t *testing.T, fixture string, analyzer *Analyzer) {
 	if len(pkgs) < 2 {
 		t.Fatalf("fixture %s: got %d packages, want at least 2 (use checkFixture for single-package fixtures)", fixture, len(pkgs))
 	}
-	checkPkgs(t, fixture, pkgs, analyzer)
+	return pkgs
+}
+
+// checkFixtureMulti checks // want comments across every package of a
+// multi-package fixture: the harness for cross-package interprocedural
+// cases, where the flagged call site and the summarized callee live in
+// different packages.
+func checkFixtureMulti(t *testing.T, fixture string, analyzer *Analyzer) {
+	t.Helper()
+	checkPkgs(t, fixture, loadFixtureMulti(t, fixture), analyzer)
 }
 
 func checkPkgs(t *testing.T, fixture string, pkgs []*Package, analyzer *Analyzer) {
@@ -134,12 +141,12 @@ func TestBufOwnFixture(t *testing.T)      { checkFixture(t, "bufown", BufOwn) }
 func TestAppendAliasFixture(t *testing.T) { checkFixture(t, "appendalias", AppendAlias) }
 func TestSimDetFixture(t *testing.T)      { checkFixture(t, "simdet", SimDet) }
 func TestSchedBlockFixture(t *testing.T)  { checkFixture(t, "schedblock", SchedBlock) }
-func TestCTCompareFixture(t *testing.T)   { checkFixture(t, "ctcompare", CTCompare) }
+func TestCTCompareFixture(t *testing.T)   { checkFixture(t, "ctcompare", SecFlow) }
 func TestLockedSendFixture(t *testing.T)  { checkFixture(t, "lockedsend", LockedSend) }
 func TestSecFlowFixture(t *testing.T)     { checkFixture(t, "secflow", SecFlow) }
 func TestLockOrderFixture(t *testing.T)   { checkFixture(t, "lockorder", LockOrder) }
 func TestHotPathFixture(t *testing.T)     { checkFixture(t, "hotpath", HotPath) }
-func TestHotSetFixture(t *testing.T)      { checkFixture(t, "hotset", HotPath) }
+func TestHotSetFixture(t *testing.T)      { checkFixtureMulti(t, "hotset", HotPath) }
 
 // TestSimDetInterprocFixture spans two packages: the virtual-time caller
 // package is flagged for wall-clock access it can only reach through the

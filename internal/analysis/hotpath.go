@@ -11,29 +11,31 @@ import (
 // enforce its security contracts: statically. PR 1/6 bought the data
 // plane and the simulator core their 0-alloc hot paths (19.4 ns/event),
 // but the only guard was a handful of runtime AllocsPerRun tests — one
-// stray fmt.Sprintf, boxing conversion or escaping closure in a dispatch
-// loop silently erodes the sim_rubis host time. HotPath computes
-// the transitive *hot set* from the declared roots below (the event
-// dispatch loop, the packet pumps, the seal/open fast paths, the HIP
-// packet/timer handlers) by walking the PR 8 call graph, and flags
-// allocation idioms inside it:
+// stray boxing conversion or capturing closure in a dispatch loop
+// silently erodes the sim_rubis host time. HotPath computes the
+// transitive *hot set* from the declared roots below (the event dispatch
+// loop, the packet pumps, the seal/open fast paths, the HIP packet/timer
+// handlers) by walking the PR 8 call graph, and flags inside it the
+// allocation idioms only the AST shows — the compiler's -m=2 commentary
+// reports none of the fixture's seven lines for them:
 //
-//   - fmt/log formatting and errors.New on non-error paths
 //   - interface boxing at call sites (concrete non-pointer → interface)
 //   - capturing closures (each creation heap-allocates its environment)
-//   - heap-escaping &composite literals (summary-aware: an argument is
-//     escaping only when the callee may retain it)
 //   - growing append on fresh, non-pooled buffers
 //   - string ↔ []byte conversions outside the compiler-optimized forms
-//   - map iteration (randomized order, cache-hostile) and defer in loops
-//     (heap-allocated defer records)
+//   - map iteration (randomized order, cache-hostile)
 //
 // Error and panic branches are exempt: a branch that exists to construct
 // and return an error may allocate — that path runs once per failure,
-// not once per event. The companion `hiplint -budget` mode (budget.go)
-// closes the gap this AST-level view can't see by ingesting the
-// compiler's own escape and bounds-check diagnostics for the same hot
-// set.
+// not once per event.
+//
+// Everything the compiler does report belongs to the companion
+// `hiplint -budget` mode (budget.go), which pins its escape and
+// bounds-check diagnostics per hot function: defer/go wrapper closures
+// (a defer in a loop), what fmt, log and errors.New allocate, and
+// heap-escaping &composite literals. The budget pins counts, cold
+// branches included — any drift fails — so it needs no exemption rule
+// of its own.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "allocation, boxing and iteration-order idioms inside the declared hot set",
@@ -59,7 +61,9 @@ type HotRoot struct {
 // hot; a function joins through interface dispatch only when the
 // dispatch *must* land on it (single module implementor — PR 8's
 // must-semantics, so a cold alternate implementor does not drag its
-// siblings in, and an ambiguous call site condemns nobody).
+// siblings in, and an ambiguous call site condemns nobody) or when the
+// interface is sealed (see hotCallees) — which is how the seal/open
+// roots reach every keymat.AEAD transform without naming one.
 var DefaultHotRoots = []HotRoot{
 	{"netsim", "Sim", "Run"},
 	{"netsim", "Sim", "fire"},
@@ -82,19 +86,6 @@ var DefaultHotRoots = []HotRoot{
 	{"tlslite", "Conn", "Read"},
 	{"tlslite", "Conn", "sealRecordAppend"},
 	{"tlslite", "Conn", "openRecordInPlace"},
-	// Every suite's transform sits behind the five-implementor
-	// keymat.AEAD interface, which must-dispatch cannot follow from the
-	// four seal/open roots above: each implementor is a root of its own.
-	{"keymat", "nullHMAC", "Seal"},
-	{"keymat", "nullHMAC", "Open"},
-	{"keymat", "ctrHMAC", "Seal"},
-	{"keymat", "ctrHMAC", "Open"},
-	{"keymat", "cbcHMAC", "Seal"},
-	{"keymat", "cbcHMAC", "Open"},
-	{"keymat", "gcmAEAD", "Seal"},
-	{"keymat", "gcmAEAD", "Open"},
-	{"keymat", "ChaChaPoly", "Seal"},
-	{"keymat", "ChaChaPoly", "Open"},
 	{"hip", "Host", "OnPacket"},
 	{"hip", "Host", "OnTimer"},
 }
@@ -110,9 +101,9 @@ type HotInfo struct {
 func (hi *HotInfo) chain() string { return strings.Join(hi.Via, " → ") }
 
 // HotSet returns the transitive hot set from DefaultHotRoots, memoized
-// on the program. Edges follow statically resolved module calls; an
-// interface call contributes an edge only when exactly one module method
-// implements it (must-dispatch). Calls through plain func values resolve
+// on the program. Edges follow statically resolved module calls and the
+// interface calls hotCallees can close over (one implementor, or a
+// sealed interface). Calls through plain func values resolve
 // to nothing — the run-to-completion core is closure-free by design, and
 // the roots are declared per layer precisely because dynamic hops are
 // lossy.
@@ -161,7 +152,12 @@ func (p *Program) HotSet() map[*types.Func]*HotInfo {
 
 // hotCallees returns the module functions a call pulls into the hot set:
 // the static callee when declared in the program, or — for interface
-// dispatch — the single module implementor when dispatch is unambiguous.
+// dispatch — the single module implementor (must-dispatch), or every
+// implementor of a *sealed* interface: one declared in a module package
+// that also holds all of its module implementors (keymat.AEAD and its
+// five transforms), so each of them is a landing the package itself
+// chose. An implementor added in another package un-seals the interface:
+// the call then pulls in nobody and -budget fails on the vanished keys.
 func (p *Program) hotCallees(info *types.Info, call *ast.CallExpr) []*types.Func {
 	fn := calleeFunc(info, call)
 	if fn != nil {
@@ -170,10 +166,14 @@ func (p *Program) hotCallees(info *types.Info, call *ast.CallExpr) []*types.Func
 		}
 	}
 	cands := p.resolveCall(info, call)
-	if len(cands) == 1 {
-		return cands
+	if len(cands) > 1 {
+		for _, c := range cands {
+			if pkgPathOf(c) != pkgPathOf(fn) {
+				return nil
+			}
+		}
 	}
-	return nil
+	return cands
 }
 
 func hotFnName(fn *types.Func) string {
@@ -196,7 +196,6 @@ func runHotPath(pass *Pass) {
 		}
 		(&hotWalker{
 			pass: pass,
-			prog: pass.Prog,
 			info: fi.pkg.Info,
 			decl: fi.decl,
 			hi:   hi,
@@ -207,17 +206,13 @@ func runHotPath(pass *Pass) {
 // hotWalker checks one hot function body.
 type hotWalker struct {
 	pass *Pass
-	prog *Program
 	info *types.Info
 	decl *ast.FuncDecl
 	hi   *HotInfo
 
-	cold       map[ast.Node]bool      // blocks exempt as error/panic paths
-	exemptConv map[ast.Expr]bool      // conversions in compiler-optimized positions
-	parents    map[ast.Node]ast.Node  // expression parent links, for escape context
-	fresh      map[types.Object]bool  // locals that only ever hold a fresh empty slice
-	loops      []*ast.BlockStmt       // loop bodies, for defer-in-loop
-	flagged    map[*ast.CallExpr]bool // calls already reported (skip double-tagging)
+	cold       map[ast.Node]bool     // blocks exempt as error/panic paths
+	exemptConv map[ast.Expr]bool     // conversions in compiler-optimized positions
+	fresh      map[types.Object]bool // locals that only ever hold a fresh empty slice
 }
 
 func (hw *hotWalker) report(pos token.Pos, format string, args ...interface{}) {
@@ -227,7 +222,6 @@ func (hw *hotWalker) report(pos token.Pos, format string, args ...interface{}) {
 
 func (hw *hotWalker) check() {
 	hw.cold = coldBlocks(hw.info, hw.decl)
-	hw.flagged = make(map[*ast.CallExpr]bool)
 	hw.prescan()
 
 	ast.Inspect(hw.decl.Body, func(n ast.Node) bool {
@@ -241,19 +235,9 @@ func (hw *hotWalker) check() {
 			if isMapRange(hw.info, x) {
 				hw.report(x.Pos(), "map iteration on the hot path: order is randomized and cache-hostile; iterate a slice or insertion-ordered view")
 			}
-		case *ast.DeferStmt:
-			if hw.inLoop(x.Pos()) {
-				hw.report(x.Pos(), "defer inside a loop heap-allocates a defer record per iteration; hoist it out of the loop or unlock explicitly")
-			}
 		case *ast.FuncLit:
 			if caps := capturedVars(hw.info, hw.decl, x); len(caps) > 0 {
 				hw.report(x.Pos(), "closure capturing %s allocates its environment per creation on the hot path; use a method value on pre-allocated state or pass data explicitly", strings.Join(caps, ", "))
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				if lit, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
-					hw.escapingComposite(x, lit)
-				}
 			}
 		}
 		return true
@@ -261,30 +245,16 @@ func (hw *hotWalker) check() {
 }
 
 // prescan walks the body once collecting the context the per-node checks
-// need: parent links, loop body spans, compiler-optimized conversion
-// positions, and fresh-empty slice locals.
+// need: compiler-optimized conversion positions and fresh-empty slice
+// locals.
 func (hw *hotWalker) prescan() {
 	hw.exemptConv = make(map[ast.Expr]bool)
-	hw.parents = make(map[ast.Node]ast.Node)
 	hw.fresh = make(map[types.Object]bool)
 	poisoned := make(map[types.Object]bool)
 
-	var stack []ast.Node
 	ast.Inspect(hw.decl.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			hw.parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-
 		switch x := n.(type) {
-		case *ast.ForStmt:
-			hw.loops = append(hw.loops, x.Body)
 		case *ast.RangeStmt:
-			hw.loops = append(hw.loops, x.Body)
 			hw.exemptConv[ast.Unparen(x.X)] = true
 		case *ast.IndexExpr:
 			if tv, ok := hw.info.Types[x.X]; ok {
@@ -356,15 +326,6 @@ func (hw *hotWalker) scanAssign(as *ast.AssignStmt, poisoned map[types.Object]bo
 	}
 }
 
-func (hw *hotWalker) inLoop(pos token.Pos) bool {
-	for _, b := range hw.loops {
-		if b.Pos() <= pos && pos <= b.End() {
-			return true
-		}
-	}
-	return false
-}
-
 // call dispatches the per-call checks. Returns false to skip the
 // subtree (panic arguments are error-path by definition).
 func (hw *hotWalker) call(call *ast.CallExpr) bool {
@@ -381,28 +342,8 @@ func (hw *hotWalker) call(call *ast.CallExpr) bool {
 		hw.convCheck(call, tv.Type)
 		return true
 	}
-	fn := calleeFunc(info, call)
-	if fn != nil && isFormatAlloc(fn) {
-		hw.report(call.Pos(), "%s.%s allocates on the hot path; format into a reusable buffer, precompute the string, or move this to an error branch", fn.Pkg().Name(), fn.Name())
-		hw.flagged[call] = true
-		return true
-	}
-	hw.boxingCheck(call, fn)
+	hw.boxingCheck(call, calleeFunc(info, call))
 	return true
-}
-
-// isFormatAlloc reports whether fn is a formatting/error constructor that
-// allocates per call: the whole fmt API, log emission, errors.New.
-func isFormatAlloc(fn *types.Func) bool {
-	switch pkgPathOf(fn) {
-	case "fmt":
-		return true
-	case "log":
-		return true
-	case "errors":
-		return fn.Name() == "New"
-	}
-	return false
 }
 
 // boxingCheck flags concrete non-pointer values converted to interface
@@ -410,9 +351,6 @@ func isFormatAlloc(fn *types.Func) bool {
 // copy. Pointer-shaped values (pointers, maps, chans, funcs) fit in the
 // interface word directly, and constants are materialized in static data.
 func (hw *hotWalker) boxingCheck(call *ast.CallExpr, fn *types.Func) {
-	if hw.flagged[call] {
-		return
-	}
 	var sig *types.Signature
 	if fn != nil {
 		sig, _ = fn.Type().(*types.Signature)
@@ -498,92 +436,6 @@ func (hw *hotWalker) convCheck(call *ast.CallExpr, dst types.Type) {
 	case isByteSliceType(dst) && isStringType(src.Type):
 		hw.report(call.Pos(), "[]byte(s) conversion copies on the hot path; keep data as []byte end to end")
 	}
-}
-
-// escapingComposite flags &T{...} whose pointer leaves the frame: stored
-// into heap state, sent, retained by a callee (per its PR 8 summary), or
-// handed to code the analyzer can't see. A pointer that stays in locals
-// is left to the compiler's escape analysis (and to the -budget gate,
-// which reads the compiler's verdict directly). Returned composites are
-// deliberately not flagged: `return &T{...}` is the constructor idiom,
-// and whether the result is amortized state or per-event garbage is the
-// caller's property — the budget layer tracks those escapes per function.
-func (hw *hotWalker) escapingComposite(unary *ast.UnaryExpr, lit *ast.CompositeLit) {
-	var child ast.Node = unary
-	parent := hw.parents[child]
-	for {
-		if p, ok := parent.(*ast.ParenExpr); ok {
-			child = p
-			parent = hw.parents[p]
-			continue
-		}
-		break
-	}
-	typeName := "composite literal"
-	if tv, ok := hw.info.Types[lit]; ok && tv.Type != nil {
-		typeName = "&" + types.TypeString(tv.Type, types.RelativeTo(hw.pass.Pkg.Types)) + "{...}"
-	}
-	switch p := parent.(type) {
-	case *ast.CallExpr:
-		if ast.Unparen(p.Fun) == child {
-			return
-		}
-		if hw.calleeRetains(p, child) {
-			hw.report(unary.Pos(), "%s escapes through this call (callee may retain it), heap-allocating per event on the hot path; reuse pooled or pre-allocated state", typeName)
-		}
-	case *ast.AssignStmt:
-		for i, rhs := range p.Rhs {
-			if ast.Unparen(rhs) != child || i >= len(p.Lhs) {
-				continue
-			}
-			switch ast.Unparen(p.Lhs[i]).(type) {
-			case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-				hw.report(unary.Pos(), "%s stored into heap state heap-allocates per event on the hot path; reuse a pooled object or a pre-allocated field", typeName)
-			}
-		}
-	case *ast.SendStmt:
-		hw.report(unary.Pos(), "%s sent on a channel escapes to the heap on the hot path", typeName)
-	case *ast.KeyValueExpr, *ast.CompositeLit:
-		hw.report(unary.Pos(), "%s nested in a composite escapes to the heap on the hot path", typeName)
-	}
-}
-
-// calleeRetains decides whether passing ptr as an argument of call lets
-// the callee keep it: unknown/stdlib/dynamic callees are assumed to
-// retain; module callees retain only when some resolved candidate's
-// summary marks that parameter ParamRetained.
-func (hw *hotWalker) calleeRetains(call *ast.CallExpr, arg ast.Node) bool {
-	if isBuiltinCall(hw.info, call, "append") {
-		return true // retained by the destination slice
-	}
-	idx := -1
-	for i, a := range call.Args {
-		if ast.Unparen(a) == arg {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return false
-	}
-	cands := hw.prog.resolveCall(hw.info, call)
-	if len(cands) == 0 {
-		return true // stdlib, dynamic or unresolved: assume the worst
-	}
-	for _, cand := range cands {
-		sum := hw.prog.SummaryOf(cand)
-		if sum == nil {
-			return true
-		}
-		slot := idx
-		if sig, ok := cand.Type().(*types.Signature); ok && sig.Recv() != nil {
-			slot++
-		}
-		if sum.paramFacts(slot)&ParamRetained != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // --- cold-path computation -------------------------------------------

@@ -6,12 +6,12 @@ import (
 )
 
 // TestHotSetMustSemantics pins the hot-set propagation rules on the
-// hotset fixture: static module calls and single-implementor interface
-// dispatch join the set; ambiguous (multi-implementor) dispatch and
-// unreachable functions do not.
+// hotset fixture: static module calls, single-implementor interface
+// dispatch and every implementor of a sealed interface join the set; an
+// interface with an implementor outside its own package (ambiguous
+// dispatch, open set) and unreachable functions do not.
 func TestHotSetMustSemantics(t *testing.T) {
-	pkg := loadFixture(t, "hotset")
-	prog := NewProgram([]*Package{pkg})
+	prog := NewProgram(loadFixtureMulti(t, "hotset"))
 	hot := prog.HotSet()
 
 	byName := make(map[string]*HotInfo)
@@ -24,12 +24,12 @@ func TestHotSetMustSemantics(t *testing.T) {
 	}
 	sort.Strings(have)
 
-	for _, want := range []string{"Sim.Run", "only.Handle", "onlyReached", "direct"} {
+	for _, want := range []string{"Sim.Run", "only.Handle", "onlyReached", "direct", "seal1.Seal", "seal2.Seal", "sealReached"} {
 		if byName[want] == nil {
 			t.Errorf("hot set missing %s; have %v", want, have)
 		}
 	}
-	for _, not := range []string{"impl1.Do", "impl2.Do", "implReached", "orphan"} {
+	for _, not := range []string{"impl1.Do", "Far.Do", "ImplReached", "orphan"} {
 		if hi := byName[not]; hi != nil {
 			t.Errorf("%s must not be hot (ambiguous dispatch or unreachable); via %v", not, hi.Via)
 		}

@@ -18,8 +18,11 @@ import (
 //     callee whose summary logs the parameter): a formatted secret ends
 //     up in journals, crash dumps and bug reports;
 //   - variable-time comparisons (bytes.Equal, reflect.DeepEqual, ==/!=
-//     on strings or byte arrays) of secret-derived values — the timing
-//     side channel CTCompare guesses at by name, proven by dataflow;
+//     on strings or byte arrays) of secret-derived values, or — in a
+//     crypto package — of anything named like an authenticator (MAC, ICV,
+//     tag, digest, peer-echoed nonce): an attacker who can submit guesses
+//     learns a prefix length per probe. Such comparisons must go through
+//     hmac.Equal or subtle.ConstantTimeCompare;
 //   - ECDH shared secrets that are never zeroized: a local holding the
 //     raw shared secret must be cleared (keymat.Zeroize, clear, a zero
 //     loop, or a callee that zeroizes it) unless ownership moves on (it
@@ -41,6 +44,58 @@ var SecFlow = &Analyzer{
 	Name: "secflow",
 	Doc:  "key material flowing into logs, variable-time compares, or dropped without zeroization",
 	Run:  runSecFlow,
+}
+
+// cryptoPkgs names the packages handling keys and authenticators, keyed
+// by package name (fixtures re-declare these names under testdata).
+var cryptoPkgs = map[string]bool{
+	"esp": true, "keymat": true, "tlslite": true, "hip": true,
+	"puzzle": true, "identity": true, "secio": true, "hipwire": true,
+}
+
+// sensitiveWords mark a value as authenticator-like when they appear in
+// its name.
+var sensitiveWords = []string{"mac", "icv", "tag", "digest", "sum", "hmac", "nonce", "echo", "finished"}
+
+func isSensitiveName(name string) bool {
+	l := strings.ToLower(name)
+	for _, w := range sensitiveWords {
+		if strings.Contains(l, w) {
+			return true
+		}
+	}
+	return false
+}
+
+// exprName extracts the rightmost identifier-ish name from an expression:
+// a.echoSent -> "echoSent", mac.Sum(nil) -> "Sum", tag[:n] -> "tag".
+func exprName(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	case *ast.ParenExpr:
+		return exprName(x.X)
+	case *ast.SliceExpr:
+		return exprName(x.X)
+	case *ast.IndexExpr:
+		return exprName(x.X)
+	case *ast.CallExpr:
+		return exprName(x.Fun)
+	}
+	return ""
+}
+
+// comparableSecretType limits the ==/!= rule to byte arrays and strings —
+// the shapes key and authenticator material takes; integer tags and enum
+// comparisons stay legal.
+func comparableSecretType(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	return isStringType(tv.Type) || isByteArrayType(tv.Type)
 }
 
 // retireRe matches function names that retire or replace secret-bearing
@@ -678,11 +733,9 @@ func (w *secWalker) report() {
 				}
 			}
 		case *ast.BinaryExpr:
-			if x.Op == token.EQL || x.Op == token.NEQ {
-				if (comparableSecretType(w.info, x.X) || comparableSecretType(w.info, x.Y)) &&
-					(w.secret(x.X) || w.secret(x.Y)) {
-					w.pass.Reportf(x.Pos(), "%s on key material (%s) is variable-time; use hmac.Equal or subtle.ConstantTimeCompare", x.Op, w.exprDesc(pickSecret(w, x.X, x.Y)))
-				}
+			if (x.Op == token.EQL || x.Op == token.NEQ) &&
+				(comparableSecretType(w.info, x.X) || comparableSecretType(w.info, x.Y)) {
+				w.reportVarTime(x.Pos(), x.Op.String(), x.X, x.Y)
 			}
 		case *ast.CompositeLit:
 			for _, el := range x.Elts {
@@ -704,12 +757,23 @@ func (w *secWalker) report() {
 	}
 }
 
-// pickSecret returns whichever operand is secret, preferring a.
-func pickSecret(w *secWalker, a, b ast.Expr) ast.Expr {
-	if w.secret(a) {
-		return a
+// reportVarTime is the one variable-time-compare sink: op over operands
+// is reported, once, when an operand is secret by dataflow or — in a
+// crypto package — named like an authenticator.
+func (w *secWalker) reportVarTime(pos token.Pos, op string, operands ...ast.Expr) {
+	for _, e := range operands {
+		desc := ""
+		switch {
+		case w.secret(e):
+			desc = w.exprDesc(e)
+		case cryptoPkgs[w.pkg.Name] && isSensitiveName(exprName(e)):
+			desc = exprName(e)
+		default:
+			continue
+		}
+		w.pass.Reportf(pos, "%s on %q is variable-time; compare key material and authenticators with hmac.Equal or subtle.ConstantTimeCompare", op, desc)
+		return
 	}
-	return b
 }
 
 func (w *secWalker) reportCall(call *ast.CallExpr) {
@@ -739,12 +803,7 @@ func (w *secWalker) reportCall(call *ast.CallExpr) {
 		return
 	}
 	if fn != nil && ((fn.Name() == "Equal" && pkgPathOf(fn) == "bytes") || (fn.Name() == "DeepEqual" && pkgPathOf(fn) == "reflect")) {
-		for _, a := range call.Args {
-			if w.secret(a) {
-				w.pass.Reportf(call.Pos(), "variable-time comparison of key material (%s); use hmac.Equal or subtle.ConstantTimeCompare", w.exprDesc(a))
-				return
-			}
-		}
+		w.reportVarTime(call.Pos(), fn.Pkg().Name()+"."+fn.Name(), call.Args...)
 		return
 	}
 

@@ -3,7 +3,10 @@
 package appendalias
 
 import (
+	"net/netip"
+
 	"hipcloud/internal/esp"
+	"hipcloud/internal/hip"
 	"hipcloud/internal/stream"
 )
 
@@ -13,6 +16,14 @@ func aliasedSeal(sa *esp.OutboundSA, b []byte) {
 
 func aliasedOpen(sa *esp.InboundSA, pkt []byte) {
 	sa.OpenAppend(pkt[:0], pkt) // want "may share a backing array"
+}
+
+func aliasedSealData(h *hip.Host, hit netip.Addr, b []byte, n int) {
+	h.SealDataAppend(b[:0], hit, b[n:], false) // want "may share a backing array"
+}
+
+func distinctSealDataOK(h *hip.Host, hit netip.Addr, frame, plain []byte) {
+	h.SealDataAppend(frame, hit, plain, false)
 }
 
 func distinctOK(sa *esp.OutboundSA, b []byte) {

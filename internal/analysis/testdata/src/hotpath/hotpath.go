@@ -1,8 +1,8 @@
 // Package netsim here is a hiplint fixture: it borrows the name of a
 // hot-root package (hotpath seeds its hot set by package name), so
 // Sim.Run below is a declared root and everything it reaches is hot.
-// Each helper exercises one allocation idiom the check flags — plus the
-// cold-path and constructor shapes it must stay quiet about.
+// Each helper holds one allocation idiom: "want" lines are hotpath's own
+// findings, "budget" lines are the compiler's (TestHotPathFixtureBudget).
 package netsim
 
 import (
@@ -31,11 +31,11 @@ func (p *pval) handle() int { return p.n }
 // a test wires a tracer in. Bodies guarded by its nil check are cold.
 var DebugLog func(string)
 
-// lastKept pins keep's argument, so keep's summary retains its param.
+// lastKept pins keep's argument, so what is passed to keep escapes.
 var lastKept *item
 
-// hook is a dynamic callee: hotpath cannot see through a func value, so
-// composite arguments passed to it are assumed retained.
+// hook is a dynamic callee: the compiler cannot see through a func
+// value, so composite arguments passed to it escape.
 var hook func(*item)
 
 type Sim struct {
@@ -76,14 +76,14 @@ func (s *Sim) mapRange() int {
 func (s *Sim) deferLoop() {
 	for i := 0; i < 3; i++ {
 		s.mu.Lock()
-		defer s.mu.Unlock() // want "defer inside a loop heap-allocates a defer record"
+		defer s.mu.Unlock() // budget: the wrapper closure escapes, once per iteration
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock() // a single defer outside any loop: fine
 }
 
 func (s *Sim) closures(n int) int {
-	f := func() int { return n } // want "closure capturing n allocates its environment"
+	f := func() int { return n }  // want "closure capturing n allocates its environment"
 	g := func() int { return 42 } // capture-free literal: a static funcval
 	return f() + g()
 }
@@ -126,25 +126,25 @@ func (s *Sim) conversions(k string, b []byte) int {
 	return len(key) + len(raw)
 }
 
-// keep retains its argument in package state: its summary marks the
-// parameter retained, so composite arguments at its call sites escape.
+// keep retains its argument in package state, so composite arguments
+// at its call sites escape.
 func keep(it *item) { lastKept = it }
 
 // bump only writes through the pointer; nothing outlives the call.
 func bump(it *item) { it.n++ }
 
 func (s *Sim) composites() {
-	keep(&item{n: 1}) // want "escapes through this call"
-	bump(&item{n: 2}) // callee provably does not retain: no finding
-	s.last = &item{n: 3} // want "stored into heap state"
-	s.ch <- &item{n: 4} // want "sent on a channel escapes to the heap"
-	hook(&item{n: 5}) // want "escapes through this call"
-	tmp := &item{n: 6} // stays local: left to escape analysis / the -budget gate
+	keep(&item{n: 1})    // budget: escapes through the call
+	bump(&item{n: 2})    // callee does not retain: stays on the stack
+	s.last = &item{n: 3} // budget: stored into heap state
+	s.ch <- &item{n: 4}  // budget: sent on a channel
+	hook(&item{n: 5})    // budget: escapes through the dynamic call
+	tmp := &item{n: 6}   // stays local: no escape
 	tmp.n++
 }
 
 func (s *Sim) logging(seq int) string {
-	return fmt.Sprintf("event %d", seq) // want "fmt.Sprintf allocates on the hot path"
+	return fmt.Sprintf("event %d", seq) // want "boxing int into any allocates per call" (and budget: seq escapes)
 }
 
 func (s *Sim) coldPaths(b []byte) error {
