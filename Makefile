@@ -73,13 +73,16 @@ test:
 # concurrent layers drive, so they run under race too as cheap insurance
 # against a goroutine slipping in. Everything else is sans-io
 # single-threaded code already covered by `test`; re-running it under
-# race only slowed the gate.
+# race only slowed the gate. hipudp's blocked callers sleep on condition
+# variables, and a lost wake-up shows up as a hang, not a failure: it runs
+# five times under a timeout.
 RACE_PKGS = ./internal/netsim ./internal/simtcp ./internal/hipsim \
-	./internal/hipudp ./internal/teredo ./internal/rubis ./internal/faults \
+	./internal/teredo ./internal/rubis ./internal/faults \
 	./internal/rvs ./internal/hipdns ./internal/cloud
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -count=5 -timeout 120s ./internal/hipudp
 
 # Fast allocation smoke: the Seal/Record benches report B/op and allocs/op;
 # the AllocsPerRun guard tests (run by `test`) enforce the 0-alloc contract.
@@ -95,7 +98,9 @@ bench-smoke:
 # -fuzz pattern per invocation, hence one line per target), so the
 # checked-in corpora and 30 s of fresh inputs run in the gate. esp.FuzzOpen
 # has no keys, so it stops at the ICV check; keymat.FuzzCipherOpen and
-# tlslite.FuzzOpenRecord hold the keys and fuzz what lies behind it.
+# tlslite.FuzzOpenRecord hold the keys and fuzz what lies behind it. The
+# eleventh target, hipudp.FuzzFrameDemux, feeds datagrams to a live stack's
+# frame demux (onControl/onData) as an outsider would.
 FUZZTIME ?= 30s
 
 fuzz-smoke:
@@ -109,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/hipwire
 	$(GO) test -run=NONE -fuzz=FuzzParseSegment$$ -fuzztime=$(FUZZTIME) ./internal/stream
 	$(GO) test -run=NONE -fuzz=FuzzDecodeData$$ -fuzztime=$(FUZZTIME) ./internal/teredo
+	$(GO) test -run=NONE -fuzz=FuzzFrameDemux$$ -fuzztime=$(FUZZTIME) ./internal/hipudp
 
 # Short-seed chaos run: drives the RUBiS tiers through the fault
 # schedule (internal/faults) for all three scenarios and prints the

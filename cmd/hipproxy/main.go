@@ -17,6 +17,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hipcloud/internal/hip"
@@ -123,7 +124,7 @@ func serveBackend(b *backend) {
 	if err != nil {
 		log.Fatalf("%s: %v", b.name, err)
 	}
-	served := 0
+	var served atomic.Uint64 // one handler goroutine per conn
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -137,9 +138,8 @@ func serveBackend(b *backend) {
 				if err != nil {
 					return
 				}
-				served++
 				body := fmt.Sprintf("<html><body>served by %s over HIP (request #%d, path %s, peer %v)</body></html>\n",
-					b.name, served, req.Path, conn.PeerHIT())
+					b.name, served.Add(1), req.Path, conn.PeerHIT())
 				resp := &microhttp.Response{
 					Status:  200,
 					Headers: map[string]string{"Content-Type": "text/html", "X-Served-By": b.name},

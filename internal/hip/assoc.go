@@ -171,9 +171,6 @@ func (h *Host) OpenDataAppend(dst, pkt []byte, byLSI bool) (payload []byte, peer
 	return payload, a.PeerHIT, nil
 }
 
-// DataOverhead reports the ESP wire overhead for the association's suite.
-func (a *Association) DataOverhead() int { return esp.Overhead(a.suite) }
-
 // ESP exposes the association's current SA pair, for tests and drivers
 // that inspect or fast-forward sequence state (e.g. the near-saturation
 // rekey edge tests). Nil until the base exchange installs SAs.

@@ -1,7 +1,7 @@
 package hipudp
 
 import (
-	"hash/maphash"
+	"encoding/binary"
 	"net/netip"
 	"runtime"
 	"testing"
@@ -126,15 +126,28 @@ func TestBatchingReducesSyscalls(t *testing.T) {
 	}
 }
 
-// TestShardOrderingSingleAssociation checks the sharding invariant the
-// sender relies on: every frame of one association hashes to one shard.
+// TestShardOrderingSingleAssociation checks that enqueue order is wire
+// order: numbered frames pushed through writeFrame reach a bare UDP socket
+// in sequence. The bursts are longer than a send batch and shorter than the
+// socket's receive buffer, so that nothing is dropped on the way.
 func TestShardOrderingSingleAssociation(t *testing.T) {
-	sd := &sender{shards: make([]*senderShard, 4), seed: maphash.MakeSeed()}
-	ep := netip.MustParseAddrPort("10.0.0.1:4500")
-	first := sd.shardFor(ep)
-	for i := 0; i < 100; i++ {
-		if sd.shardFor(ep) != first {
-			t.Fatal("same endpoint hashed to different shards")
+	s := newTestStack(t, idA)
+	sink, ep := newTestSocket(t)
+	const frames, burst = 1000, 100
+	buf := make([]byte, 64)
+	for base := uint32(0); base < frames; base += burst {
+		for i := base; i < base+burst; i++ {
+			s.writeFrame(frameESP, ep, binary.BigEndian.AppendUint32(nil, i))
+		}
+		for want := base; want < base+burst; want++ {
+			sink.SetReadDeadline(time.Now().Add(5 * time.Second))
+			n, err := sink.Read(buf)
+			if err != nil {
+				t.Fatalf("frame %d: %v (TxDrops %d)", want, err, s.Stats().TxDrops)
+			}
+			if n != 5 || buf[0] != frameESP || binary.BigEndian.Uint32(buf[1:]) != want {
+				t.Fatalf("got frame % x, want number %d: the sender reordered", buf[:n], want)
+			}
 		}
 	}
 	if runtime.GOOS == "linux" && !batchIO && runtime.GOARCH == "amd64" {

@@ -86,7 +86,10 @@ type Stack struct {
 	// locToEP maps peer locators back to UDP endpoints as a last resort.
 	locToEP map[netip.Addr]netip.AddrPort
 
-	estab map[netip.Addr][]chan error
+	// Every blocking call sleeps on a cond under mu until the state it waits
+	// for changes: Read, Write and Dial's handshake on their Conn's, Establish
+	// and Accept on this one. Only a call with a timeout owns a timer (expiry).
+	cond sync.Cond
 
 	conns     map[connKey]*Conn
 	listeners map[uint16]*Listener
@@ -94,17 +97,16 @@ type Stack struct {
 	rng       *rand.Rand
 
 	closed bool
-	done   chan struct{}
 
 	// plain and rxPlain are the scratches in which pumpLocked builds each
 	// segment's ESP plaintext and onData opens each packet's, reused under mu.
 	plain, rxPlain []byte
 
-	// Socket counters and the sender shards every frame leaves through.
+	// Socket counters and the sender every frame leaves through.
 	stats   ioStats
 	txErrMu sync.Mutex
 	txErr   error
-	sender  *sender
+	sender  sender
 }
 
 type connKey struct {
@@ -144,21 +146,22 @@ func NewStack(host *hip.Host, listen string) (*Stack, error) {
 		peers:     make(map[netip.Addr]netip.AddrPort),
 		hitToEP:   make(map[netip.Addr]netip.AddrPort),
 		locToEP:   make(map[netip.Addr]netip.AddrPort),
-		estab:     make(map[netip.Addr][]chan error),
 		conns:     make(map[connKey]*Conn),
 		listeners: make(map[uint16]*Listener),
 		nextPort:  ephemeralBase,
 		rng:       rand.New(rand.NewSource(cryptoSeed())),
-		done:      make(chan struct{}),
+		sender:    sender{done: make(chan struct{})},
 	}
+	s.cond.L = &s.mu
+	s.sender.cond.L = &s.sender.mu
 	// RawConn enables the sendmmsg/recvmmsg fast path; on failure the
 	// engines fall back to one syscall per packet.
 	if rc, rcErr := pc.SyscallConn(); rcErr == nil {
 		s.rc = rc
 	}
-	s.sender = newSender(s)
 	go s.readLoop()
 	go s.timerLoop()
+	go s.senderLoop()
 	return s, nil
 }
 
@@ -200,15 +203,11 @@ func (s *Stack) Close() error {
 		return nil
 	}
 	s.closed = true
-	close(s.done)
 	for _, c := range s.conns {
 		c.inner.Abort()
 		c.cond.Broadcast()
 	}
-	for _, l := range s.listeners {
-		l.closed = true
-		l.cond.Broadcast()
-	}
+	s.cond.Broadcast()
 	s.mu.Unlock()
 	// Drain the sender before tearing the socket down so already queued
 	// frames still reach the wire.
@@ -250,18 +249,11 @@ func (s *Stack) readLoop() {
 				s.onData(buf[1:n])
 			}
 		}
-		if err != nil {
-			// Stop only on shutdown; transient socket errors (e.g. an ICMP
-			// port-unreachable surfacing on the UDP socket) must not kill
-			// the read loop.
-			select {
-			case <-s.done:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
+		// Stop only on shutdown (Close closes the socket); transient socket
+		// errors (e.g. an ICMP port-unreachable surfacing on the UDP socket)
+		// must not kill the read loop.
+		if errors.Is(err, net.ErrClosed) {
+			return
 		}
 	}
 }
@@ -314,14 +306,14 @@ func (s *Stack) onData(pkt []byte) {
 		}
 		c = s.newConnLocked(key)
 		l.backlog = append(l.backlog, c)
-		l.cond.Broadcast()
+		s.cond.Broadcast()
 	}
 	c.inner.OnSegment(seg, s.now())
 	s.pumpLocked(c)
 	c.cond.Broadcast()
 }
 
-// flushLocked sends pending control packets and resolves establishment
+// flushLocked sends pending control packets and wakes establishment
 // waiters. Callers hold s.mu.
 func (s *Stack) flushLocked() {
 	for _, op := range s.host.Outgoing() {
@@ -337,20 +329,8 @@ func (s *Stack) flushLocked() {
 		}
 		s.writeFrame(frameHIP, ep, op.Data)
 	}
-	for _, ev := range s.host.Events() {
-		var res error
-		switch ev.Kind {
-		case hip.EventEstablished:
-			res = nil
-		case hip.EventFailed:
-			res = ErrRefused
-		default:
-			continue
-		}
-		for _, ch := range s.estab[ev.PeerHIT] {
-			ch <- res
-		}
-		delete(s.estab, ev.PeerHIT)
+	if len(s.host.Events()) > 0 {
+		s.cond.Broadcast() // an association changed state
 	}
 }
 
@@ -368,8 +348,7 @@ func (s *Stack) endpointFor(hit, locator netip.Addr) (netip.AddrPort, bool) {
 	return ep, ok
 }
 
-// writeFrame queues a copy of data, behind its type byte, on the
-// destination's sender shard.
+// writeFrame queues a copy of data, behind its type byte, on the sender.
 func (s *Stack) writeFrame(typ byte, ep netip.AddrPort, data []byte) {
 	buf := make([]byte, 1+len(data))
 	buf[0] = typ
@@ -381,12 +360,7 @@ func (s *Stack) writeFrame(typ byte, ep netip.AddrPort, data []byte) {
 func (s *Stack) timerLoop() {
 	ticker := time.NewTicker(50 * time.Millisecond)
 	defer ticker.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-ticker.C:
-		}
+	for range ticker.C {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -412,35 +386,57 @@ func (s *Stack) timerLoop() {
 	}
 }
 
+// expiry is the one timer a blocking call with a timeout owns, for the call's
+// whole duration. Its callback takes the stack lock before it broadcasts:
+// otherwise the fire could fall between the caller's expired check and its
+// Wait, and be lost.
+type expiry struct {
+	cond    *sync.Cond // what the call sleeps on
+	expired bool
+}
+
+func (s *Stack) expireAfterLocked(timeout time.Duration) (*expiry, *time.Timer) {
+	x := &expiry{cond: &s.cond}
+	return x, time.AfterFunc(timeout, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		x.expired = true
+		x.cond.Broadcast()
+	})
+}
+
 // Establish runs (or reuses) the base exchange with peerHIT.
 func (s *Stack) Establish(peerHIT netip.Addr, timeout time.Duration) error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if a, ok := s.host.Association(peerHIT); ok && a.State() == hip.Established {
-		s.mu.Unlock()
-		return nil
-	}
-	ep, ok := s.peers[peerHIT]
-	if !ok {
-		s.mu.Unlock()
-		return ErrUnknownPeer
-	}
-	ch := make(chan error, 1)
-	s.estab[peerHIT] = append(s.estab[peerHIT], ch)
-	s.host.Connect(peerHIT, ep.Addr(), s.now())
-	s.host.TakeCost()
-	s.flushLocked()
-	s.mu.Unlock()
-	select {
-	case err := <-ch:
-		return err
-	case <-time.After(timeout):
-		return ErrTimeout
-	case <-s.done:
-		return ErrClosed
+	defer s.mu.Unlock()
+	x, timer := s.expireAfterLocked(timeout)
+	defer timer.Stop()
+	return s.establishLocked(peerHIT, x)
+}
+
+// establishLocked is Establish under s.mu and the caller's timer.
+func (s *Stack) establishLocked(peerHIT netip.Addr, x *expiry) error {
+	for started := false; ; s.cond.Wait() {
+		a, ok := s.host.Association(peerHIT)
+		switch {
+		case s.closed:
+			return ErrClosed
+		case ok && a.State() == hip.Established:
+			return nil
+		case x.expired:
+			return ErrTimeout
+		case !started:
+			ep, known := s.peers[peerHIT]
+			if !known {
+				return ErrUnknownPeer
+			}
+			s.host.Connect(peerHIT, ep.Addr(), s.now())
+			s.host.TakeCost()
+			s.flushLocked()
+			started = true
+		case !ok:
+			return ErrRefused // a failed base exchange deletes the association
+		}
 	}
 }
 
@@ -449,16 +445,16 @@ func (s *Stack) newConnLocked(key connKey) *Conn {
 		stack: s,
 		key:   key,
 		inner: stream.New(stream.Config{}, s.rng.Uint32()),
+		cond:  sync.Cond{L: &s.mu},
 	}
-	c.cond = sync.NewCond(&s.mu)
 	s.conns[key] = c
 	return c
 }
 
 // pumpLocked flushes a conn's outgoing segments through ESP and forgets
 // the conn once it is closed on both sides. Each segment is marshaled
-// once into the plaintext scratch and sealed straight into the frame its
-// shard sends. Callers hold s.mu.
+// once into the plaintext scratch and sealed straight into the frame the
+// sender sends. Callers hold s.mu.
 func (s *Stack) pumpLocked(c *Conn) {
 	if s.closed {
 		return
@@ -481,6 +477,7 @@ func (s *Stack) pumpLocked(c *Conn) {
 		s.host.TakeCost()
 		if err != nil {
 			c.inner.Abort()
+			c.cond.Broadcast()
 			break
 		}
 		if ep, ok := s.endpointFor(c.key.peer, dst); ok {
@@ -512,26 +509,28 @@ func (s *Stack) allocPortLocked() uint16 {
 
 // Dial opens a reliable stream to peerHIT:port over ESP.
 func (s *Stack) Dial(peerHIT netip.Addr, port uint16, timeout time.Duration) (*Conn, error) {
-	if err := s.Establish(peerHIT, timeout); err != nil {
-		return nil, err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	x, timer := s.expireAfterLocked(timeout)
+	defer timer.Stop()
+	if err := s.establishLocked(peerHIT, x); err != nil {
+		return nil, err
+	}
 	key := connKey{peer: peerHIT, localPort: s.allocPortLocked(), remotePort: port}
 	c := s.newConnLocked(key)
+	x.cond = &c.cond
 	c.inner.Open(s.now())
 	s.pumpLocked(c)
-	deadline := time.Now().Add(timeout)
 	for !c.inner.Established() {
 		if c.inner.State() == stream.StateReset {
 			delete(s.conns, key)
 			return nil, ErrRefused
 		}
-		if time.Now().After(deadline) {
+		if x.expired {
 			delete(s.conns, key)
 			return nil, ErrTimeout
 		}
-		c.waitLocked(100 * time.Millisecond)
+		c.cond.Wait()
 	}
 	return c, nil
 }
@@ -541,7 +540,6 @@ type Listener struct {
 	stack   *Stack
 	port    uint16
 	backlog []*Conn
-	cond    *sync.Cond
 	closed  bool
 }
 
@@ -553,7 +551,6 @@ func (s *Stack) Listen(port uint16) (*Listener, error) {
 		return nil, ErrPortInUse
 	}
 	l := &Listener{stack: s, port: port}
-	l.cond = sync.NewCond(&s.mu)
 	s.listeners[port] = l
 	return l, nil
 }
@@ -566,7 +563,7 @@ func (l *Listener) Accept() (*Conn, error) {
 		if l.closed || l.stack.closed {
 			return nil, ErrClosed
 		}
-		l.cond.Wait()
+		l.stack.cond.Wait()
 	}
 	c := l.backlog[0]
 	l.backlog = l.backlog[1:]
@@ -579,7 +576,7 @@ func (l *Listener) Close() {
 	defer l.stack.mu.Unlock()
 	l.closed = true
 	delete(l.stack.listeners, l.port)
-	l.cond.Broadcast()
+	l.stack.cond.Broadcast()
 }
 
 // Conn is a reliable stream inside the ESP tunnel. It implements
@@ -588,7 +585,7 @@ type Conn struct {
 	stack    *Stack
 	key      connKey
 	inner    *stream.Conn
-	cond     *sync.Cond
+	cond     sync.Cond
 	deadline time.Duration
 	// closedByUser lets pumpLocked forget the conn once the stream is done.
 	closedByUser bool
@@ -596,14 +593,6 @@ type Conn struct {
 
 // PeerHIT returns the remote host identity tag.
 func (c *Conn) PeerHIT() netip.Addr { return c.key.peer }
-
-// waitLocked waits on the conn's condition with a wake-up bound so
-// timer-driven progress is observed.
-func (c *Conn) waitLocked(max time.Duration) {
-	t := time.AfterFunc(max, func() { c.cond.Broadcast() })
-	c.cond.Wait()
-	t.Stop()
-}
 
 // Read blocks until data, end of stream (io.EOF once the peer has closed
 // and everything is drained), reset (ErrRefused) or the local stack's
@@ -629,7 +618,7 @@ func (c *Conn) Read(b []byte) (int, error) {
 		case stream.ErrReset:
 			return 0, ErrRefused
 		}
-		c.waitLocked(200 * time.Millisecond)
+		c.cond.Wait()
 	}
 }
 
@@ -651,7 +640,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 			if c.stack.closed {
 				return total, ErrClosed
 			}
-			c.waitLocked(200 * time.Millisecond)
+			c.cond.Wait()
 		}
 	}
 	return total, nil
@@ -664,5 +653,6 @@ func (c *Conn) Close() error {
 	c.closedByUser = true
 	c.inner.Close()
 	c.stack.pumpLocked(c)
+	c.cond.Broadcast()
 	return nil
 }

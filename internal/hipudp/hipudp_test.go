@@ -21,19 +21,7 @@ var (
 // pair brings up two stacks on localhost and cross-registers them.
 func pair(t *testing.T) (*Stack, *Stack) {
 	t.Helper()
-	mk := func(id *identity.HostIdentity) *Stack {
-		h, err := hip.NewHost(hip.Config{Identity: id, Locator: netip.MustParseAddr("127.0.0.1")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewStack(h, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	a, b := mk(idA), mk(idB)
-	t.Cleanup(func() { a.Close(); b.Close() })
+	a, b := newTestStack(t, idA), newTestStack(t, idB)
 	epA := netip.MustParseAddrPort(fmt.Sprintf("127.0.0.1:%d", a.LocalAddr().Port))
 	epB := netip.MustParseAddrPort(fmt.Sprintf("127.0.0.1:%d", b.LocalAddr().Port))
 	a.AddPeer(idB.HIT(), epB)

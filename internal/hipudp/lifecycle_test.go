@@ -187,21 +187,23 @@ func TestPumpAllocsPerSegment(t *testing.T) {
 	}
 }
 
-// TestOnDataAllocsPerPacket pins the receive path's allocation count for
-// an in-order data packet that the application reads at once: rcvBuf's
-// growth and the frame of the ACK it answers with. The plaintext is opened
-// into the stack's scratch and the ACK comes out of a lent Poll slice.
-func TestOnDataAllocsPerPacket(t *testing.T) {
+// inOrderPackets dials a conn from a fresh stack a to b and returns it with
+// n sealed in-order data packets of one MSS each from b's end, made by b's
+// stream and SA for the test to carry. a has no endpoint for b left, so the
+// ACKs it answers with are sealed and dropped: an allocation count over
+// a.onData is onData's own, with no sender goroutine and no reply.
+func inOrderPackets(t *testing.T, n int) (a *Stack, c *Conn, pkts [][]byte) {
+	t.Helper()
 	a, b := pair(t)
 	l, err := b.Listen(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := a.Dial(idB.HIT(), 7, 5*time.Second)
+	c, err = a.Dial(idB.HIT(), 7, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
 	cb, err := l.Accept()
 	if err != nil {
 		t.Fatal(err)
@@ -213,39 +215,42 @@ func TestOnDataAllocsPerPacket(t *testing.T) {
 	if _, err := cb.Read(make([]byte, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// With no endpoint for b the ACKs are sealed and dropped, so that the
-	// count is onData's own: no sender goroutine, no reply.
 	a.mu.Lock()
 	delete(a.hitToEP, idB.HIT())
 	delete(a.peers, idB.HIT())
 	clear(a.locToEP)
 	a.mu.Unlock()
-	// b's stream and SA produce the packets; the test carries them.
-	const runs, total = 5, (5 + 1) * stream.DefaultMSS
-	var pkts [][]byte
-	func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if n, err := cb.inner.Write(make([]byte, total)); n != total || err != nil {
-			t.Fatalf("stream write: %d %v", n, err)
-		}
-		segs, _ := cb.inner.Poll(b.now())
-		for _, seg := range segs {
-			plain := make([]byte, muxHeader+stream.HeaderSize+len(seg.Payload))
-			plain[0] = innerStream
-			binary.BigEndian.PutUint16(plain[1:], cb.key.localPort)
-			binary.BigEndian.PutUint16(plain[3:], cb.key.remotePort)
-			seg.MarshalInto(plain[muxHeader:])
-			pkt, _, err := b.host.SealData(idA.HIT(), plain, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pkts = append(pkts, pkt)
-		}
-	}()
-	if len(pkts) < runs+1 {
-		t.Fatalf("%d packets, want %d", len(pkts), runs+1)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if wn, err := cb.inner.Write(make([]byte, n*stream.DefaultMSS)); wn != n*stream.DefaultMSS || err != nil {
+		t.Fatalf("stream write: %d %v", wn, err)
 	}
+	segs, _ := cb.inner.Poll(b.now())
+	for _, seg := range segs {
+		plain := make([]byte, muxHeader+stream.HeaderSize+len(seg.Payload))
+		plain[0] = innerStream
+		binary.BigEndian.PutUint16(plain[1:], cb.key.localPort)
+		binary.BigEndian.PutUint16(plain[3:], cb.key.remotePort)
+		seg.MarshalInto(plain[muxHeader:])
+		pkt, _, err := b.host.SealData(idA.HIT(), plain, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts = append(pkts, pkt)
+	}
+	if len(pkts) < n {
+		t.Fatalf("%d packets, want %d", len(pkts), n)
+	}
+	return a, c, pkts
+}
+
+// TestOnDataAllocsPerPacket pins the receive path's allocation count for
+// an in-order data packet that the application reads at once: rcvBuf's
+// growth and the frame of the ACK it answers with. The plaintext is opened
+// into the stack's scratch and the ACK comes out of a lent Poll slice.
+func TestOnDataAllocsPerPacket(t *testing.T) {
+	const runs, total = 5, (5 + 1) * stream.DefaultMSS
+	a, c, pkts := inOrderPackets(t, runs+1)
 	buf := make([]byte, 4096)
 	read := 0
 	allocs := testing.AllocsPerRun(runs, func() {

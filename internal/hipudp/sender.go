@@ -1,7 +1,6 @@
 package hipudp
 
 import (
-	"hash/maphash"
 	"net/netip"
 	"sync"
 )
@@ -13,113 +12,72 @@ type txPacket struct {
 }
 
 const (
-	// txShards is the number of sender workers per stack.
-	txShards = 2
 	// txBatchSize is the most datagrams one sender flush covers (the
 	// sendmmsg vector length on Linux).
 	txBatchSize = 32
-	// txQueueCap bounds each shard's backlog. Overflow drops the frame —
-	// datagram semantics; blocking here would stall the protocol core,
-	// which enqueues while holding the stack lock.
+	// txQueueCap bounds the backlog. Overflow drops the frame — datagram
+	// semantics; blocking here would stall the protocol core, which
+	// enqueues while holding the stack lock.
 	txQueueCap = 1024
 )
 
-// sender fans outgoing frames across per-destination worker shards.
-// The stack keys shards by UDP endpoint: hipudp installs one ESP SA
-// pair per peer and one endpoint per peer, so endpoint sharding IS
-// per-SA sharding — packets of one association always traverse the
-// same queue and stay ordered, while different associations transmit
-// concurrently and amortize syscalls via sendmmsg batching.
+// sender is the stack's one transmit queue, drained by senderLoop: enqueue
+// order is wire order. A second worker could not transmit in parallel — every
+// send on the stack's one socket takes its fd write lock.
 type sender struct {
-	shards []*senderShard
-	seed   maphash.Seed
-	wg     sync.WaitGroup
-}
-
-type senderShard struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   sync.Cond
 	queue  []txPacket
 	closed bool
+	done   chan struct{}
 }
 
-func newSender(s *Stack) *sender {
-	sd := &sender{
-		shards: make([]*senderShard, txShards),
-		seed:   maphash.MakeSeed(),
-	}
-	for i := range sd.shards {
-		sh := &senderShard{}
-		sh.cond = sync.NewCond(&sh.mu)
-		sd.shards[i] = sh
-		sd.wg.Add(1)
-		go func() {
-			defer sd.wg.Done()
-			s.senderLoop(sh)
-		}()
-	}
-	return sd
-}
-
-// shardFor hashes the destination endpoint to a shard.
-func (sd *sender) shardFor(ep netip.AddrPort) *senderShard {
-	var h maphash.Hash
-	h.SetSeed(sd.seed)
-	b := ep.Addr().As16()
-	h.Write(b[:])
-	h.WriteByte(byte(ep.Port() >> 8))
-	h.WriteByte(byte(ep.Port()))
-	return sd.shards[h.Sum64()%uint64(len(sd.shards))]
-}
-
-// enqueue hands a frame to its shard, dropping on overflow.
+// enqueue queues a frame, dropping on overflow.
 func (sd *sender) enqueue(s *Stack, p txPacket) {
-	sh := sd.shardFor(p.ep)
-	sh.mu.Lock()
-	if sh.closed || len(sh.queue) >= txQueueCap {
-		sh.mu.Unlock()
+	sd.mu.Lock()
+	if sd.closed || len(sd.queue) >= txQueueCap {
+		sd.mu.Unlock()
 		s.stats.txDrops.Add(1)
 		return
 	}
-	sh.queue = append(sh.queue, p)
-	sh.mu.Unlock()
-	sh.cond.Signal()
+	sd.queue = append(sd.queue, p)
+	sd.mu.Unlock()
+	sd.cond.Signal()
 }
 
-// close stops all shards after their queues drain and waits for the
-// workers to exit.
+// close stops the sender after its queue drains and waits for it to exit.
 func (sd *sender) close() {
-	for _, sh := range sd.shards {
-		sh.mu.Lock()
-		sh.closed = true
-		sh.mu.Unlock()
-		sh.cond.Broadcast()
-	}
-	sd.wg.Wait()
+	sd.mu.Lock()
+	sd.closed = true
+	sd.mu.Unlock()
+	sd.cond.Signal()
+	<-sd.done
 }
 
-// senderLoop drains one shard's queue in sendmmsg-sized slices.
-func (s *Stack) senderLoop(sh *senderShard) {
+// senderLoop drains the queue in sendmmsg-sized slices.
+func (s *Stack) senderLoop() {
+	sd := &s.sender
+	defer close(sd.done)
 	eng := newTxEngine()
 	batch := make([]txPacket, 0, txBatchSize)
 	for {
-		sh.mu.Lock()
-		for len(sh.queue) == 0 && !sh.closed {
-			sh.cond.Wait()
+		sd.mu.Lock()
+		for len(sd.queue) == 0 && !sd.closed {
+			sd.cond.Wait()
 		}
-		if len(sh.queue) == 0 && sh.closed {
-			sh.mu.Unlock()
+		if len(sd.queue) == 0 {
+			sd.mu.Unlock()
 			return
 		}
-		n := len(sh.queue)
+		n := len(sd.queue)
 		if n > txBatchSize {
 			n = txBatchSize
 		}
-		batch = append(batch[:0], sh.queue[:n]...)
-		rest := copy(sh.queue, sh.queue[n:])
-		clear(sh.queue[rest:]) // drop buf references for GC
-		sh.queue = sh.queue[:rest]
-		sh.mu.Unlock()
+		batch = append(batch[:0], sd.queue[:n]...)
+		rest := copy(sd.queue, sd.queue[n:])
+		clear(sd.queue[rest:]) // drop buf references for GC
+		sd.queue = sd.queue[:rest]
+		sd.mu.Unlock()
 		s.transmit(eng, batch)
 	}
 }

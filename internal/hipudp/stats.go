@@ -3,8 +3,7 @@ package hipudp
 import "sync/atomic"
 
 // ioStats counts data-plane socket work. All fields are atomics: the
-// sender shards and the read loop update them without taking the stack
-// lock.
+// sender and the read loop update them without taking the stack lock.
 type ioStats struct {
 	txPackets  atomic.Uint64
 	txBytes    atomic.Uint64
@@ -31,7 +30,7 @@ type Stats struct {
 	// TxErrors counts frames the socket refused (write error or short
 	// write). The first such error is retained and exposed via TxErr.
 	TxErrors uint64
-	// TxDrops counts frames dropped because a sender shard's queue was
+	// TxDrops counts frames dropped because the sender's queue was
 	// full (datagram semantics: drop, don't block the protocol core). A
 	// closed stack enqueues nothing, so shutdown is not counted as loss.
 	TxDrops uint64

@@ -1,7 +1,5 @@
 package netsim
 
-import "fmt"
-
 // TraceKind classifies trace events.
 type TraceKind int
 
@@ -35,14 +33,3 @@ func (n *Network) trace(kind TraceKind, nd *Node, pkt *Packet, note string) {
 		n.sim.tracer(n.sim.now, kind, nd.name, pkt, note)
 	}
 }
-
-// PrintTracer returns a Tracer writing human-readable lines via fn
-// (e.g. t.Logf or fmt.Printf-compatible).
-func PrintTracer(logf func(format string, args ...interface{})) Tracer {
-	return func(at VTime, kind TraceKind, node string, pkt *Packet, note string) {
-		logf("%12v %-4s %-12s %v %v->%v size=%d %s",
-			at, kind, node, pkt.Proto, pkt.Src, pkt.Dst, pkt.Size, note)
-	}
-}
-
-var _ = fmt.Sprintf // keep fmt for PrintTracer documentation examples

@@ -98,19 +98,16 @@ type Stack struct {
 	nextPort  uint16
 
 	pending []inSeg // delivered, not yet serviced
-	// dirty conns are flushed in marking order: the map is the membership
-	// test, the queue the iteration order. Ranging over the map alone
-	// would emit packets in Go's randomized map order and break the
-	// simulator's run-to-run determinism (caught by hiplint's simdet).
-	dirty  map[*Conn]bool
+	// dirty conns (Conn.dirty is the membership test) are flushed in marking
+	// order: a map range here would emit packets in Go's randomized map order
+	// and break the simulator's run-to-run determinism (hiplint's simdet).
 	dirtyQ []*Conn
 	debt   time.Duration // CPU cost not yet charged
-	// armed holds the per-conn timer deadlines as a flat list plus an
-	// index map: every service pass scans it for the minimum, and a
-	// slice walk beats ranging a map there (deterministic order, no
-	// iterator, cache-friendly). armedIdx gives O(1) re-arm/disarm.
-	armed    []armedConn
-	armedIdx map[*Conn]int
+	// armed holds the per-conn timer deadlines as a flat list: every
+	// service pass scans it for the minimum, and a slice walk beats ranging
+	// a map there (deterministic order, no iterator, cache-friendly).
+	// Conn.armedIdx gives O(1) re-arm/disarm.
+	armed []armedConn
 
 	// Run-to-completion service state. kicked coalesces wake requests
 	// into one scheduled service pass; charging serializes passes behind
@@ -145,8 +142,6 @@ func NewStack(node *netsim.Node, fabric Fabric) *Stack {
 		conns:     make(map[connKey]*Conn),
 		listeners: make(map[uint16]*Listener),
 		nextPort:  40000,
-		dirty:     make(map[*Conn]bool),
-		armedIdx:  make(map[*Conn]int),
 	}
 	s.serviceFn = s.service
 	s.chargeDoneFn = s.chargeDone
@@ -184,8 +179,8 @@ func (s *Stack) kick() {
 
 // markDirty queues c for flushing exactly once, preserving marking order.
 func (s *Stack) markDirty(c *Conn) {
-	if !s.dirty[c] {
-		s.dirty[c] = true
+	if !c.dirty {
+		c.dirty = true
 		s.dirtyQ = append(s.dirtyQ, c)
 	}
 }
@@ -223,7 +218,7 @@ func (s *Stack) service() {
 	for len(s.dirtyQ) > 0 {
 		c := s.dirtyQ[0]
 		s.dirtyQ = s.dirtyQ[1:]
-		delete(s.dirty, c)
+		c.dirty = false
 		s.flush(c)
 	}
 	// Flushing charges send costs to debt; new inbound may have arrived
@@ -248,28 +243,28 @@ type armedConn struct {
 
 // arm points c's timer at deadline, updating in place when already armed.
 func (s *Stack) arm(c *Conn, at netsim.VTime) {
-	if i, ok := s.armedIdx[c]; ok {
-		s.armed[i].at = at
+	if c.armedIdx >= 0 {
+		s.armed[c.armedIdx].at = at
 		return
 	}
-	s.armedIdx[c] = len(s.armed)
+	c.armedIdx = len(s.armed)
 	s.armed = append(s.armed, armedConn{c: c, at: at})
 }
 
 // disarm drops c's timer entry by swap-removal, fixing the moved entry's
 // index.
 func (s *Stack) disarm(c *Conn) {
-	i, ok := s.armedIdx[c]
-	if !ok {
+	i := c.armedIdx
+	if i < 0 {
 		return
 	}
 	last := len(s.armed) - 1
 	if i != last {
 		s.armed[i] = s.armed[last]
-		s.armedIdx[s.armed[i].c] = i
+		s.armed[i].c.armedIdx = i
 	}
 	s.armed = s.armed[:last]
-	delete(s.armedIdx, c)
+	c.armedIdx = -1
 }
 
 // rearmTimer points the stack's timer at the earliest armed conn deadline
@@ -382,11 +377,12 @@ func (s *Stack) flush(c *Conn) {
 
 func (s *Stack) newConn(key connKey) *Conn {
 	c := &Conn{
-		stack: s,
-		key:   key,
-		inner: stream.New(stream.Config{}, uint32(s.sim.Rand().Int63())),
-		rq:    netsim.NewWaitQueue(s.sim),
-		wq:    netsim.NewWaitQueue(s.sim),
+		stack:    s,
+		key:      key,
+		inner:    stream.New(stream.Config{}, uint32(s.sim.Rand().Int63())),
+		rq:       netsim.NewWaitQueue(s.sim),
+		wq:       netsim.NewWaitQueue(s.sim),
+		armedIdx: -1,
 	}
 	s.conns[key] = c
 	return c
@@ -528,6 +524,10 @@ type Conn struct {
 	inner        *stream.Conn
 	rq, wq       *netsim.WaitQueue
 	closedByUser bool
+	// The stack's per-conn bookkeeping: queued in dirtyQ, and the index in
+	// armed (-1 when unarmed).
+	dirty    bool
+	armedIdx int
 }
 
 // signal wakes blocked readers/writers according to conn state.
