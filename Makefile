@@ -88,9 +88,10 @@ race:
 # the AllocsPerRun guard tests (run by `test`) enforce the 0-alloc contract.
 # The scheduler microbenches ride along so a regression in the
 # run-to-completion core (event dispatch, timer churn, process hand-off)
-# shows up in B/op before it shows up in the sim_rubis workload.
+# shows up in B/op before it shows up in the sim_rubis workload; CPUUse is
+# the one virtual-CPU charge path (Use and UseAsync share its task).
 bench-smoke:
-	$(GO) test -run=NONE -bench='Seal|Record|EventThroughput|TimerResetFire|ProcSleepWake|ProcContextSwitch' \
+	$(GO) test -run=NONE -bench='Seal|Record|EventThroughput|TimerResetFire|ProcSleepWake|ProcContextSwitch|CPUUse' \
 		-benchtime=10x -benchmem \
 		./internal/esp ./internal/tlslite ./internal/keymat ./internal/netsim
 
@@ -100,7 +101,8 @@ bench-smoke:
 # has no keys, so it stops at the ICV check; keymat.FuzzCipherOpen and
 # tlslite.FuzzOpenRecord hold the keys and fuzz what lies behind it. The
 # eleventh target, hipudp.FuzzFrameDemux, feeds datagrams to a live stack's
-# frame demux (onControl/onData) as an outsider would.
+# frame demux (onControl/onData) as an outsider would; the twelfth,
+# tlslite.FuzzHandshake, plays an arbitrary peer to Server and to Client.
 FUZZTIME ?= 30s
 
 fuzz-smoke:
@@ -108,6 +110,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSealOpenRoundTrip$$ -fuzztime=$(FUZZTIME) ./internal/esp
 	$(GO) test -run=NONE -fuzz=FuzzCipherOpen$$ -fuzztime=$(FUZZTIME) ./internal/keymat
 	$(GO) test -run=NONE -fuzz=FuzzOpenRecord$$ -fuzztime=$(FUZZTIME) ./internal/tlslite
+	$(GO) test -run=NONE -fuzz=FuzzHandshake$$ -fuzztime=$(FUZZTIME) ./internal/tlslite
 	$(GO) test -run=NONE -fuzz=FuzzReadRequest$$ -fuzztime=$(FUZZTIME) ./internal/microhttp
 	$(GO) test -run=NONE -fuzz=FuzzReadResponse$$ -fuzztime=$(FUZZTIME) ./internal/microhttp
 	$(GO) test -run=NONE -fuzz=FuzzParseMessage$$ -fuzztime=$(FUZZTIME) ./internal/hipdns

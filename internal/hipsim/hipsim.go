@@ -9,6 +9,7 @@
 package hipsim
 
 import (
+	"encoding/binary"
 	"errors"
 	"net/netip"
 	"time"
@@ -129,10 +130,11 @@ type Fabric struct {
 
 	deliver func(peer netip.Addr, data []byte, cost time.Duration)
 
-	ctlQ   *hip.AdmissionQueue
-	debt   time.Duration
-	estabQ map[netip.Addr]*netsim.WaitQueue
-	estabE map[netip.Addr]error
+	ctlQ *hip.AdmissionQueue
+	debt time.Duration
+	// assocQ is woken on every association event; EstablishAt sleeps on it
+	// and re-reads the association it is waiting for.
+	assocQ *netsim.WaitQueue
 
 	// Run-to-completion daemon state: the old kernel process is replaced
 	// by a coalesced service pass (kick) plus one re-armable timer that
@@ -146,7 +148,7 @@ type Fabric struct {
 	timer        *netsim.Timer
 
 	echoSeq uint64
-	echoes  map[uint64]*echoWait
+	echoes  map[uint64]*netsim.EchoWait
 	closed  bool
 	// lsiPeers marks peers the local application addresses by LSI; every
 	// packet on such flows pays the translation penalty in both
@@ -164,13 +166,6 @@ type Fabric struct {
 // difficulty so shedding and hardening engage together.
 const DefaultCtlQueueMax = 512
 
-type echoWait struct {
-	wq   *netsim.WaitQueue
-	done bool
-	rtt  time.Duration
-	sent netsim.VTime
-}
-
 // New attaches a HIP host to a node with the direct underlay. The host's
 // locator must equal the node's address; the HIT is registered in reg.
 func New(node *netsim.Node, host *hip.Host, reg *Registry) *Fabric {
@@ -181,21 +176,20 @@ func New(node *netsim.Node, host *hip.Host, reg *Registry) *Fabric {
 // underlay (e.g. a Teredo tunnel). The underlay's local address is
 // registered as the HIT's locator.
 func NewWithUnderlay(node *netsim.Node, host *hip.Host, reg *Registry, ul Underlay) *Fabric {
+	sim := node.Net().Sim()
 	f := &Fabric{
 		node:       node,
 		host:       host,
 		reg:        reg,
 		ul:         ul,
 		ctlQ:       hip.NewAdmissionQueue(DefaultCtlQueueMax),
-		estabQ:     make(map[netip.Addr]*netsim.WaitQueue),
-		estabE:     make(map[netip.Addr]error),
-		echoes:     make(map[uint64]*echoWait),
+		assocQ:     netsim.NewWaitQueue(sim),
+		echoes:     make(map[uint64]*netsim.EchoWait),
 		lsiPeers:   make(map[netip.Addr]bool),
 		BEXTimeout: 10 * time.Second,
 	}
 	f.serviceFn = f.service
 	f.chargeDoneFn = f.chargeDone
-	sim := node.Net().Sim()
 	f.timer = sim.NewTimer(f.service)
 	// Backoff jitter draws from the simulation's shared RNG: determinism
 	// comes from deterministic event order, while sharing one source
@@ -292,17 +286,8 @@ func (f *Fabric) onData(src netip.Addr, raw []byte) {
 		}
 	case innerEchoRp:
 		if len(body) >= 8 {
-			id := beUint64(body[:8])
-			if w := f.echoes[id]; w != nil && !w.done {
-				sim := f.node.Net().Sim()
-				sim.After(cost, func() {
-					if w.done {
-						return
-					}
-					w.done = true
-					w.rtt = sim.Now() - w.sent
-					w.wq.WakeAll()
-				})
+			if w := f.echoes[binary.BigEndian.Uint64(body)]; w != nil {
+				f.simOf().After(cost, w.Done)
 			}
 		}
 		netsim.PutBuf(buf)
@@ -382,19 +367,8 @@ func (f *Fabric) flushOut() {
 	for _, op := range f.host.Outgoing() {
 		f.ul.Send(netsim.ProtoHIP, op.Dst, op.Data)
 	}
-	for _, ev := range f.host.Events() {
-		switch ev.Kind {
-		case hip.EventEstablished:
-			f.estabE[ev.PeerHIT] = nil
-			if q := f.estabQ[ev.PeerHIT]; q != nil {
-				q.WakeAll()
-			}
-		case hip.EventFailed:
-			f.estabE[ev.PeerHIT] = ErrBEXFailed
-			if q := f.estabQ[ev.PeerHIT]; q != nil {
-				q.WakeAll()
-			}
-		}
+	if len(f.host.Events()) > 0 {
+		f.assocQ.WakeAll()
 	}
 }
 
@@ -429,7 +403,6 @@ func (f *Fabric) EstablishAt(p *netsim.Proc, peerHIT, locator netip.Addr) error 
 	if a, ok := f.host.Association(peerHIT); ok && a.State() == hip.Established {
 		return nil
 	}
-	delete(f.estabE, peerHIT)
 	if err := f.host.ConnectVia(peerHIT, locator, p.Now()); err != nil {
 		return err
 	}
@@ -437,24 +410,15 @@ func (f *Fabric) EstablishAt(p *netsim.Proc, peerHIT, locator netip.Addr) error 
 		f.node.CPU().Use(p, c)
 	}
 	f.flushNow()
-	q := f.estabQ[peerHIT]
-	if q == nil {
-		q = netsim.NewWaitQueue(f.node.Net().Sim())
-		f.estabQ[peerHIT] = q
-	}
 	deadline := p.Now() + f.BEXTimeout
 	for {
-		if a, ok := f.host.Association(peerHIT); ok && a.State() == hip.Established {
+		a, ok := f.host.Association(peerHIT)
+		switch {
+		case !ok:
+			return ErrBEXFailed // a failed base exchange deletes the association
+		case a.State() == hip.Established:
 			return nil
-		}
-		if err, done := f.estabE[peerHIT]; done && err != nil {
-			return err
-		}
-		remain := deadline - p.Now()
-		if remain <= 0 {
-			return ErrBEXTimeout
-		}
-		if q.Wait(p, remain) {
+		case f.assocQ.WaitUntil(p, deadline):
 			return ErrBEXTimeout
 		}
 	}
@@ -517,9 +481,9 @@ func (f *Fabric) Ping(p *netsim.Proc, peer netip.Addr, size int, timeout time.Du
 	// Echo layout under trailer framing: id in the first 8 bytes, zero
 	// padding, type byte last.
 	body := make([]byte, size)
-	putUint64(body[0:8], id)
+	binary.BigEndian.PutUint64(body, id)
 	body[size-1] = innerEchoRq
-	w := &echoWait{wq: netsim.NewWaitQueue(f.node.Net().Sim()), sent: p.Now()}
+	w := netsim.NewEchoWait(f.simOf())
 	f.echoes[id] = w
 	defer delete(f.echoes, id)
 	out, dst, err := f.host.SealData(hit, body, byLSI)
@@ -530,12 +494,7 @@ func (f *Fabric) Ping(p *netsim.Proc, peer netip.Addr, size int, timeout time.Du
 		f.node.CPU().Use(p, c)
 	}
 	f.sendESP(dst, out)
-	if !w.done {
-		if w.wq.Wait(p, timeout) {
-			return 0, netsim.ErrTimeout
-		}
-	}
-	return w.rtt, nil
+	return w.Wait(p, timeout)
 }
 
 // MoveTo rehomes the fabric's host to a new locator (VM migration /
@@ -552,18 +511,4 @@ func (f *Fabric) MoveTo(newLocator netip.Addr) {
 func (f *Fabric) Close() {
 	f.closed = true
 	f.timer.Stop()
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (56 - 8*i))
-	}
-}
-
-func beUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
 }

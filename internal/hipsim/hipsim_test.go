@@ -3,6 +3,7 @@ package hipsim
 import (
 	"bytes"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -612,5 +613,63 @@ func TestCloseThenReconnect(t *testing.T) {
 	}
 	if got := w.fa.Host().BEXInitiated; got != 3 {
 		t.Fatalf("expected 3 base exchanges, got %d", got)
+	}
+}
+
+// fabricMapEntries sums the sizes of every map field on the fabric.
+func fabricMapEntries(f *Fabric) int {
+	n := 0
+	v := reflect.ValueOf(f).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() == reflect.Map {
+			n += v.Field(i).Len()
+		}
+	}
+	return n
+}
+
+func TestConcurrentEstablishSharesOneQueue(t *testing.T) {
+	// Two processes on one fabric establish at once, toward a reachable
+	// peer and a black-holed one. They sleep on the same queue, so each is
+	// woken by the other's association events and must read only its own
+	// association: the first returns nil when R2 arrives (4 × 1ms), the
+	// second ErrBEXFailed at the host's give-up, and the fabric keeps no
+	// per-peer wait state behind.
+	s := netsim.New(1)
+	n := netsim.NewNetwork(s)
+	a, b, c := n.AddNode("a", 2, 1), n.AddNode("b", 2, 1), n.AddNode("c", 2, 1)
+	addrC := netip.MustParseAddr("10.0.1.2")
+	n.Connect(a, addrA, b, addrB, netsim.Link{Latency: time.Millisecond})
+	n.Connect(a, netip.MustParseAddr("10.0.1.1"), c, addrC, netsim.Link{Latency: time.Millisecond, LossProb: 1})
+	reg := NewRegistry()
+	idC := identity.MustGenerate(identity.AlgECDSA)
+	ha, _ := hip.NewHost(hip.Config{Identity: idA, Locator: addrA, RetransmitBase: 20 * time.Millisecond})
+	hb, _ := hip.NewHost(hip.Config{Identity: idB, Locator: addrB})
+	hc, _ := hip.NewHost(hip.Config{Identity: idC, Locator: addrC})
+	fa := New(a, ha, reg)
+	New(b, hb, reg)
+	New(c, hc, reg)
+	before := fabricMapEntries(fa)
+
+	var errB, errC error
+	var atB, atC netsim.VTime
+	s.Spawn("to-c", func(p *netsim.Proc) {
+		errC = fa.Establish(p, idC.HIT())
+		atC = p.Now()
+	})
+	s.Spawn("to-b", func(p *netsim.Proc) {
+		errB = fa.Establish(p, idB.HIT())
+		atB = p.Now()
+	})
+	s.Run(time.Minute)
+	s.Shutdown()
+	if errB != nil || atB != 4*time.Millisecond {
+		t.Errorf("reachable peer: err %v at %v, want nil at 4ms", errB, atB)
+	}
+	if errC != ErrBEXFailed || atC <= atB || atC >= fa.BEXTimeout {
+		t.Errorf("black-holed peer: err %v at %v, want ErrBEXFailed after %v and before BEXTimeout", errC, atC, atB)
+	}
+	if after := fabricMapEntries(fa); after != before {
+		t.Errorf("fabric maps hold %d entries after establishing, %d before: per-peer wait state", after, before)
 	}
 }

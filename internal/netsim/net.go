@@ -65,9 +65,6 @@ func NewNetwork(s *Sim) *Network {
 // Sim returns the owning simulation.
 func (n *Network) Sim() *Sim { return n.sim }
 
-// Node returns the named node, or nil.
-func (n *Network) Node(name string) *Node { return n.nodes[name] }
-
 // NodeByAddr returns the node owning addr, or nil.
 func (n *Network) NodeByAddr(a netip.Addr) *Node { return n.byAddr[a] }
 
@@ -85,7 +82,7 @@ type Node struct {
 
 	udp      map[uint16]*UDPSocket
 	nextPort uint16
-	echoes   map[uint64]*echoWait
+	echoes   map[uint64]*EchoWait
 	echoSeq  uint64
 	nat      *NAT
 
@@ -195,7 +192,7 @@ func (n *Network) AddNode(name string, cores int, speed float64) *Node {
 		cpu:      NewCPU(n.sim, cores, speed),
 		udp:      make(map[uint16]*UDPSocket),
 		nextPort: 32768,
-		echoes:   make(map[uint64]*echoWait),
+		echoes:   make(map[uint64]*EchoWait),
 		rawTaps:  make(map[Proto]func(*Packet)),
 	}
 	n.nodes[name] = nd

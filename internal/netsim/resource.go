@@ -61,10 +61,12 @@ func (r *Resource) Release() {
 // Capacity reports the total number of units.
 func (r *Resource) Capacity() int { return r.cap }
 
-// SchedQuantum is the CPU scheduling time slice: long compute requests
-// are broken into quanta and requeued, approximating the round-robin
-// processor sharing of a real kernel scheduler (without it, one large
-// request would monopolize a core FIFO-style and distort mean latencies).
+// SchedQuantum is the CPU scheduling time slice: a charge holds its core
+// for at most one quantum, releases it and re-claims. The release wakes
+// the longest waiter, but the holder re-claims before that waiter runs, so
+// a running charge keeps its core to completion and slicing only rotates
+// the waiters queued behind it — not round-robin sharing (ROADMAP item 8
+// has the numbers a real one would move).
 const SchedQuantum = 500 * time.Microsecond
 
 // CPU models the processor of a simulated host: a core pool with a speed
@@ -78,7 +80,7 @@ type CPU struct {
 	busy time.Duration
 	s    *Sim
 	// tasks recycles cpuTask structs (and their bound callbacks) across
-	// UseAsync charges.
+	// charges.
 	tasks []*cpuTask
 }
 
@@ -90,26 +92,18 @@ func NewCPU(s *Sim, cores int, speed float64) *CPU {
 	return &CPU{cores: NewResource(s, cores), speed: speed, s: s}
 }
 
-// Use charges work (expressed as time on a reference core) to the CPU:
-// the process queues for a core, holds it for up to one scheduling
-// quantum, requeues, and repeats until the work is done. Zero or negative
-// work is a no-op.
+// Use charges work (expressed as time on a reference core) to the CPU and
+// blocks p until it is fully charged: the task UseAsync queues, completed
+// by resuming p. Zero or negative work is a no-op.
 func (c *CPU) Use(p *Proc, work time.Duration) {
 	if work <= 0 {
 		return
 	}
-	remaining := time.Duration(float64(work) / c.speed)
-	for remaining > 0 {
-		slice := remaining
-		if slice > SchedQuantum {
-			slice = SchedQuantum
-		}
-		c.cores.Acquire(p)
-		c.busy += slice
-		p.Sleep(slice)
-		c.cores.Release()
-		remaining -= slice
-	}
+	t := c.getTask()
+	t.remaining = time.Duration(float64(work) / c.speed)
+	t.p = p
+	t.try()
+	p.park()
 }
 
 // Stall seizes one core exclusively for d of virtual time without
@@ -127,13 +121,15 @@ func (c *CPU) Stall(p *Proc, d time.Duration) {
 	c.cores.Release()
 }
 
-// cpuTask is one in-flight UseAsync charge. Tasks are pooled per CPU and
-// carry their scheduler callbacks as method values bound once at
-// allocation, so steady-state async charging allocates nothing.
+// cpuTask is one in-flight charge, completed by resuming a process (Use)
+// or calling a callback (UseAsync). Tasks are pooled per CPU and carry
+// their scheduler callbacks as method values bound once at allocation, so
+// steady-state charging allocates nothing.
 type cpuTask struct {
 	c         *CPU
 	remaining time.Duration
 	slice     time.Duration
+	p         *Proc
 	done      func()
 	tryFn     func() // bound t.try: (re)attempt core acquisition
 	grantFn   func() // bound t.grant: core claimed, consume one slice
@@ -174,19 +170,23 @@ func (t *cpuTask) sliceDone() {
 		t.try()
 		return
 	}
-	done := t.done
-	t.done = nil
+	p, done := t.p, t.done
+	t.p, t.done = nil, nil
 	c.tasks = append(c.tasks, t)
-	if done != nil {
+	switch {
+	case p != nil:
+		// Resumed here, not through the event queue: an extra event would
+		// let the waiter Release just woke run before the charged process
+		// continues, reordering the packets the two send.
+		c.s.wake(p)
+	case done != nil:
 		done()
 	}
 }
 
 // UseAsync charges work to the CPU from scheduler context, with no
-// process: the charge queues for a core through the same FIFO as blocking
-// Use, consumes it in SchedQuantum slices, and calls done (may be nil)
-// once fully charged. It is the run-to-completion counterpart of Use —
-// identical queueing, slicing and busy accounting, minus the goroutine.
+// process: the charge queues for a core in the cores' FIFO, consumes it in
+// SchedQuantum slices, and calls done (may be nil) once fully charged.
 func (c *CPU) UseAsync(work time.Duration, done func()) {
 	if work <= 0 {
 		if done != nil {
@@ -205,6 +205,3 @@ func (c *CPU) Cores() int { return c.cores.Capacity() }
 
 // BusyTime reports accumulated core-time consumed.
 func (c *CPU) BusyTime() time.Duration { return c.busy }
-
-// Speed reports the per-core speed factor.
-func (c *CPU) Speed() float64 { return c.speed }

@@ -184,9 +184,6 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // scheduler microbenchmarks divide it by wall time for events/sec.
 func (s *Sim) EventsFired() uint64 { return s.eventsFired }
 
-// Pending reports the number of scheduled, not-yet-fired events.
-func (s *Sim) Pending() int { return len(s.cur) + s.nWheel + len(s.overflow) }
-
 // newEvent takes a node from the freelist (or allocates one), stamps it
 // with the clamped time and the next sequence number, and returns it for
 // the caller to fill in and insert.
@@ -389,7 +386,7 @@ func (s *Sim) fire(ev *event) {
 	case evTimeout:
 		// Stale if the waiter was recycled (gen moved on) or already woken
 		// (no longer queued).
-		if w.gen == gen && w.idx >= 0 {
+		if w.gen == gen && w.q != nil {
 			w.q.remove(w)
 			w.timedOut = true
 			s.wake(w.p)
@@ -570,13 +567,12 @@ func (p *Proc) Spawn(name string, fn func(p *Proc)) { p.sim.Spawn(name, fn) }
 // (fn set) used by async resource acquisition. Waiters are pooled; gen
 // guards pooled reuse against stale timeout events still in the wheel.
 type waiter struct {
-	p        *Proc
-	fn       func()
-	q        *WaitQueue
-	seq      uint64 // FIFO order within the queue
-	idx      int    // heap index in q.ws; -1 when not queued
-	gen      uint64
-	timedOut bool
+	p          *Proc
+	fn         func()
+	q          *WaitQueue // the queue w is linked into; nil when not queued
+	prev, next *waiter
+	gen        uint64
+	timedOut   bool
 }
 
 // getWaiter takes a waiter from the freelist or allocates one.
@@ -587,113 +583,83 @@ func (s *Sim) getWaiter() *waiter {
 		s.waiterFree = s.waiterFree[:n-1]
 		return w
 	}
-	return &waiter{idx: -1}
+	return &waiter{}
 }
 
 // putWaiter recycles w, bumping gen so any stale timeout event for it
 // becomes a no-op when its slot drains.
 func (s *Sim) putWaiter(w *waiter) {
 	w.gen++
-	w.p, w.fn, w.q = nil, nil, nil
+	w.p, w.fn = nil, nil
 	w.timedOut = false
 	s.waiterFree = append(s.waiterFree, w)
 }
 
-// WaitQueue is a FIFO queue of waiters blocked on a condition. It is a
-// min-heap on a per-queue sequence number with stored indices, so a
-// timeout cancels its entry in O(log n) (the old linear scan + slide-down
-// was O(n) per timeout under load) while WakeOne still pops strict FIFO.
+// WaitQueue is a FIFO queue of waiters blocked on a condition: a doubly
+// linked list through the pooled waiters, so enqueue, WakeOne and a
+// timeout's mid-queue cancel are all O(1).
 type WaitQueue struct {
-	s   *Sim
-	ws  []*waiter
-	seq uint64
+	s          *Sim
+	head, tail *waiter
 }
 
 // NewWaitQueue creates a wait queue bound to s.
 func NewWaitQueue(s *Sim) *WaitQueue { return &WaitQueue{s: s} }
 
-// Len reports the number of queued waiters.
-func (q *WaitQueue) Len() int { return len(q.ws) }
-
-func (q *WaitQueue) less(i, j int) bool { return q.ws[i].seq < q.ws[j].seq }
-
-func (q *WaitQueue) swap(i, j int) {
-	q.ws[i], q.ws[j] = q.ws[j], q.ws[i]
-	q.ws[i].idx, q.ws[j].idx = i, j
-}
-
-func (q *WaitQueue) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.swap(i, parent)
-		i = parent
-	}
-}
-
-func (q *WaitQueue) down(i int) {
-	n := len(q.ws)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && q.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		q.swap(i, smallest)
-		i = smallest
-	}
-}
-
 func (q *WaitQueue) push(w *waiter) {
-	q.seq++
-	w.seq = q.seq
-	w.q = q
-	w.idx = len(q.ws)
-	q.ws = append(q.ws, w)
-	q.up(w.idx)
+	w.q, w.prev = q, q.tail
+	if q.tail != nil {
+		q.tail.next = w
+	} else {
+		q.head = w
+	}
+	q.tail = w
 }
 
-// remove unlinks w from the heap by its stored index (swap-remove + fix).
+// remove unlinks w from the list.
 func (q *WaitQueue) remove(w *waiter) {
-	i := w.idx
-	last := len(q.ws) - 1
-	if i != last {
-		q.swap(i, last)
+	if w.prev != nil {
+		w.prev.next = w.next
+	} else {
+		q.head = w.next
 	}
-	q.ws[last] = nil
-	q.ws = q.ws[:last]
-	if i != last {
-		q.down(i)
-		q.up(i)
+	if w.next != nil {
+		w.next.prev = w.prev
+	} else {
+		q.tail = w.prev
 	}
-	w.idx = -1
-}
-
-// popMin removes and returns the longest-waiting entry.
-func (q *WaitQueue) popMin() *waiter {
-	w := q.ws[0]
-	q.remove(w)
-	return w
+	w.q, w.prev, w.next = nil, nil, nil
 }
 
 // Wait blocks p until WakeOne/WakeAll reaches it or the timeout elapses.
 // timeout <= 0 means no timeout. It reports whether the wait timed out.
+func (q *WaitQueue) Wait(p *Proc, timeout VTime) (timedOut bool) {
+	return q.WaitUntil(p, q.s.Deadline(timeout))
+}
+
+// Deadline turns a relative timeout into the absolute deadline WaitUntil
+// takes; timeout <= 0 (wait forever) gives zero, no deadline.
+func (s *Sim) Deadline(timeout VTime) VTime {
+	if timeout <= 0 {
+		return 0
+	}
+	return s.now + timeout
+}
+
+// WaitUntil is Wait against an absolute deadline, for callers that wait
+// in a loop under one overall timeout. A zero deadline means none; one
+// that has already passed reports timed-out without parking.
 // Allocation-free in steady state: the waiter and the timeout event are
 // both pooled.
-func (q *WaitQueue) Wait(p *Proc, timeout VTime) (timedOut bool) {
+func (q *WaitQueue) WaitUntil(p *Proc, deadline VTime) (timedOut bool) {
+	if deadline != 0 && deadline <= q.s.now {
+		return true
+	}
 	w := q.s.getWaiter()
 	w.p = p
 	q.push(w)
-	if timeout > 0 {
-		ev := q.s.newEvent(q.s.now + timeout)
+	if deadline != 0 {
+		ev := q.s.newEvent(deadline)
 		ev.kind = evTimeout
 		ev.w = w
 		ev.gen = w.gen
@@ -720,10 +686,11 @@ func (q *WaitQueue) WaitFn(fn func()) {
 // The wake happens via the event queue (at the current time) so the
 // caller keeps running first; it reports whether an entry was woken.
 func (q *WaitQueue) WakeOne() bool {
-	if len(q.ws) == 0 {
+	w := q.head
+	if w == nil {
 		return false
 	}
-	w := q.popMin()
+	q.remove(w)
 	if w.fn != nil {
 		fn := w.fn
 		q.s.putWaiter(w)

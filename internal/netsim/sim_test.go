@@ -116,8 +116,8 @@ func TestWaitQueueTimeout(t *testing.T) {
 	if at != 5*time.Millisecond {
 		t.Fatalf("timed out at %v, want 5ms", at)
 	}
-	if q.Len() != 0 {
-		t.Fatalf("queue not cleaned, len=%d", q.Len())
+	if q.head != nil || q.tail != nil {
+		t.Fatal("queue not cleaned")
 	}
 }
 

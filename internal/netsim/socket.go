@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"errors"
 	"net/netip"
 	"time"
@@ -127,22 +128,12 @@ func (s *UDPSocket) enqueue(pkt *Packet) {
 // RecvFrom blocks p until a datagram arrives or timeout elapses
 // (timeout <= 0 blocks forever).
 func (s *UDPSocket) RecvFrom(p *Proc, timeout time.Duration) (Datagram, error) {
-	deadline := VTime(0)
-	if timeout > 0 {
-		deadline = p.Now() + timeout
-	}
+	deadline := p.sim.Deadline(timeout)
 	for len(s.buf) == 0 {
 		if s.closed {
 			return Datagram{}, ErrSocketClose
 		}
-		remain := VTime(0)
-		if deadline > 0 {
-			remain = deadline - p.Now()
-			if remain <= 0 {
-				return Datagram{}, ErrTimeout
-			}
-		}
-		if s.wq.Wait(p, remain) {
+		if s.wq.WaitUntil(p, deadline) {
 			return Datagram{}, ErrTimeout
 		}
 	}
@@ -151,16 +142,38 @@ func (s *UDPSocket) RecvFrom(p *Proc, timeout time.Duration) (Datagram, error) {
 	return dg, nil
 }
 
-// Pending reports buffered datagram count.
-func (s *UDPSocket) Pending() int { return len(s.buf) }
+// --- echo ---
 
-// --- ICMP echo ---
-
-type echoWait struct {
-	wq   *WaitQueue
-	done bool
-	rtt  time.Duration
+// EchoWait is one outstanding echo request. It serves every ping in the
+// tree (ICMP here, in-tunnel ESP in hipsim, Teredo): the sender creates it
+// when the request leaves, files it under the echo's id and Waits; the
+// reply handler calls Done.
+type EchoWait struct {
+	wq   WaitQueue
 	sent VTime
+	rtt  time.Duration
+	done bool
+}
+
+// NewEchoWait starts the round-trip clock at the current virtual time.
+func NewEchoWait(s *Sim) *EchoWait { return &EchoWait{wq: WaitQueue{s: s}, sent: s.now} }
+
+// Done records the reply's arrival and wakes the sender (scheduler
+// context). Only the first call counts.
+func (w *EchoWait) Done() {
+	if !w.done {
+		w.done = true
+		w.rtt = w.wq.s.now - w.sent
+		w.wq.WakeAll()
+	}
+}
+
+// Wait blocks p until Done or the timeout and returns the round-trip time.
+func (w *EchoWait) Wait(p *Proc, timeout time.Duration) (time.Duration, error) {
+	if !w.done && w.wq.Wait(p, timeout) {
+		return 0, ErrTimeout
+	}
+	return w.rtt, nil
 }
 
 // icmpEcho payload layout: [0]=type (8 request, 0 reply), then 8-byte id.
@@ -174,7 +187,7 @@ const (
 func (nd *Node) Ping(p *Proc, dst netip.Addr, size int, timeout time.Duration) (time.Duration, error) {
 	nd.echoSeq++
 	id := nd.echoSeq
-	w := &echoWait{wq: NewWaitQueue(nd.net.sim), sent: p.Now()}
+	w := NewEchoWait(nd.net.sim)
 	nd.echoes[id] = w
 	defer delete(nd.echoes, id)
 	if size < 9 {
@@ -182,15 +195,10 @@ func (nd *Node) Ping(p *Proc, dst netip.Addr, size int, timeout time.Duration) (
 	}
 	payload := make([]byte, size)
 	payload[0] = icmpEchoRequest
-	putUint64(payload[1:9], id)
+	binary.BigEndian.PutUint64(payload[1:9], id)
 	src := netip.AddrPortFrom(nd.Addr(), 0)
 	nd.SendRaw(ProtoICMP, src, netip.AddrPortFrom(dst, 0), payload, 0)
-	if !w.done {
-		if w.wq.Wait(p, timeout) {
-			return 0, ErrTimeout
-		}
-	}
-	return w.rtt, nil
+	return w.Wait(p, timeout)
 }
 
 func (nd *Node) handleICMP(pkt *Packet) {
@@ -204,25 +212,8 @@ func (nd *Node) handleICMP(pkt *Packet) {
 		reply[0] = icmpEchoReply
 		nd.SendRaw(ProtoICMP, netip.AddrPortFrom(pkt.Dst.Addr(), 0), netip.AddrPortFrom(pkt.Src.Addr(), 0), reply, 0)
 	case icmpEchoReply:
-		id := getUint64(pkt.Payload[1:9])
-		if w := nd.echoes[id]; w != nil && !w.done {
-			w.done = true
-			w.rtt = nd.net.sim.now - w.sent
-			w.wq.WakeAll()
+		if w := nd.echoes[binary.BigEndian.Uint64(pkt.Payload[1:9])]; w != nil {
+			w.Done()
 		}
 	}
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (56 - 8*i))
-	}
-}
-
-func getUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
 }

@@ -222,9 +222,9 @@ func TestParkFromSchedulerContextPanics(t *testing.T) {
 }
 
 // TestWaitTimeoutFIFOAndCancel checks WaitQueue semantics under the
-// indexed-heap waiter set: FIFO wake order, O(log n) mid-queue timeout
-// removal, and no spurious wake from a stale timeout event after the
-// waiter was already woken and recycled.
+// linked waiter list: FIFO wake order, timeout unlinking at the head, in
+// the middle and at the tail, and no spurious wake from a stale timeout
+// event after the waiter was already woken and recycled.
 func TestWaitTimeoutFIFOAndCancel(t *testing.T) {
 	s := New(1)
 	q := NewWaitQueue(s)
@@ -273,4 +273,108 @@ func TestWaitTimeoutFIFOAndCancel(t *testing.T) {
 			t.Fatalf("woke = %v, want %v", woke, want)
 		}
 	}
+
+	// Timeouts unlink the head, a middle entry and the tail; WakeAll then
+	// reaches the survivors in arrival order. The survivors' own timeouts
+	// are still in flight when x reuses one of their recycled waiters: it
+	// must sleep through them until its wake.
+	woke = woke[:0]
+	now = s.Now()
+	wait("h", 5*time.Millisecond)
+	wait("s1", 50*time.Millisecond)
+	wait("m", 6*time.Millisecond)
+	wait("s2", 55*time.Millisecond)
+	wait("tl", 7*time.Millisecond)
+	s.At(now+10*time.Millisecond, q.WakeAll)
+	s.At(now+11*time.Millisecond, func() { wait("x", 0) })
+	var xWoke VTime
+	s.At(now+100*time.Millisecond, func() {
+		if len(woke) == 5 { // x still asleep past both stale timeouts
+			xWoke = s.Now()
+		}
+		q.WakeOne()
+	})
+	s.Run(0)
+	want = []string{"h-timeout", "m-timeout", "tl-timeout", "s1", "s2", "x"}
+	if len(woke) != len(want) {
+		t.Fatalf("woke = %v, want %v", woke, want)
+	}
+	for i := range want {
+		if woke[i] != want[i] {
+			t.Fatalf("woke = %v, want %v", woke, want)
+		}
+	}
+	if xWoke != now+100*time.Millisecond {
+		t.Fatal("x woke before its WakeOne: a stale timeout reached the recycled waiter")
+	}
+	if q.head != nil || q.tail != nil {
+		t.Fatal("queue not empty after every waiter left")
+	}
+}
+
+// TestWaitUntil checks the absolute-deadline wait the Dial/Accept/RecvFrom/
+// Establish loops share: a passed deadline reports timed-out without
+// parking, a zero deadline waits for the wake, and at the deadline instant
+// whichever of wake and timeout was scheduled first wins.
+func TestWaitUntil(t *testing.T) {
+	s := New(1)
+	q := NewWaitQueue(s)
+	const ms = time.Millisecond
+	s.Spawn("passed", func(p *Proc) {
+		p.Sleep(5 * ms)
+		fired := s.EventsFired()
+		for _, deadline := range []VTime{3 * ms, 5 * ms} {
+			if !q.WaitUntil(p, deadline) {
+				t.Errorf("deadline %v at %v: not reported as timed out", deadline, p.Now())
+			}
+		}
+		if s.EventsFired() != fired || q.head != nil {
+			t.Error("a passed deadline parked the process")
+		}
+	})
+	s.Run(0)
+
+	var zeroAt VTime
+	s.Spawn("zero", func(p *Proc) {
+		if q.WaitUntil(p, 0) {
+			t.Error("zero deadline timed out")
+		}
+		zeroAt = p.Now()
+	})
+	s.At(s.Now()+2*ms, func() { q.WakeOne() })
+	s.Run(0)
+	if zeroAt != 7*ms {
+		t.Errorf("zero-deadline wait resumed at %v, want the wake at 7ms", zeroAt)
+	}
+
+	// The wake below is scheduled before the waiter runs, so at the
+	// deadline instant it fires ahead of the timeout: the wait reports a
+	// wake, and only the next wait on the same deadline times out.
+	deadline := s.Now() + 10*ms
+	s.At(deadline, func() { q.WakeOne() })
+	s.Spawn("tie", func(p *Proc) {
+		if q.WaitUntil(p, deadline) {
+			t.Error("wake at the deadline instant lost to the timeout")
+		}
+		if p.Now() != deadline || !q.WaitUntil(p, deadline) {
+			t.Error("second wait on the reached deadline did not time out at once")
+		}
+	})
+	s.Run(0)
+	// Scheduled after the waiter armed its timeout, the wake comes second
+	// and finds nobody.
+	deadline = s.Now() + 10*ms
+	s.At(s.Now()+ms, func() {
+		s.At(deadline, func() {
+			if q.WakeOne() {
+				t.Error("timed-out waiter was still queued")
+			}
+		})
+	})
+	s.Spawn("late", func(p *Proc) {
+		if !q.WaitUntil(p, deadline) {
+			t.Error("timeout scheduled first did not win")
+		}
+	})
+	s.Run(0)
 }

@@ -51,18 +51,14 @@ type Backend struct {
 	healthy bool
 	active  int // in-flight requests (least-conn)
 	Served  uint64
-	pool    []*backendConn
-	free    []*backendConn
-	waitQ   *netsim.WaitQueue
+	pool    *secio.Pool
 }
+
+// maxBackendConns bounds the persistent connections per backend.
+const maxBackendConns = 32
 
 // Healthy reports the backend's health-check status.
 func (b *Backend) Healthy() bool { return b.healthy }
-
-type backendConn struct {
-	c  secio.Conn
-	br *bufio.Reader
-}
 
 // Proxy is the load balancer.
 type Proxy struct {
@@ -73,8 +69,6 @@ type Proxy struct {
 	Back     *secio.Transport
 	Policy   Policy
 	Backends []*Backend
-	// PoolSize bounds persistent connections per backend (default 32).
-	PoolSize int
 	// PerRequestCPU models HAProxy's per-request processing.
 	PerRequestCPU time.Duration
 	// HealthInterval enables periodic backend health checks when > 0.
@@ -90,17 +84,10 @@ type Proxy struct {
 func (x *Proxy) AddBackend(name string, addr netip.Addr, port uint16) *Backend {
 	b := &Backend{
 		Name: name, Addr: addr, Port: port, healthy: true,
-		waitQ: netsim.NewWaitQueue(x.Front.Stack.Node().Net().Sim()),
+		pool: secio.NewPool(x.Back, addr, port, maxBackendConns),
 	}
 	x.Backends = append(x.Backends, b)
 	return b
-}
-
-func (x *Proxy) poolSize() int {
-	if x.PoolSize > 0 {
-		return x.PoolSize
-	}
-	return 32
 }
 
 // pick chooses a healthy backend per policy.
@@ -135,43 +122,6 @@ func (x *Proxy) pick() (*Backend, error) {
 		x.rrNext++
 		return b, nil
 	}
-}
-
-// acquire borrows a pooled connection to backend b.
-func (x *Proxy) acquire(p *netsim.Proc, b *Backend) (*backendConn, error) {
-	for {
-		if len(b.free) > 0 {
-			bc := b.free[len(b.free)-1]
-			b.free = b.free[:len(b.free)-1]
-			bc.c.Rebind(p)
-			return bc, nil
-		}
-		if len(b.pool) < x.poolSize() {
-			c, err := x.Back.Dial(p, b.Addr, b.Port)
-			if err != nil {
-				return nil, err
-			}
-			bc := &backendConn{c: c, br: bufio.NewReader(c)}
-			b.pool = append(b.pool, bc)
-			return bc, nil
-		}
-		b.waitQ.Wait(p, 0)
-	}
-}
-
-func (x *Proxy) release(b *Backend, bc *backendConn, broken bool) {
-	if broken {
-		bc.c.Close()
-		for i, pc := range b.pool {
-			if pc == bc {
-				b.pool = append(b.pool[:i], b.pool[i+1:]...)
-				break
-			}
-		}
-	} else {
-		b.free = append(b.free, bc)
-	}
-	b.waitQ.WakeOne()
 }
 
 // Run accepts consumer connections and proxies them. Call from Spawn.
@@ -249,7 +199,7 @@ func (x *Proxy) forward(p *netsim.Proc, req *microhttp.Request) *microhttp.Respo
 func (x *Proxy) forwardTo(p *netsim.Proc, b *Backend, req *microhttp.Request) (resp *microhttp.Response, sent bool, err error) {
 	b.active++
 	defer func() { b.active-- }()
-	bc, err := x.acquire(p, b)
+	bc, err := b.pool.Acquire(p)
 	if err != nil {
 		return nil, false, err
 	}
@@ -258,12 +208,11 @@ func (x *Proxy) forwardTo(p *netsim.Proc, b *Backend, req *microhttp.Request) (r
 	for k, v := range req.Headers {
 		fwd.Headers[k] = v
 	}
-	resp, err = microhttp.RoundTrip(bc.c, bc.br, &fwd)
+	resp, err = microhttp.RoundTrip(bc, bc.R, &fwd)
+	b.pool.Release(bc, err != nil || resp.WantsClose())
 	if err != nil {
-		x.release(b, bc, true)
 		return nil, true, err
 	}
-	x.release(b, bc, resp.WantsClose())
 	b.Served++
 	b.healthy = true
 	return resp, true, nil
@@ -274,14 +223,14 @@ func (x *Proxy) healthLoop(p *netsim.Proc) {
 	for {
 		p.Sleep(x.HealthInterval)
 		for _, b := range x.Backends {
-			bc, err := x.acquire(p, b)
+			bc, err := b.pool.Acquire(p)
 			if err != nil {
 				b.healthy = false
 				continue
 			}
-			resp, err := microhttp.RoundTrip(bc.c, bc.br, &microhttp.Request{Method: "GET", Path: "/home"})
+			resp, err := microhttp.RoundTrip(bc, bc.R, &microhttp.Request{Method: "GET", Path: "/home"})
 			ok := err == nil && resp.Status == 200
-			x.release(b, bc, err != nil)
+			b.pool.Release(bc, err != nil)
 			b.healthy = ok
 		}
 	}

@@ -324,3 +324,57 @@ func TestSellRegisterRoutes(t *testing.T) {
 func itoaTest(v int) string {
 	return fmt.Sprintf("%d", v)
 }
+
+// TestDBClientDropsBrokenConn: a pool of one whose first connection the
+// server resets mid-query must dial afresh for the next query, not hand
+// the dead connection out forever.
+func TestDBClientDropsBrokenConn(t *testing.T) {
+	s := netsim.New(1)
+	n := netsim.NewNetwork(s)
+	web, dbn := n.AddNode("web", 1, 1), n.AddNode("db", 1, 1)
+	n.Connect(web, netip.MustParseAddr("10.0.0.1"), dbn, netip.MustParseAddr("10.0.0.2"), netsim.Link{Latency: time.Millisecond})
+	webT := &secio.Transport{Kind: secio.Basic, Stack: simtcp.NewStack(web, simtcp.NewPlainFabric(web))}
+	dbT := &secio.Transport{Kind: secio.Basic, Stack: simtcp.NewStack(dbn, simtcp.NewPlainFabric(dbn))}
+
+	l := dbT.MustListen(DBPort)
+	s.Spawn("db", func(p *netsim.Proc) {
+		for first := true; ; first = false {
+			c, err := l.Accept(p, 0)
+			if err != nil {
+				return
+			}
+			first := first
+			p.Spawn("db-handler", func(hp *netsim.Proc) {
+				c.Rebind(hp)
+				for {
+					if _, err := readFrame(c); err != nil {
+						return
+					}
+					if first {
+						c.Abort() // the server dies under the first query
+						return
+					}
+					if writeFrame(c, []byte{0, 'o', 'k'}) != nil {
+						return
+					}
+				}
+			})
+		}
+	})
+	client := NewDBClient(webT, dbn.Addr(), 1)
+	var errs [3]error
+	s.Spawn("web", func(p *netsim.Proc) {
+		for i := range errs {
+			_, errs[i] = client.Query(p, "home")
+			p.Sleep(100 * time.Millisecond)
+		}
+	})
+	s.Run(10 * time.Second)
+	s.Shutdown()
+	if errs[0] == nil {
+		t.Fatal("query on the reset connection succeeded; the test did not break it")
+	}
+	if errs[1] != nil || errs[2] != nil {
+		t.Fatalf("queries after the reset: %v, %v; want both to succeed on a fresh connection", errs[1], errs[2])
+	}
+}

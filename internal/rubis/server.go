@@ -103,69 +103,26 @@ func (s *DBServer) Run(p *netsim.Proc) {
 }
 
 // DBClient is a pooled client to a DBServer.
-type DBClient struct {
-	transport *secio.Transport
-	addr      netip.Addr
-	pool      []*dbConn
-	free      []*dbConn
-	waitQ     *netsim.WaitQueue
-	size      int
-}
-
-type dbConn struct {
-	c  secio.Conn
-	br *bufio.Reader
-}
+type DBClient struct{ pool *secio.Pool }
 
 // NewDBClient creates a client pool of the given size toward addr (an IP,
 // HIT or LSI depending on the transport).
 func NewDBClient(t *secio.Transport, addr netip.Addr, size int) *DBClient {
-	return &DBClient{
-		transport: t,
-		addr:      addr,
-		waitQ:     netsim.NewWaitQueue(t.Stack.Node().Net().Sim()),
-		size:      size,
-	}
+	return &DBClient{pool: secio.NewPool(t, addr, DBPort, size)}
 }
 
-// acquire borrows a pooled connection, dialing lazily.
-func (c *DBClient) acquire(p *netsim.Proc) (*dbConn, error) {
-	for {
-		if len(c.free) > 0 {
-			dc := c.free[len(c.free)-1]
-			c.free = c.free[:len(c.free)-1]
-			dc.c.Rebind(p)
-			return dc, nil
-		}
-		if len(c.pool) < c.size {
-			conn, err := c.transport.Dial(p, c.addr, DBPort)
-			if err != nil {
-				return nil, err
-			}
-			dc := &dbConn{c: conn, br: bufio.NewReader(conn)}
-			c.pool = append(c.pool, dc)
-			return dc, nil
-		}
-		c.waitQ.Wait(p, 0)
-	}
-}
-
-func (c *DBClient) release(dc *dbConn) {
-	c.free = append(c.free, dc)
-	c.waitQ.WakeOne()
-}
-
-// Query executes one query through the pool.
+// Query executes one query through the pool. A connection whose write or
+// read failed is dropped from the pool, not handed to the next query.
 func (c *DBClient) Query(p *netsim.Proc, q string) ([]byte, error) {
-	dc, err := c.acquire(p)
+	pc, err := c.pool.Acquire(p)
 	if err != nil {
 		return nil, err
 	}
-	defer c.release(dc)
-	if err := writeFrame(dc.c, []byte(q)); err != nil {
-		return nil, err
+	var resp []byte
+	if err = writeFrame(pc, []byte(q)); err == nil {
+		resp, err = readFrame(pc.R)
 	}
-	resp, err := readFrame(dc.br)
+	c.pool.Release(pc, err != nil)
 	if err != nil {
 		return nil, err
 	}

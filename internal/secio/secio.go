@@ -11,6 +11,7 @@
 package secio
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"net/netip"
@@ -217,3 +218,63 @@ func (c *tlsConn) Rebind(p *netsim.Proc) { c.bound.Rebind(p) }
 
 // Abort resets the carrier stream immediately.
 func (c *tlsConn) Abort() { c.raw.Abort() }
+
+// PoolConn is one pooled connection with its persistent read buffer.
+type PoolConn struct {
+	Conn
+	R *bufio.Reader
+}
+
+// Pool is a bounded pool of persistent connections from one node to one
+// peer port, dialed lazily and shared by the node's processes.
+type Pool struct {
+	t     *Transport
+	addr  netip.Addr
+	port  uint16
+	size  int
+	open  int // connections dialed and not yet dropped
+	free  []*PoolConn
+	waitQ *netsim.WaitQueue
+}
+
+// NewPool creates a pool of at most size connections toward addr:port (an
+// IP, HIT or LSI depending on the transport).
+func NewPool(t *Transport, addr netip.Addr, port uint16, size int) *Pool {
+	return &Pool{t: t, addr: addr, port: port, size: size,
+		waitQ: netsim.NewWaitQueue(t.Stack.Node().Net().Sim())}
+}
+
+// Acquire borrows a connection for p: the most recently released one,
+// else a fresh dial while under size, else it waits for a Release.
+func (pl *Pool) Acquire(p *netsim.Proc) (*PoolConn, error) {
+	for {
+		if n := len(pl.free); n > 0 {
+			pc := pl.free[n-1]
+			pl.free = pl.free[:n-1]
+			pc.Rebind(p)
+			return pc, nil
+		}
+		if pl.open < pl.size {
+			c, err := pl.t.Dial(p, pl.addr, pl.port)
+			if err != nil {
+				return nil, err
+			}
+			pl.open++
+			return &PoolConn{Conn: c, R: bufio.NewReader(c)}, nil
+		}
+		pl.waitQ.Wait(p, 0)
+	}
+}
+
+// Release returns a borrowed connection. A broken one — a failed write or
+// read, or a peer that asked to close — is closed and forgotten, so the
+// next Acquire dials afresh instead of inheriting the failure.
+func (pl *Pool) Release(pc *PoolConn, broken bool) {
+	if broken {
+		pc.Close()
+		pl.open--
+	} else {
+		pl.free = append(pl.free, pc)
+	}
+	pl.waitQ.WakeOne()
+}

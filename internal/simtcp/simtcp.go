@@ -425,25 +425,13 @@ func (s *Stack) Dial(p *netsim.Proc, peer netip.Addr, port uint16, timeout time.
 	c.inner.Open(p.Now())
 	s.markDirty(c)
 	s.kick()
-	deadline := netsim.VTime(0)
-	if timeout > 0 {
-		deadline = p.Now() + timeout
-	}
+	deadline := p.Sim().Deadline(timeout)
 	for !c.inner.Established() {
-		st := c.inner.State()
-		if st == stream.StateReset {
+		if c.inner.State() == stream.StateReset {
 			delete(s.conns, key)
 			return nil, ErrRefused
 		}
-		remain := netsim.VTime(0)
-		if deadline > 0 {
-			remain = deadline - p.Now()
-			if remain <= 0 {
-				delete(s.conns, key)
-				return nil, ErrTimeout
-			}
-		}
-		if c.rq.Wait(p, remain) {
+		if c.rq.WaitUntil(p, deadline) {
 			delete(s.conns, key)
 			return nil, ErrTimeout
 		}
@@ -483,22 +471,12 @@ func (s *Stack) MustListen(port uint16) *Listener {
 // Accept blocks p until a connection arrives (it may still be mid
 // handshake; Reads will block until data flows).
 func (l *Listener) Accept(p *netsim.Proc, timeout time.Duration) (*Conn, error) {
-	deadline := netsim.VTime(0)
-	if timeout > 0 {
-		deadline = p.Now() + timeout
-	}
+	deadline := p.Sim().Deadline(timeout)
 	for len(l.backlog) == 0 {
 		if l.closed {
 			return nil, ErrClosed
 		}
-		remain := netsim.VTime(0)
-		if deadline > 0 {
-			remain = deadline - p.Now()
-			if remain <= 0 {
-				return nil, ErrTimeout
-			}
-		}
-		if l.wq.Wait(p, remain) {
+		if l.wq.WaitUntil(p, deadline) {
 			return nil, ErrTimeout
 		}
 	}
@@ -640,9 +618,6 @@ func (b *BoundConn) Close() error {
 // Abort resets the connection immediately, waking blocked readers and
 // writers with ErrReset.
 func (b *BoundConn) Abort() { b.c.Abort() }
-
-// Conn returns the underlying connection.
-func (b *BoundConn) Conn() *Conn { return b.c }
 
 // Proc returns the currently bound process.
 func (b *BoundConn) Proc() *netsim.Proc { return b.p }

@@ -219,15 +219,10 @@ func (c *Client) Qualify(p *netsim.Proc, timeout time.Duration) error {
 	deadline := p.Now() + timeout
 	for !c.qualified {
 		c.sock.SendTo(c.server, []byte{typeRS})
-		remain := deadline - p.Now()
-		if remain <= 0 {
+		if p.Now() >= deadline {
 			return ErrTimeout
 		}
-		wait := 500 * time.Millisecond
-		if wait > remain {
-			wait = remain
-		}
-		c.qualQ.Wait(p, wait)
+		c.qualQ.WaitUntil(p, min(p.Now()+500*time.Millisecond, deadline)) // next solicitation
 	}
 	return nil
 }
@@ -315,13 +310,6 @@ func (c *Client) LocalAddr() netip.Addr { return c.addr }
 
 // --- in-tunnel echo, for the paper's RTT-over-Teredo measurements ---
 
-type echoWait struct {
-	wq   *netsim.WaitQueue
-	done bool
-	rtt  time.Duration
-	sent netsim.VTime
-}
-
 // EchoService installs an echo responder on the client (inner protocol
 // ICMP): any echo request is answered in place.
 func (c *Client) EchoService() {
@@ -343,17 +331,15 @@ func (c *Client) Ping(p *netsim.Proc, dst netip.Addr, size int, timeout time.Dur
 	if size < 9 {
 		size = 9
 	}
-	w := &echoWait{wq: netsim.NewWaitQueue(c.node.Net().Sim()), sent: p.Now()}
+	w := netsim.NewEchoWait(c.node.Net().Sim())
 	payload := make([]byte, size)
 	payload[0] = 8
 	seq := uint64(p.Now())
 	binary.BigEndian.PutUint64(payload[1:9], seq)
 	prev := c.taps[netsim.ProtoICMP]
 	c.Tap(netsim.ProtoICMP, func(src netip.Addr, pl []byte) {
-		if len(pl) >= 9 && pl[0] == 0 && binary.BigEndian.Uint64(pl[1:9]) == seq && !w.done {
-			w.done = true
-			w.rtt = c.node.Net().Sim().Now() - w.sent
-			w.wq.WakeAll()
+		if len(pl) >= 9 && pl[0] == 0 && binary.BigEndian.Uint64(pl[1:9]) == seq {
+			w.Done()
 			return
 		}
 		if prev != nil {
@@ -362,10 +348,9 @@ func (c *Client) Ping(p *netsim.Proc, dst netip.Addr, size int, timeout time.Dur
 	})
 	defer c.Tap(netsim.ProtoICMP, prev)
 	c.Send(netsim.ProtoICMP, dst, payload)
-	if !w.done {
-		if w.wq.Wait(p, timeout) {
-			return 0, ErrTimeout
-		}
+	rtt, err := w.Wait(p, timeout)
+	if err != nil {
+		return 0, ErrTimeout
 	}
-	return w.rtt, nil
+	return rtt, nil
 }
