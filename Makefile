@@ -15,11 +15,11 @@ all: check
 check: lint budget vet build bench-build test race bench-smoke fuzz-smoke chaos-smoke storm-smoke
 
 # hiplint (cmd/hiplint + internal/analysis) machine-checks the DESIGN.md
-# §5a contracts with eight checks: buffer ownership (bufown), append-API
-# aliasing (appendalias), simulator determinism (simdet, schedblock), lock
-# discipline (lockedsend, lockorder), secret hygiene incl. constant-time
-# compares (secflow) and the hot-path allocation idioms the compiler does
-# not report (hotpath; the ones it does are `budget`'s). The whole
+# §5a contracts with seven checks: append-API aliasing (appendalias),
+# simulator determinism (simdet, schedblock), lock discipline
+# (lockedsend, lockorder), secret hygiene incl. constant-time compares
+# (secflow) and the hot-path allocation idioms the compiler does not
+# report (hotpath; the ones it does are `budget`'s). The whole
 # module loads into one program so the interprocedural checks see
 # cross-package call chains. Findings are waived only with
 # //lint:allow <check> <reason>; the hot set carries zero waivers.

@@ -4,12 +4,12 @@
 //
 // Usage:
 //
-//	hiplint [-checks bufown,secflow,...] [-list] [-waivers] [-counts] [-budget [-write]] [patterns...]
+//	hiplint [-checks secflow,lockorder,...] [-list] [-waivers] [-counts] [-budget [-write]] [patterns...]
 //
 // Patterns default to ./... and accept directories or module import
 // paths, recursively with /... . All matched packages are loaded into one
 // program, so the interprocedural analyzers (secflow, lockorder, and the
-// summary-aware bufown/simdet/schedblock) see cross-package call chains.
+// summary-aware simdet/schedblock) see cross-package call chains.
 // Findings print as
 //
 //	file:line:col: [check] message

@@ -2,10 +2,10 @@
 // the stdlib go/ast + go/parser + go/types toolchain (no x/tools,
 // preserving the repo's stdlib-only rule).
 //
-// It exists to turn the prose contracts of DESIGN.md §5a — buffer
-// ownership, append-API aliasing, simulator determinism, constant-time
-// comparison, lock discipline — into machine-checked invariants that run
-// on every `make check` via the cmd/hiplint driver.
+// It exists to turn the prose contracts of DESIGN.md §5a — append-API
+// aliasing, simulator determinism, constant-time comparison, lock
+// discipline — into machine-checked invariants that run on every
+// `make check` via the cmd/hiplint driver.
 //
 // The model mirrors x/tools/go/analysis in miniature: an Analyzer is a
 // named check with a Run function; a Pass hands the Run function one
@@ -115,7 +115,6 @@ func RunProgram(prog *Program, analyzers []*Analyzer) []Diagnostic {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		BufOwn,
 		AppendAlias,
 		SimDet,
 		SchedBlock,

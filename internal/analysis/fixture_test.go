@@ -137,7 +137,6 @@ func checkPkgs(t *testing.T, fixture string, pkgs []*Package, analyzer *Analyzer
 	}
 }
 
-func TestBufOwnFixture(t *testing.T)      { checkFixture(t, "bufown", BufOwn) }
 func TestAppendAliasFixture(t *testing.T) { checkFixture(t, "appendalias", AppendAlias) }
 func TestSimDetFixture(t *testing.T)      { checkFixture(t, "simdet", SimDet) }
 func TestSchedBlockFixture(t *testing.T)  { checkFixture(t, "schedblock", SchedBlock) }

@@ -103,10 +103,10 @@ func (hi *HotInfo) chain() string { return strings.Join(hi.Via, " → ") }
 // HotSet returns the transitive hot set from DefaultHotRoots, memoized
 // on the program. Edges follow statically resolved module calls and the
 // interface calls hotCallees can close over (one implementor, or a
-// sealed interface). Calls through plain func values resolve
-// to nothing — the run-to-completion core is closure-free by design, and
-// the roots are declared per layer precisely because dynamic hops are
-// lossy.
+// sealed interface), except calls inside a nil-guarded hook. Calls
+// through plain func values resolve to nothing — the run-to-completion
+// core is closure-free by design, and the roots are declared per layer
+// precisely because dynamic hops are lossy.
 func (p *Program) HotSet() map[*types.Func]*HotInfo {
 	if p.hotSet != nil {
 		return p.hotSet
@@ -127,10 +127,17 @@ func (p *Program) HotSet() map[*types.Func]*HotInfo {
 		queue = queue[1:]
 		fi := p.fns[fn]
 		base := hot[fn].Via
+		// A body behind `if pkgVar != nil` runs only when a hook is wired
+		// up (DebugLog, netsim's test-binary pool ledger): what it calls
+		// stays out of the set, as coldBlocks keeps it out of the checks.
+		hooked := make(map[ast.Node]bool)
 		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+			if ifs, ok := n.(*ast.IfStmt); ok && pkgVarNonNilGuard(fi.pkg.Info, ifs.Cond) {
+				hooked[ifs.Body] = true
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
-				return true
+				return !hooked[n]
 			}
 			for _, cand := range p.hotCallees(fi.pkg.Info, call) {
 				if hot[cand] != nil {

@@ -9,7 +9,8 @@ import (
 // hotset fixture: static module calls, single-implementor interface
 // dispatch and every implementor of a sealed interface join the set; an
 // interface with an implementor outside its own package (ambiguous
-// dispatch, open set) and unreachable functions do not.
+// dispatch, open set), calls behind an `if pkgVar != nil` hook guard and
+// unreachable functions do not.
 func TestHotSetMustSemantics(t *testing.T) {
 	prog := NewProgram(loadFixtureMulti(t, "hotset"))
 	hot := prog.HotSet()
@@ -29,9 +30,9 @@ func TestHotSetMustSemantics(t *testing.T) {
 			t.Errorf("hot set missing %s; have %v", want, have)
 		}
 	}
-	for _, not := range []string{"impl1.Do", "Far.Do", "ImplReached", "orphan"} {
+	for _, not := range []string{"impl1.Do", "Far.Do", "ImplReached", "orphan", "tracer.note", "hookReached"} {
 		if hi := byName[not]; hi != nil {
-			t.Errorf("%s must not be hot (ambiguous dispatch or unreachable); via %v", not, hi.Via)
+			t.Errorf("%s must not be hot (ambiguous dispatch, nil-guarded hook or unreachable); via %v", not, hi.Via)
 		}
 	}
 

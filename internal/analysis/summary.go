@@ -12,14 +12,12 @@ import (
 // call graph plus one Summary per declared function, computed bottom-up
 // over strongly connected components. A summary records what a function
 // does with its parameters (logs them, compares them in variable time,
-// retains their backing arrays, zeroizes them, releases them to the
-// packet-buffer pool), what its results carry (key material, taint
-// derived from arguments, a pooled buffer), and what it transitively
+// retains their backing arrays, zeroizes them), what its results carry
+// (key material, taint derived from arguments), and what it transitively
 // reaches (the wall clock, a Proc-parking API, a packet emission, lock
 // acquisitions). The secflow and lockorder analyzers are built on these
-// summaries, and bufown/simdet/schedblock consult them so a helper that
-// wraps GetBuf/PutBuf or reaches time.Now through two calls is treated
-// exactly like the direct operation.
+// summaries, and simdet/schedblock consult them so a helper that reaches
+// time.Now through two calls is treated exactly like the direct call.
 //
 // Everything here is may-analysis over the AST (stdlib go/ast+go/types
 // only, no SSA): facts only accumulate, so the SCC fixpoint terminates,
@@ -45,9 +43,6 @@ const (
 	// ParamZeroized: overwritten with zeros (clear(), a full zero loop,
 	// or a callee that zeroizes it).
 	ParamZeroized
-	// ParamPutPool: released to the packet-buffer pool (netsim.PutBuf
-	// or a wrapper).
-	ParamPutPool
 )
 
 // Reach records one transitive fact with the call chain that produces
@@ -92,9 +87,6 @@ type Summary struct {
 	// TaintsReturn: some result is derived from the parameters, so a
 	// secret argument makes the result secret.
 	TaintsReturn bool
-	// ReturnsPoolBuf: some result is a fresh pool buffer (a GetBuf
-	// wrapper).
-	ReturnsPoolBuf bool
 
 	WallClock *Reach // transitively reads/waits on the wall clock
 	Blocks    *Reach // transitively calls a Proc-parking API
@@ -395,8 +387,7 @@ func summaryEqual(a, b *Summary) bool {
 			return false
 		}
 	}
-	if a.ReturnsSecret != b.ReturnsSecret || a.TaintsReturn != b.TaintsReturn ||
-		a.ReturnsPoolBuf != b.ReturnsPoolBuf {
+	if a.ReturnsSecret != b.ReturnsSecret || a.TaintsReturn != b.TaintsReturn {
 		return false
 	}
 	if (a.WallClock == nil) != (b.WallClock == nil) ||
@@ -519,7 +510,7 @@ func taintCarrier(t types.Type) bool {
 //     local value may encode, plus whether it carries source material.
 //     Drives Logged/VarCompared and the return facts.
 //   - alias (same backing array; copies do not count): which parameters'
-//     storage a local may share. Drives Retained/Zeroized/PutPool.
+//     storage a local may share. Drives Retained/Zeroized.
 type sumWalker struct {
 	prog   *Program
 	fi     *funcInfo
@@ -787,9 +778,6 @@ func (w *sumWalker) pass() bool {
 				if m != 0 {
 					w.out.TaintsReturn = true
 				}
-				if w.returnsPool(r) {
-					w.out.ReturnsPoolBuf = true
-				}
 				w.markParams(w.evalAlias(r), ParamRetained)
 			}
 		case *ast.SendStmt:
@@ -833,7 +821,6 @@ func (w *sumWalker) pass() bool {
 	}
 	return before.ReturnsSecret != w.out.ReturnsSecret ||
 		before.TaintsReturn != w.out.TaintsReturn ||
-		before.ReturnsPoolBuf != w.out.ReturnsPoolBuf ||
 		(before.WallClock == nil) != (w.out.WallClock == nil) ||
 		(before.Blocks == nil) != (w.out.Blocks == nil) ||
 		(before.Emits == nil) != (w.out.Emits == nil)
@@ -843,21 +830,6 @@ func (w *sumWalker) reachEmit(r *Reach) {
 	if w.out.Emits == nil {
 		w.out.Emits = r
 	}
-}
-
-// returnsPool reports whether e is a fresh pool buffer.
-func (w *sumWalker) returnsPool(e ast.Expr) bool {
-	if classifyOrigin(w.info, e) == originPool {
-		return true
-	}
-	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
-		for _, cand := range w.prog.resolveCall(w.info, call) {
-			if s := w.prog.summaries[cand]; s != nil && s.ReturnsPoolBuf {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // assign merges RHS facts into LHS locals and records retention for
@@ -1001,11 +973,6 @@ func (w *sumWalker) call(call *ast.CallExpr) {
 		}
 		return
 	}
-	// Pool release.
-	if arg, ok := isPoolPut(info, call); ok {
-		w.markParams(w.evalAlias(arg), ParamPutPool)
-		return
-	}
 	// Log sinks.
 	if fn != nil && isLogSink(fn) {
 		for _, a := range call.Args {
@@ -1090,9 +1057,6 @@ func (w *sumWalker) call(call *ast.CallExpr) {
 			}
 			if facts&ParamZeroized != 0 {
 				w.markParams(am, ParamZeroized)
-			}
-			if facts&ParamPutPool != 0 {
-				w.markParams(am, ParamPutPool)
 			}
 		}
 	}

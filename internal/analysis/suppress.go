@@ -81,7 +81,7 @@ func knownCheckNames() map[string]bool {
 //     way it is dead and must be deleted).
 //
 // Unused-ness is only judged for checks in ran: a simdet waiver is not
-// "unused" during a -checks=bufown run that never gave it a chance.
+// "unused" during a -checks=secflow run that never gave it a chance.
 func applySuppressions(pkg *Package, diags []Diagnostic, ran []*Analyzer) []Diagnostic {
 	sups, bad := parseSuppressions(pkg)
 	diags = append(diags, bad...)

@@ -3,7 +3,8 @@
 // then lays out three interfaces: one with a single module implementor
 // (the must-dispatch edge joins the hot set), one whose two implementors
 // both live here (sealed: both join), and one with a second implementor
-// in the sibling ext package (ambiguous: no edge, nobody joins).
+// in the sibling ext package (ambiguous: no edge, nobody joins), plus a
+// nil-guarded hook whose callees stay cold.
 // TestHotSetMustSemantics asserts membership; the // want lines are what
 // the analyzer reports when it runs over the set.
 package netsim
@@ -60,14 +61,32 @@ func ImplReached(n int) {
 	}
 }
 
+// hook is an optional package-level hook, nil unless something wires it
+// up: Run calls it only behind `if hook != nil`, so tracer.note and what it
+// reaches stay out of the hot set.
+var hook *tracer
+
+type tracer struct{}
+
+func (*tracer) note() { hookReached() }
+
+func hookReached() {
+	// A map range that must NOT be flagged: only the guarded hook reaches it.
+	for range sink {
+	}
+}
+
 // Run is the root. direct() is hot through a static call; s.h.Handle()
 // through the single-implementor edge; s.c.Seal() through the sealed
-// interface; s.m.Do() adds nothing.
+// interface; s.m.Do() and the guarded hook add nothing.
 func (s *Sim) Run() {
 	direct()
 	s.h.Handle()
 	s.c.Seal()
 	s.m.Do()
+	if hook != nil {
+		hook.note()
+	}
 }
 
 func direct() {

@@ -15,11 +15,6 @@ import (
 // Draw stands in for keymat.Draw, a secret source by package and name.
 func Draw(n int) []byte { return make([]byte, n) }
 
-// GetBuf/PutBuf stand in for the packet-buffer pool: the module path
-// prefix and the names are what the pool predicates key on.
-func GetBuf() []byte  { return make([]byte, 1500) }
-func PutBuf(b []byte) {}
-
 // --- mutual recursion: the log sink is only visible from pingLog's
 // base case, but the fixpoint must mark b logged in BOTH functions. ---
 
@@ -32,19 +27,6 @@ func pingLog(b []byte, n int) {
 }
 
 func pongLog(b []byte, n int) { pingLog(b, n-1) }
-
-// --- mutually recursive buffer helpers: the PutBuf is reachable from
-// either entry point only through the other. ---
-
-func releaseEven(b []byte, n int) {
-	if n == 0 {
-		PutBuf(b)
-		return
-	}
-	releaseOdd(b, n-1)
-}
-
-func releaseOdd(b []byte, n int) { releaseEven(b, n-1) }
 
 // --- self-recursion: the secret return surfaces at the base case. ---
 

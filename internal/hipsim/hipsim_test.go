@@ -107,6 +107,59 @@ func TestHIPStreamEcho(t *testing.T) {
 	}
 }
 
+// TestESPStreamReturnsEveryBuffer checks the pool's balance across a
+// loss-free stream over ESP plus one ping: every wire segment, ESP packet
+// and decrypt buffer taken from the pool is back in it, whole, once the
+// run is over.
+func TestESPStreamReturnsEveryBuffer(t *testing.T) {
+	const total = 1 << 20
+	start := netsim.PoolOutstanding()
+	w := buildWorld(t, hip.CostModel{}, netsim.Link{Latency: time.Millisecond})
+	l := w.sb.MustListen(80)
+	rcvd := 0
+	w.sim.Spawn("sink", func(p *netsim.Proc) {
+		c, err := l.Accept(p, 0)
+		if err != nil {
+			return
+		}
+		buf := make([]byte, 64*1024)
+		for {
+			n, err := c.Read(p, buf)
+			rcvd += n
+			if err != nil {
+				break
+			}
+		}
+		c.Close()
+	})
+	w.sim.Spawn("source", func(p *netsim.Proc) {
+		c, err := w.sa.Dial(p, idB.HIT(), 80, 10*time.Second)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		chunk := make([]byte, 32*1024)
+		for sent := 0; sent < total; sent += len(chunk) {
+			if _, err := c.Write(p, chunk); err != nil {
+				t.Errorf("write: %v", err)
+				return
+			}
+		}
+		c.Close()
+		if _, err := w.fa.Ping(p, idB.HIT(), 64, 5*time.Second); err != nil {
+			t.Errorf("ping: %v", err)
+		}
+	})
+	w.sim.Run(time.Minute)
+	w.sim.Shutdown()
+	if rcvd != total {
+		t.Fatalf("received %d of %d", rcvd, total)
+	}
+	if n := netsim.PoolOutstanding() - start; n != 0 {
+		t.Fatalf("%d pooled buffers not returned whole after the stream", n)
+	}
+}
+
 func TestHIPDialByLSI(t *testing.T) {
 	w := buildWorld(t, hip.CostModel{}, netsim.Link{Latency: time.Millisecond})
 	lsi := w.reg.LSI(idB.HIT())

@@ -187,7 +187,7 @@ func Parse(b []byte) (*Packet, error) {
 		return nil, fmt.Errorf("hipwire: packet exceeds %d bytes", MaxPacket)
 	}
 	totalLen := (int(b[1]) + 1) * 8
-	if totalLen > len(b) {
+	if totalLen < HeaderLen || totalLen > len(b) {
 		return nil, ErrShort
 	}
 	b = b[:totalLen]

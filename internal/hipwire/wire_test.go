@@ -65,6 +65,10 @@ func TestParseRejectsCorruption(t *testing.T) {
 	if _, err := Parse(bad); err != ErrShort {
 		t.Fatalf("length overrun: %v", err)
 	}
+	bad[1] = 2 // claimed length shorter than the fixed header
+	if _, err := Parse(bad); err != ErrShort {
+		t.Fatalf("length under header: %v", err)
+	}
 }
 
 func TestParseRejectsOutOfOrderParams(t *testing.T) {

@@ -1,12 +1,9 @@
 // Buffer pooling for packet bodies.
 //
-// Every hop in the simulator (and the real-UDP drivers) used to allocate
-// fresh byte slices for packet payloads, wire segments and crypto output;
-// at Fig. 2/3 scale that is millions of short-lived allocations per run.
-// GetBuf/PutBuf recycle those bodies through sync.Pools in a few size
-// classes covering the common cases: small control messages, MTU-sized
-// packets, TCP segments up to the stream layer's windows, and 64 KiB
-// datagram-max bodies.
+// GetBuf/PutBuf recycle the simulator's packet payloads, wire segments
+// and crypto output through sync.Pools in four size classes: control
+// messages, MTU-sized packets, stream segments and 64 KiB datagrams. At
+// Fig. 2/3 scale that saves millions of short-lived allocations a run.
 //
 // The pool stores *[N]byte array pointers rather than slices: pointer
 // types are direct interface values, so Put and Get themselves do not
@@ -17,10 +14,16 @@
 // references — putting a buffer twice, or putting while a reader still
 // holds a sub-slice, corrupts unrelated packets later. Dropping a buffer
 // without PutBuf is always safe (the GC reclaims it); when in doubt,
-// leak rather than double-put.
+// leak rather than double-put. Test binaries referee this (poolLedger).
 package netsim
 
-import "sync"
+import (
+	"bytes"
+	"runtime"
+	"sync"
+	"testing"
+	"unsafe"
+)
 
 // Pool size classes in bytes. A buffer in pool i has capacity >= classes[i].
 const (
@@ -31,27 +34,43 @@ const (
 )
 
 var (
-	poolSmall = sync.Pool{New: func() interface{} { return new([classSmall]byte) }}
-	poolMTU   = sync.Pool{New: func() interface{} { return new([classMTU]byte) }}
-	poolSeg   = sync.Pool{New: func() interface{} { return new([classSeg]byte) }}
-	poolMax   = sync.Pool{New: func() interface{} { return new([classMax]byte) }}
+	poolSmall = sync.Pool{New: slab[[classSmall]byte]}
+	poolMTU   = sync.Pool{New: slab[[classMTU]byte]}
+	poolSeg   = sync.Pool{New: slab[[classSeg]byte]}
+	poolMax   = sync.Pool{New: slab[[classMax]byte]}
 )
+
+// slab allocates one pool array. Test binaries track its base address
+// until a finalizer forgets it, before the GC can reuse the address.
+func slab[A any]() interface{} {
+	p := new(A)
+	if ledger != nil {
+		ledger.add(uintptr(unsafe.Pointer(p)))
+		runtime.SetFinalizer(p, func(p *A) { ledger.forget(uintptr(unsafe.Pointer(p))) })
+	}
+	return p
+}
 
 // GetBuf returns a length-n buffer from the smallest size class that fits,
 // or a fresh allocation for oversized requests. Contents are undefined.
 func GetBuf(n int) []byte {
+	var b []byte
 	switch {
 	case n <= classSmall:
-		return poolSmall.Get().(*[classSmall]byte)[:n]
+		b = poolSmall.Get().(*[classSmall]byte)[:n]
 	case n <= classMTU:
-		return poolMTU.Get().(*[classMTU]byte)[:n]
+		b = poolMTU.Get().(*[classMTU]byte)[:n]
 	case n <= classSeg:
-		return poolSeg.Get().(*[classSeg]byte)[:n]
+		b = poolSeg.Get().(*[classSeg]byte)[:n]
 	case n <= classMax:
-		return poolMax.Get().(*[classMax]byte)[:n]
+		b = poolMax.Get().(*[classMax]byte)[:n]
 	default:
 		return make([]byte, n)
 	}
+	if ledger != nil {
+		ledger.get(b)
+	}
+	return b
 }
 
 // PutBuf recycles a buffer obtained from GetBuf (or anywhere else) into
@@ -60,6 +79,9 @@ func GetBuf(n int) []byte {
 // shortened buffer simply rejoins a smaller class. Buffers below the
 // smallest class are left to the GC. The caller must own b exclusively.
 func PutBuf(b []byte) {
+	if ledger != nil {
+		ledger.put(b)
+	}
 	c := cap(b)
 	switch {
 	case c >= classMax:
@@ -71,4 +93,74 @@ func PutBuf(b []byte) {
 	case c >= classSmall:
 		poolSmall.Put((*[classSmall]byte)(b[:classSmall:c]))
 	}
+}
+
+// PoolOutstanding reports how many pooled buffers GetBuf handed out that
+// PutBuf has not taken back whole. A loss-free run that completes brings
+// it back to its starting value. Outside test binaries it is always 0.
+func PoolOutstanding() int {
+	if ledger == nil {
+		return 0
+	}
+	ledger.mu.Lock()
+	defer ledger.mu.Unlock()
+	return ledger.out
+}
+
+// ledger is non-nil only in test binaries.
+var ledger *poolLedger
+
+// poolLedger knows every slab the pools' New made, by base address. A
+// PutBuf of a pooled slab panics: a double put, or a put while another
+// reference was live. Every recycled buffer is overwritten with 0xA5, so
+// a stale alias reads garbage. A foreign or offset PutBuf is legal but is
+// not a return, so it shows in PoolOutstanding as a leak does.
+type poolLedger struct {
+	mu     sync.Mutex
+	pooled map[uintptr]bool // slab base → in a pool now
+	out    int              // slabs handed out minus slabs returned whole
+	poison []byte
+}
+
+func init() {
+	if testing.Testing() {
+		ledger = &poolLedger{pooled: make(map[uintptr]bool), poison: bytes.Repeat([]byte{0xA5}, classMax)}
+	}
+}
+
+func (l *poolLedger) add(base uintptr) {
+	l.mu.Lock()
+	l.pooled[base] = true
+	l.mu.Unlock()
+}
+
+func (l *poolLedger) forget(base uintptr) {
+	l.mu.Lock()
+	delete(l.pooled, base)
+	l.mu.Unlock()
+}
+
+func (l *poolLedger) get(b []byte) {
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	l.mu.Lock()
+	if l.pooled[base] {
+		l.pooled[base] = false
+		l.out++
+	}
+	l.mu.Unlock()
+}
+
+func (l *poolLedger) put(b []byte) {
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	l.mu.Lock()
+	pooled, known := l.pooled[base]
+	if known && !pooled {
+		l.pooled[base] = true
+		l.out--
+	}
+	l.mu.Unlock()
+	if pooled {
+		panic("netsim: PutBuf of a buffer already in the pool: a double put, or a put while another reference was live")
+	}
+	copy(b[:cap(b)], l.poison)
 }

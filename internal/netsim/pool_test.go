@@ -1,6 +1,12 @@
 package netsim
 
-import "testing"
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+)
 
 func TestBufPoolClassSelection(t *testing.T) {
 	for _, tc := range []struct{ n, wantCap int }{
@@ -25,17 +31,20 @@ func TestBufPoolClassSelection(t *testing.T) {
 	PutBuf(big) // must not panic; joins classMax
 }
 
-func TestBufPoolReusesBuffers(t *testing.T) {
+// TestPutBufPoisonsStaleAlias: a view kept past PutBuf reads the
+// ledger's 0xA5 poison, across the whole capacity, not the old bytes.
+func TestPutBufPoisonsStaleAlias(t *testing.T) {
 	b := GetBuf(1400)
-	b[0] = 0xEE
-	PutBuf(b)
-	// The next same-class Get on this goroutine should hand back the same
-	// backing array (sync.Pool per-P cache).
-	c := GetBuf(600)
-	if &b[0] != &c[0] {
-		t.Log("pool did not reuse the buffer (legal but unexpected under no GC pressure)")
+	stale := b[:cap(b)]
+	for i := range stale {
+		stale[i] = 0x11
 	}
-	PutBuf(c)
+	PutBuf(b)
+	for i, v := range stale {
+		if v != 0xA5 {
+			t.Fatalf("stale alias byte %d = %#x after PutBuf, want the 0xA5 poison", i, v)
+		}
+	}
 }
 
 func TestBufPoolSubsliceRejoinsSmallerClass(t *testing.T) {
@@ -60,6 +69,54 @@ func TestBufPoolZeroAllocSteadyState(t *testing.T) {
 	// pool mid-measurement.
 	if allocs >= 1 {
 		t.Errorf("GetBuf/PutBuf allocates %v/op, want 0", allocs)
+	}
+}
+
+func TestPutBufTwicePanics(t *testing.T) {
+	b := GetBuf(1400)
+	PutBuf(b)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "PutBuf") {
+			t.Fatalf("second PutBuf recovered %v, want a panic naming PutBuf", r)
+		}
+	}()
+	PutBuf(b[:10]) // same slab, shorter view
+}
+
+// TestPutBufForeignAndOffsetAreNotReturns: neither a buffer the pool never
+// made nor an offset sub-slice of one it did panics, and neither counts as
+// a return, so the slab b stays outstanding.
+func TestPutBufForeignAndOffsetAreNotReturns(t *testing.T) {
+	start := PoolOutstanding()
+	b := GetBuf(classSeg)
+	PutBuf(make([]byte, classMTU))
+	PutBuf(b[8:])
+	if n := PoolOutstanding() - start; n != 1 {
+		t.Fatalf("PoolOutstanding moved by %d, want 1: b was handed out and never returned whole", n)
+	}
+}
+
+// TestPoolLedgerConcurrentUse drives the ledger from several goroutines
+// while the GC runs slab finalizers, which reach it from another; under
+// -race it checks the ledger's locking.
+func TestPoolLedgerConcurrentUse(t *testing.T) {
+	start := PoolOutstanding()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				PutBuf(GetBuf(100 + i))
+				if i%250 == 0 {
+					runtime.GC()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := PoolOutstanding() - start; n != 0 {
+		t.Fatalf("PoolOutstanding moved by %d across balanced Get/Put pairs", n)
 	}
 }
 

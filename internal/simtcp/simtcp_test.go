@@ -69,10 +69,12 @@ func TestDialListenEcho(t *testing.T) {
 	}
 }
 
-func TestBulkTransferThroughputBoundedByBandwidth(t *testing.T) {
-	// 10 MB over a 10 MB/s link should take ≈1s of virtual time.
+// bulkTransfer sends total bytes from a to b over a 10 MB/s link, closes
+// the connection and runs the simulation to rest. It returns the bytes the
+// sink read and the virtual time it read the last of them.
+func bulkTransfer(t *testing.T, total int) (int, netsim.VTime) {
+	t.Helper()
 	s, sa, sb := env(t, netsim.Link{Latency: 200 * time.Microsecond, Bandwidth: 10e6})
-	const total = 10 << 20
 	l := sb.MustListen(5001)
 	var rcvd int
 	var done netsim.VTime
@@ -111,12 +113,34 @@ func TestBulkTransferThroughputBoundedByBandwidth(t *testing.T) {
 	})
 	s.Run(2 * time.Minute)
 	s.Shutdown()
+	return rcvd, done
+}
+
+func TestBulkTransferThroughputBoundedByBandwidth(t *testing.T) {
+	// 10 MB over a 10 MB/s link should take ≈1s of virtual time.
+	const total = 10 << 20
+	rcvd, done := bulkTransfer(t, total)
 	if rcvd != total {
 		t.Fatalf("received %d of %d", rcvd, total)
 	}
 	secs := done.Seconds()
 	if secs < 0.9 || secs > 2.5 {
 		t.Fatalf("10MB over 10MB/s took %.2fs of virtual time", secs)
+	}
+}
+
+// TestBulkTransferReturnsEveryBuffer checks the pool's balance across a
+// loss-free plain transfer: every wire buffer flush took from the pool is
+// back in it, whole, once the run is over. A leaked buffer or a PutBuf of
+// an offset sub-slice leaves PoolOutstanding above its starting value.
+func TestBulkTransferReturnsEveryBuffer(t *testing.T) {
+	const total = 10 << 20
+	start := netsim.PoolOutstanding()
+	if rcvd, _ := bulkTransfer(t, total); rcvd != total {
+		t.Fatalf("received %d of %d", rcvd, total)
+	}
+	if n := netsim.PoolOutstanding() - start; n != 0 {
+		t.Fatalf("%d pooled buffers not returned whole after the transfer", n)
 	}
 }
 
