@@ -90,19 +90,25 @@ race:
 # run-to-completion core (event dispatch, timer churn, process hand-off)
 # shows up in B/op before it shows up in the sim_rubis workload; CPUUse is
 # the one virtual-CPU charge path (Use and UseAsync share its task).
+# LockstepBulk is the stream core's bulk path from Write to Read with a
+# full send buffer: 0 B/op once its buffers have grown, as they slide in
+# their arrays instead of regrowing.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Seal|Record|EventThroughput|TimerResetFire|ProcSleepWake|ProcContextSwitch|CPUUse' \
+	$(GO) test -run=NONE -bench='Seal|Record|EventThroughput|TimerResetFire|ProcSleepWake|ProcContextSwitch|CPUUse|LockstepBulk' \
 		-benchtime=10x -benchmem \
-		./internal/esp ./internal/tlslite ./internal/keymat ./internal/netsim
+		./internal/esp ./internal/tlslite ./internal/keymat ./internal/netsim ./internal/stream
 
-# Short fuzz pass over every wire-format fuzz target (go test allows one
+# Short fuzz pass over every fuzz target (go test allows one
 # -fuzz pattern per invocation, hence one line per target), so the
 # checked-in corpora and 30 s of fresh inputs run in the gate. esp.FuzzOpen
 # has no keys, so it stops at the ICV check; keymat.FuzzCipherOpen and
 # tlslite.FuzzOpenRecord hold the keys and fuzz what lies behind it. The
 # eleventh target, hipudp.FuzzFrameDemux, feeds datagrams to a live stack's
 # frame demux (onControl/onData) as an outsider would; the twelfth,
-# tlslite.FuzzHandshake, plays an arbitrary peer to Server and to Client.
+# tlslite.FuzzHandshake, plays an arbitrary peer to Server and to Client;
+# the thirteenth, stream.FuzzTransfer, runs two stream conns through
+# input-chosen loss, duplication and reordering and checks exactly-once,
+# in-order delivery and the lend invariant.
 FUZZTIME ?= 30s
 
 fuzz-smoke:
@@ -116,6 +122,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseMessage$$ -fuzztime=$(FUZZTIME) ./internal/hipdns
 	$(GO) test -run=NONE -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/hipwire
 	$(GO) test -run=NONE -fuzz=FuzzParseSegment$$ -fuzztime=$(FUZZTIME) ./internal/stream
+	$(GO) test -run=NONE -fuzz=FuzzTransfer$$ -fuzztime=$(FUZZTIME) ./internal/stream
 	$(GO) test -run=NONE -fuzz=FuzzDecodeData$$ -fuzztime=$(FUZZTIME) ./internal/teredo
 	$(GO) test -run=NONE -fuzz=FuzzFrameDemux$$ -fuzztime=$(FUZZTIME) ./internal/hipudp
 

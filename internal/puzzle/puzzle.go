@@ -84,15 +84,18 @@ func Verify(i uint64, k uint8, hitI, hitR netip.Addr, j uint64) bool {
 }
 
 // Difficulty is a load-adaptive controller for K: the responder raises
-// difficulty as its pending-handshake load grows, per the DoS design the
-// paper inherits from HIP.
+// difficulty as its handshake load grows, per the DoS design the paper
+// inherits from HIP. hip.Host measures that load as its I1 arrival rate
+// (a count decayed with a 1 s time constant) plus the driver-reported
+// admission backlog, so a responder serving legitimate connects one after
+// another also sees its K rise with their rate.
 type Difficulty struct {
 	// BaseK is the difficulty at or below LowWater load.
 	BaseK uint8
 	// MaxK caps the difficulty at HighWater load and above.
 	MaxK uint8
-	// LowWater / HighWater are pending-handshake counts between which K
-	// interpolates linearly.
+	// LowWater / HighWater are load values (decayed I1 arrivals plus
+	// admission backlog) between which K interpolates linearly.
 	LowWater, HighWater int
 }
 
@@ -100,7 +103,7 @@ type Difficulty struct {
 // idle, up to 2^16 work under attack.
 var DefaultDifficulty = Difficulty{BaseK: 1, MaxK: 16, LowWater: 8, HighWater: 256}
 
-// K returns the difficulty for the given pending-handshake load.
+// K returns the difficulty for the given load.
 func (d Difficulty) K(load int) uint8 {
 	if d.HighWater <= d.LowWater {
 		return d.BaseK

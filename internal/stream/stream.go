@@ -12,6 +12,11 @@
 // marshals them onto its wire unit before the next call on that Conn.
 // OnSegment borrows: it copies what it keeps, so the driver may recycle
 // the inbound wire unit as soon as it returns.
+//
+// The send and receive buffers each keep one backing array and slide
+// their live bytes to its front when the tail fills, so a long transfer
+// allocates nothing once they have grown. A segment stays one contiguous
+// view of the send buffer.
 package stream
 
 import (
@@ -110,14 +115,17 @@ type Conn struct {
 	sndISS uint32
 	sndUna uint32 // oldest unacknowledged
 	sndNxt uint32 // next sequence to send
-	// sndBuf holds the unsent+unacked bytes, starting at sndUna. Queued and
-	// lent segments are views of it, so its memory is never written below
-	// the current start: Write appends (growing the tail or moving to a
-	// fresh array) and an ACK only advances the start. A retransmission
-	// queued before a later ACK therefore still reads the bytes it was cut
-	// from. Do not compact in place.
-	sndBuf  []byte
-	peerWnd uint32
+	// sndBuf holds the unsent+unacked bytes, starting at sndUna, as the
+	// tail of sndArr: an ACK advances the start and Write appends. When
+	// the tail is full, Write slides the live bytes to sndArr's front
+	// (slideAppend), over bytes already acknowledged. Segments are views
+	// of sndBuf: lent ones expire at the next call on the conn, but a
+	// retransmission that OnTimer or fast retransmit queued in out is read
+	// at the next Poll and may have been acknowledged meanwhile, so while
+	// out holds a payload Write does not slide; it moves to a fresh array
+	// and the old one stays intact under the view.
+	sndBuf, sndArr []byte
+	peerWnd        uint32
 	// Congestion control (Reno-style slow start + AIMD).
 	cwnd        int
 	ssthresh    int
@@ -137,7 +145,8 @@ type Conn struct {
 	// Receive side.
 	rcvISS    uint32
 	rcvNxt    uint32
-	rcvBuf    []byte
+	rcvBuf    []byte // received, unread bytes: the tail of rcvArr
+	rcvArr    []byte
 	oooSegs   []Segment // out-of-order segments awaiting the gap fill
 	peerFin   bool
 	finRcvSeq uint32
@@ -294,8 +303,32 @@ func (c *Conn) Write(b []byte) (int, error) {
 	if len(b) > space {
 		b = b[:space]
 	}
-	c.sndBuf = append(c.sndBuf, b...)
+	slide := true
+	for _, seg := range c.out {
+		if len(seg.Payload) > 0 { // a queued retransmission views sndBuf
+			slide = false
+			break
+		}
+	}
+	c.sndArr, c.sndBuf = slideAppend(c.sndArr, c.sndBuf, b, slide)
 	return len(b), nil
+}
+
+// slideAppend appends b to buf, the live tail of the backing array arr,
+// and returns the array and the live bytes. When the tail has no room,
+// the live bytes and b go to arr's front if slide allows and they fit in
+// half of it, and to a fresh array twice their size otherwise. A slide
+// follows at least cap(arr)/2 appended bytes, so at most one byte moves
+// per byte appended, and arr stays within twice the most ever held.
+func slideAppend(arr, buf, b []byte, slide bool) ([]byte, []byte) {
+	if len(b) > cap(buf)-len(buf) {
+		n := len(buf) + len(b)
+		if !slide || n > cap(arr)/2 {
+			arr = make([]byte, 2*n)
+		}
+		buf = arr[:copy(arr, buf)]
+	}
+	return arr, append(buf, b...)
 }
 
 // Read consumes buffered received data. When the peer has closed and all
@@ -576,7 +609,7 @@ func (c *Conn) processPayload(seg Segment) {
 	if len(data) > room {
 		data = data[:room]
 	}
-	c.rcvBuf = append(c.rcvBuf, data...)
+	c.rcvArr, c.rcvBuf = slideAppend(c.rcvArr, c.rcvBuf, data, true)
 	c.rcvNxt += uint32(len(data))
 	c.BytesRcvd += uint64(len(data))
 	// Drain any out-of-order segments that are now contiguous.
@@ -597,7 +630,7 @@ func (c *Conn) processPayload(seg Segment) {
 				if len(d) > room {
 					d = d[:room]
 				}
-				c.rcvBuf = append(c.rcvBuf, d...)
+				c.rcvArr, c.rcvBuf = slideAppend(c.rcvArr, c.rcvBuf, d, true)
 				c.rcvNxt += uint32(len(d))
 				c.BytesRcvd += uint64(len(d))
 				c.oooSegs = append(c.oooSegs[:i], c.oooSegs[i+1:]...)

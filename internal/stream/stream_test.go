@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"container/heap"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -109,7 +110,7 @@ func (h *harness) run(horizon time.Duration) {
 	}
 }
 
-func (h *harness) connect(t *testing.T) {
+func (h *harness) connect(t testing.TB) {
 	t.Helper()
 	h.a.Open(h.now)
 	h.pump()
@@ -323,40 +324,189 @@ func TestAbortWhileRangingLentSegments(t *testing.T) {
 	}
 }
 
-// TestWritePollMarshalAllocatesNothing pins the lending contract's point:
-// between Write and the wire unit a data segment costs no allocation, as
-// Poll lends views of sndBuf in a reused slice. The send buffer is kept
-// full and the peer's window at one segment, as on a bulk transfer; what
-// remains is sndBuf's own regrowth, once per quarter buffer, far below the
-// integer average AllocsPerRun reports.
-func TestWritePollMarshalAllocatesNothing(t *testing.T) {
+// TestLendSurvivesSlide: a retransmission that OnTimer queues is a view of
+// sndBuf until the next Poll. An ACK and Writes that fill and overrun the
+// tail of sndBuf's array in between must not slide the live bytes over it.
+func TestLendSurvivesSlide(t *testing.T) {
 	h := newHarness(time.Millisecond, 0)
 	h.connect(t)
 	a := h.a
 	mss := a.cfg.MSS
-	a.Write(make([]byte, a.cfg.SendBuf))
-	chunk := make([]byte, mss)
-	wire := make([]byte, HeaderSize+mss)
-	sent := 0
-	step := func() {
-		a.Write(chunk)
-		segs, _ := a.Poll(h.now)
-		for _, seg := range segs {
-			seg.MarshalInto(wire)
-			sent += len(seg.Payload)
+	data := make([]byte, 11*mss)
+	rand.New(rand.NewSource(12)).Read(data)
+	base := a.sndNxt // sequence of data[0]
+	ack := func(n int) {
+		a.OnSegment(Segment{Flags: FlagACK, Ack: base + uint32(n), Window: 65535}, h.now)
+	}
+	// Fill sndBuf's array to its end with the start two segments in:
+	// 4 segments make an 8-segment array, 2 are acknowledged, 4 more go
+	// out, so the live bytes are data[2*mss:8*mss] at the array's tail.
+	a.Write(data[:4*mss])
+	a.Poll(h.now)
+	ack(2 * mss)
+	a.Write(data[4*mss : 8*mss])
+	_, deadline := a.Poll(h.now)
+	a.OnTimer(deadline) // queues data[2*mss:3*mss] again, a view of the array
+	if a.Retransmits != 1 {
+		t.Fatalf("retransmits = %d, want 1", a.Retransmits)
+	}
+	// Everything is acknowledged before the driver polls, and 3 segments
+	// written now fit in half the array: without the queued view they
+	// would slide to its front, over the retransmission's bytes.
+	ack(8 * mss)
+	a.Write(data[8*mss:])
+	segs, _ := a.Poll(h.now)
+	if len(segs) == 0 || segs[0].Seq != base+uint32(2*mss) {
+		t.Fatalf("first polled segment %+v, want the retransmission at offset %d", segs, 2*mss)
+	}
+	if !bytes.Equal(segs[0].Payload, data[2*mss:3*mss]) {
+		t.Fatal("the queued retransmission no longer carries the bytes it was cut from")
+	}
+}
+
+// lockstep joins two established conns in memory and moves a bulk
+// transfer through them in rounds, as a driver would but with no clock,
+// queue or closure of its own, so that a round allocates only what the
+// conns do.
+type lockstep struct {
+	a, b       *Conn
+	chunk, buf []byte
+	units      [][]byte // reused wire units, one per segment of a round
+	moved      int      // bytes read on b
+}
+
+func newLockstep(tb testing.TB) *lockstep {
+	h := newHarness(time.Millisecond, 0)
+	h.connect(tb)
+	l := &lockstep{a: h.a, b: h.b, chunk: make([]byte, 16<<10), buf: make([]byte, 16<<10)}
+	for i := 0; i < 128; i++ {
+		l.units = append(l.units, make([]byte, HeaderSize+h.a.cfg.MSS))
+	}
+	return l
+}
+
+// round writes until a's send buffer refuses, carries what a polls to b,
+// reads b dry and carries b's ACKs back to a. Each segment is marshaled
+// before the next call on its conn and parsed again on delivery. m, when
+// set, charges the allocations of a's calls to send and b's to recv.
+func (l *lockstep) round(m *allocMeter) {
+	for {
+		if n, _ := l.a.Write(l.chunk); n < len(l.chunk) {
+			break
 		}
-		a.OnSegment(Segment{Flags: FlagACK, Ack: a.sndNxt, Window: uint32(mss)}, h.now)
 	}
-	for i := 0; i < 8; i++ {
-		step()
+	units := l.poll(l.a)
+	m.lap(false)
+	l.deliver(units, l.b)
+	for {
+		n, _ := l.b.Read(l.buf)
+		if n == 0 {
+			break
+		}
+		l.moved += n
 	}
-	sent = 0
-	const runs = 200
-	if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
-		t.Errorf("%.0f allocations per segment written, polled and marshaled, want 0", allocs)
+	units = l.poll(l.b)
+	m.lap(true)
+	l.deliver(units, l.a)
+	m.lap(false)
+}
+
+func (l *lockstep) poll(c *Conn) [][]byte {
+	segs, _ := c.Poll(0)
+	units := l.units[:len(segs)]
+	for i, seg := range segs {
+		units[i] = units[i][:HeaderSize+len(seg.Payload)]
+		seg.MarshalInto(units[i])
 	}
-	if sent != (runs+1)*mss {
-		t.Fatalf("sent %d bytes in %d runs, want one full segment a run", sent, runs+1)
+	return units
+}
+
+func (l *lockstep) deliver(units [][]byte, to *Conn) {
+	for _, u := range units {
+		seg, err := ParseSegment(u)
+		if err != nil {
+			panic(err)
+		}
+		to.OnSegment(seg, 0)
+	}
+}
+
+// allocMeter splits the process's heap allocation, in bytes, between the
+// two ends of a lockstep. A nil meter charges nothing.
+type allocMeter struct {
+	ms               runtime.MemStats
+	last, send, recv uint64
+}
+
+func newAllocMeter() *allocMeter {
+	m := &allocMeter{}
+	runtime.ReadMemStats(&m.ms)
+	m.last = m.ms.TotalAlloc
+	return m
+}
+
+// lap charges the bytes allocated since the previous lap to recv or send.
+func (m *allocMeter) lap(recv bool) {
+	if m == nil {
+		return
+	}
+	runtime.ReadMemStats(&m.ms)
+	if recv {
+		m.recv += m.ms.TotalAlloc - m.last
+	} else {
+		m.send += m.ms.TotalAlloc - m.last
+	}
+	m.last = m.ms.TotalAlloc
+}
+
+// TestWritePollMarshalAllocatesNothing pins the lending and sliding
+// contracts in bytes: once the buffers have grown, a bulk transfer with a
+// full send buffer allocates nothing from Write to wire unit and back
+// through the ACK (Poll lends views of sndBuf in a reused slice, and
+// sndBuf slides in its array), and nothing from OnSegment to Read (rcvBuf
+// slides too). It also bounds what the sliding arrays may grow to.
+func TestWritePollMarshalAllocatesNothing(t *testing.T) {
+	l := newLockstep(t)
+	for l.moved < 1<<20 { // warm-up: the buffers reach their size
+		l.round(nil)
+	}
+	const total = 8 << 20
+	start := l.moved
+	m := newAllocMeter()
+	for l.moved-start < total {
+		l.round(m)
+	}
+	if m.send != 0 || m.recv != 0 {
+		t.Errorf("%d MiB moved: Write/Poll/MarshalInto/ACK allocated %d B, OnSegment/Read/Poll %d B; want 0 and 0",
+			total>>20, m.send, m.recv)
+	}
+	if c := cap(l.a.sndArr); c > 2*l.a.cfg.SendBuf {
+		t.Errorf("sndBuf's array holds %d B, want at most twice SendBuf (%d)", c, l.a.cfg.SendBuf)
+	}
+	if c := cap(l.b.rcvArr); c > 2*l.b.cfg.Window {
+		t.Errorf("rcvBuf's array holds %d B, want at most twice Window (%d)", c, l.b.cfg.Window)
+	}
+}
+
+// TestEchoConnKeepsSmallArrays: a conn that only ever holds 64 bytes each
+// way keeps buffer arrays of a few hundred bytes, not of its configured
+// bounds (a responder keeps a thousand such conns).
+func TestEchoConnKeepsSmallArrays(t *testing.T) {
+	h := newHarness(time.Millisecond, 0)
+	h.connect(t)
+	msg := bytes.Repeat([]byte{'e'}, 64)
+	for i := 0; i < 200; i++ {
+		if got := h.transfer(t, h.a, h.b, msg, time.Second); !bytes.Equal(got, msg) {
+			t.Fatalf("request %d: got %q", i, got)
+		}
+		if got := h.transfer(t, h.b, h.a, msg, time.Second); !bytes.Equal(got, msg) {
+			t.Fatalf("echo %d: got %q", i, got)
+		}
+	}
+	for _, c := range []*Conn{h.a, h.b} {
+		if held := cap(c.sndArr) + cap(c.rcvArr); held > 4096 {
+			t.Errorf("a 64-byte echo conn holds %d B of buffer arrays, want at most 4096", held)
+		}
 	}
 }
 
@@ -610,6 +760,25 @@ func TestCongestionWindowBoundsInFlight(t *testing.T) {
 	}
 	if inflight > a.Cwnd() {
 		t.Fatalf("in flight %d exceeds cwnd %d", inflight, a.Cwnd())
+	}
+}
+
+// BenchmarkLockstepBulk moves a bulk transfer with a full send buffer
+// through two conns in memory (newLockstep), a MiB an op, after the
+// buffers have grown: the stream's own cost per byte from Write to Read,
+// and its allocations (0 B/op).
+func BenchmarkLockstepBulk(b *testing.B) {
+	l := newLockstep(b)
+	for l.moved < 1<<20 {
+		l.round(nil)
+	}
+	b.SetBytes(1 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for end := l.moved + 1<<20; l.moved < end; {
+			l.round(nil)
+		}
 	}
 }
 
