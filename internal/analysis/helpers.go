@@ -152,15 +152,6 @@ func isByteSliceType(t types.Type) bool {
 	return ok && b.Kind() == types.Byte
 }
 
-// isZeroConst reports whether e is a constant expression equal to 0.
-func isZeroConst(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil {
-		return false
-	}
-	return tv.Value.String() == "0"
-}
-
 // inspectSkipFuncLit walks n in source order, not descending into
 // function literals.
 func inspectSkipFuncLit(n ast.Node, fn func(ast.Node)) {

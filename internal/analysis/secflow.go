@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"strings"
 )
 
@@ -22,27 +21,20 @@ import (
 //     crypto package — of anything named like an authenticator (MAC, ICV,
 //     tag, digest, peer-echoed nonce): an attacker who can submit guesses
 //     learns a prefix length per probe. Such comparisons must go through
-//     hmac.Equal or subtle.ConstantTimeCompare;
-//   - ECDH shared secrets that are never zeroized: a local holding the
-//     raw shared secret must be cleared (keymat.Zeroize, clear, a zero
-//     loop, or a callee that zeroizes it) unless ownership moves on (it
-//     is returned, stored, or handed to a callee that retains it);
-//   - rekey/teardown paths that drop live keys: in a crypto package, a
-//     function whose name says it retires state (rekey, close, forget,
-//     evict, ...) must not overwrite a secret-bearing field, and no
-//     function may delete a map entry whose value directly holds key
-//     bytes, without wiping the old bytes first — the backing arrays
-//     otherwise stay readable on the heap indefinitely.
+//     hmac.Equal or subtle.ConstantTimeCompare.
+//
+// Whether keys are wiped is refereed at run time instead: keymat's
+// test-binary ledger counts every key buffer it hands out until
+// keymat.Zeroize clears it (DESIGN.md §5a).
 //
 // Secret-bearing struct fields are discovered program-wide: any store
 // of tainted data into T.f marks the class "T.f" for every package, so
 // a field filled by one function is protected in all the others. The
 // engine is a may-analysis: copies count for taint (hex encoding a key
-// is still the key) but not for retention, and unknown stdlib callees
-// neither launder nor retain secrets.
+// is still the key), and unknown stdlib callees do not launder secrets.
 var SecFlow = &Analyzer{
 	Name: "secflow",
-	Doc:  "key material flowing into logs, variable-time compares, or dropped without zeroization",
+	Doc:  "key material flowing into logs or variable-time compares",
 	Run:  runSecFlow,
 }
 
@@ -98,10 +90,6 @@ func comparableSecretType(info *types.Info, e ast.Expr) bool {
 	return isStringType(tv.Type) || isByteArrayType(tv.Type)
 }
 
-// retireRe matches function names that retire or replace secret-bearing
-// state; overwriting key material there ends its life and obliges a wipe.
-var retireRe = regexp.MustCompile(`(?i)rekey|close|shutdown|retire|forget|evict|teardown|destroy|remove|replace`)
-
 // secretParamName reports whether a []byte-ish parameter's name marks it
 // as key material ("key", "encKey", "secret", "kij", "ticket", "priv").
 // Public-key names are excluded.
@@ -127,8 +115,8 @@ func isByteArrayType(t types.Type) bool {
 func byteish(t types.Type) bool { return isByteSliceType(t) || isByteArrayType(t) }
 
 // containsByteData reports whether t directly owns byte storage: []byte,
-// [N]byte, or a struct/array embedding either. Pointers stop the walk —
-// deleting a pointer does not end the pointee's life.
+// [N]byte, or a struct, array or map value embedding either. Pointers
+// stop the walk: the pointee is not the value's own storage.
 func containsByteData(t types.Type) bool { return containsByteData1(t, 0) }
 
 func containsByteData1(t types.Type, depth int) bool {
@@ -229,9 +217,9 @@ func (p *Program) secretFieldClasses() map[string]bool {
 	return classes
 }
 
-// secWalker analyzes one function: a collect phase grows chain-taint,
-// alias and zeroize-event sets to a fixpoint, then a report phase walks
-// the body once flagging sinks.
+// secWalker analyzes one function: a collect phase grows the chain-taint
+// and alias sets to a fixpoint, then a report phase walks the body once
+// flagging sinks.
 type secWalker struct {
 	prog    *Program
 	pkg     *Package
@@ -241,7 +229,6 @@ type secWalker struct {
 
 	taint      map[string]bool   // access chains carrying secrets
 	aliasOf    map[string]string // local name → chain it was read from
-	zeroed     map[string]bool   // chains with a zeroize event
 	newClasses map[string]bool
 
 	pass *Pass // nil during class computation
@@ -252,7 +239,6 @@ func newSecWalker(prog *Program, pkg *Package, fd *ast.FuncDecl, classes map[str
 		prog: prog, pkg: pkg, info: pkg.Info, fd: fd, classes: classes,
 		taint:      map[string]bool{},
 		aliasOf:    map[string]string{},
-		zeroed:     map[string]bool{},
 		newClasses: map[string]bool{},
 	}
 	// Seed: []byte-ish parameters named like key material are secret in
@@ -401,49 +387,20 @@ func (w *secWalker) secretCall(call *ast.CallExpr) bool {
 	return false
 }
 
-// markZero records a zeroize event on e's chain (raw and alias-resolved).
-func (w *secWalker) markZero(e ast.Expr) {
-	c, base := rootChain(w.info, e)
-	if base == nil {
-		return
-	}
-	w.zeroed[c] = true
-	w.zeroed[w.resolveAlias(c)] = true
-}
-
-// zeroCovers reports whether chain c (or any chain it contains / is
-// contained by) saw a zeroize event.
-func (w *secWalker) zeroCovers(c string) bool {
-	for _, q := range []string{c, w.resolveAlias(c)} {
-		for z := range w.zeroed {
-			if z == q || strings.HasPrefix(z, q+".") || strings.HasPrefix(q, z+".") {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// collect grows taint/alias/zeroed to a fixpoint over the body.
+// collect grows taint/alias to a fixpoint over the body.
 func (w *secWalker) collect() {
 	for round := 0; round < 8; round++ {
-		before := len(w.taint) + len(w.aliasOf) + len(w.zeroed) + len(w.newClasses)
+		before := len(w.taint) + len(w.aliasOf) + len(w.newClasses)
 		ast.Inspect(w.fd.Body, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.AssignStmt:
 				w.collectAssign(x)
-			case *ast.RangeStmt:
-				if target, ok := w.zeroLoopTarget(x); ok {
-					w.markZero(target)
-				}
-			case *ast.CallExpr:
-				w.collectCall(x)
 			case *ast.CompositeLit:
 				w.collectComposite(x)
 			}
 			return true
 		})
-		if len(w.taint)+len(w.aliasOf)+len(w.zeroed)+len(w.newClasses) == before {
+		if len(w.taint)+len(w.aliasOf)+len(w.newClasses) == before {
 			break
 		}
 	}
@@ -529,51 +486,6 @@ func (w *secWalker) collectComposite(cl *ast.CompositeLit) {
 	}
 }
 
-func (w *secWalker) collectCall(call *ast.CallExpr) {
-	if isBuiltinCall(w.info, call, "clear") && len(call.Args) == 1 {
-		w.markZero(call.Args[0])
-		return
-	}
-	for _, cand := range w.prog.resolveCall(w.info, call) {
-		sum := w.prog.SummaryOf(cand)
-		if sum == nil {
-			continue
-		}
-		for pi, arg := range callArgsWithRecv(call, cand) {
-			if arg != nil && sum.paramFacts(pi)&ParamZeroized != 0 {
-				w.markZero(arg)
-			}
-		}
-	}
-}
-
-// zeroLoopTarget matches `for i := range b { b[i] = 0 }` and returns b.
-func (w *secWalker) zeroLoopTarget(r *ast.RangeStmt) (ast.Expr, bool) {
-	if r.Key == nil || r.Body == nil || len(r.Body.List) != 1 {
-		return nil, false
-	}
-	as, ok := r.Body.List[0].(*ast.AssignStmt)
-	if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 || as.Tok != token.ASSIGN {
-		return nil, false
-	}
-	ix, ok := as.Lhs[0].(*ast.IndexExpr)
-	if !ok || !isZeroConst(w.info, as.Rhs[0]) {
-		return nil, false
-	}
-	if !sameRoot(w.info, ix.X, r.X) {
-		return nil, false
-	}
-	keyID, ok := r.Key.(*ast.Ident)
-	if !ok {
-		return nil, false
-	}
-	ixID, ok := ast.Unparen(ix.Index).(*ast.Ident)
-	if !ok || ixID.Name != keyID.Name {
-		return nil, false
-	}
-	return r.X, true
-}
-
 // innerSelector unwraps index/slice/star/paren layers of an lvalue down
 // to the selector being written through, or nil.
 func innerSelector(e ast.Expr) *ast.SelectorExpr {
@@ -617,144 +529,19 @@ func runSecFlow(pass *Pass) {
 	}
 }
 
-// heapRooted reports whether base names storage that outlives the
-// function: a pointer (overwriting through it mutates the pointee and
-// strands the old value on the heap) or a package-level variable.
-// Overwriting fields of a value-typed local or parameter mutates a stack
-// copy — the fresh struct a Derive*/rekey helper is assembling — and
-// retires nothing live; the caller's original stays subject to the rule
-// in its own scope.
-func heapRooted(base types.Object) bool {
-	v, ok := base.(*types.Var)
-	if !ok {
-		return false
-	}
-	if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-		return true
-	}
-	_, isPtr := v.Type().Underlying().(*types.Pointer)
-	return isPtr
-}
-
 func (w *secWalker) report() {
-	retiring := cryptoPkgs[w.pkg.Name] && retireRe.MatchString(w.fd.Name.Name)
-
-	// Track ECDH shared-secret locals for the must-zeroize rule.
-	type ecdhLocal struct {
-		name string
-		pos  token.Pos
-		ok   bool
-	}
-	var ecdhLocals []*ecdhLocal
-	localByName := func(root string) *ecdhLocal {
-		for _, l := range ecdhLocals {
-			if l.name == root {
-				return l
-			}
-		}
-		return nil
-	}
-	chainRootOf := func(e ast.Expr) string {
-		c, base := rootChain(w.info, e)
-		if base == nil {
-			return ""
-		}
-		head, _, _ := strings.Cut(c, ".")
-		return head
-	}
-
 	ast.Inspect(w.fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
-		case *ast.AssignStmt:
-			// New ECDH locals.
-			if cryptoPkgs[w.pkg.Name] && len(x.Rhs) == 1 && len(x.Lhs) >= 1 {
-				if call, ok := ast.Unparen(x.Rhs[0]).(*ast.CallExpr); ok && isECDHSecret(w.info, call) {
-					if id, ok := ast.Unparen(x.Lhs[0]).(*ast.Ident); ok && id.Name != "_" {
-						ecdhLocals = append(ecdhLocals, &ecdhLocal{name: id.Name, pos: call.Pos()})
-					}
-				}
-			}
-			// Storing an ECDH local elsewhere transfers ownership.
-			for i, rhs := range x.Rhs {
-				if l := localByName(chainRootOf(rhs)); l != nil {
-					if i < len(x.Lhs) {
-						if _, isIdent := ast.Unparen(x.Lhs[i]).(*ast.Ident); !isIdent {
-							l.ok = true
-						}
-					}
-				}
-			}
-			// Retire rule: overwriting a secret-bearing field without a
-			// preceding wipe on a rekey/teardown path.
-			if retiring && x.Tok == token.ASSIGN {
-				for _, lhs := range x.Lhs {
-					sel := innerSelector(lhs)
-					if sel == nil {
-						continue
-					}
-					class := fieldClassOf(w.info, sel)
-					if class == "" || !w.classes[class] {
-						continue
-					}
-					tv, ok := w.info.Types[lhs.(ast.Expr)]
-					if !ok || !containsByteData(tv.Type) {
-						continue
-					}
-					lc, base := rootChain(w.info, lhs)
-					if lc != "" && heapRooted(base) && !w.zeroCovers(lc) {
-						w.pass.Reportf(lhs.Pos(), "%s (class %s) holds live key material and is overwritten on a retire/rekey path without zeroizing the old value; wipe it (keymat.Zeroize / clear) before replacing", lc, class)
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, r := range x.Results {
-				if l := localByName(chainRootOf(r)); l != nil {
-					l.ok = true
-				}
-			}
 		case *ast.CallExpr:
 			w.reportCall(x)
-			// Handing an ECDH local to a callee that retains or zeroizes
-			// it discharges the must-zeroize obligation.
-			for _, cand := range w.prog.resolveCall(w.info, x) {
-				sum := w.prog.SummaryOf(cand)
-				if sum == nil {
-					continue
-				}
-				for pi, arg := range callArgsWithRecv(x, cand) {
-					if arg == nil {
-						continue
-					}
-					if l := localByName(chainRootOf(arg)); l != nil {
-						if sum.paramFacts(pi)&(ParamRetained|ParamZeroized) != 0 {
-							l.ok = true
-						}
-					}
-				}
-			}
 		case *ast.BinaryExpr:
 			if (x.Op == token.EQL || x.Op == token.NEQ) &&
 				(comparableSecretType(w.info, x.X) || comparableSecretType(w.info, x.Y)) {
 				w.reportVarTime(x.Pos(), x.Op.String(), x.X, x.Y)
 			}
-		case *ast.CompositeLit:
-			for _, el := range x.Elts {
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					el = kv.Value
-				}
-				if l := localByName(chainRootOf(el)); l != nil {
-					l.ok = true
-				}
-			}
 		}
 		return true
 	})
-
-	for _, l := range ecdhLocals {
-		if !l.ok && !w.zeroCovers(l.name) {
-			w.pass.Reportf(l.pos, "ECDH shared secret %s is never zeroized in %s; clear it (keymat.Zeroize) once the KDF has consumed it — a lingering heap copy discloses every key derived from it", l.name, w.fd.Name.Name)
-		}
-	}
 }
 
 // reportVarTime is the one variable-time-compare sink: op over operands
@@ -779,21 +566,6 @@ func (w *secWalker) reportVarTime(pos token.Pos, op string, operands ...ast.Expr
 func (w *secWalker) reportCall(call *ast.CallExpr) {
 	info := w.info
 	fn := calleeFunc(info, call)
-
-	// delete(m, k) dropping key bytes without a wipe.
-	if cryptoPkgs[w.pkg.Name] && isBuiltinCall(info, call, "delete") && len(call.Args) == 2 {
-		if tv, ok := info.Types[call.Args[0]]; ok && tv.Type != nil {
-			if m, ok := tv.Type.Underlying().(*types.Map); ok {
-				if _, isPtr := m.Elem().Underlying().(*types.Pointer); !isPtr && containsByteData(m.Elem()) && w.secret(call.Args[0]) {
-					if c, base := rootChain(info, call.Args[0]); base != nil && !w.zeroCovers(c) {
-						w.pass.Reportf(call.Pos(), "delete on %s drops an entry holding key material without zeroizing it; read the entry and wipe its byte fields (keymat.Zeroize) before deleting", c)
-					}
-				}
-			}
-		}
-		return
-	}
-
 	if fn != nil && isLogSink(fn) {
 		for _, a := range call.Args {
 			if w.secret(a) {

@@ -11,18 +11,18 @@ import (
 // This file is the interprocedural layer under hiplint: a module-local
 // call graph plus one Summary per declared function, computed bottom-up
 // over strongly connected components. A summary records what a function
-// does with its parameters (logs them, compares them in variable time,
-// retains their backing arrays, zeroizes them), what its results carry
-// (key material, taint derived from arguments), and what it transitively
-// reaches (the wall clock, a Proc-parking API, a packet emission, lock
-// acquisitions). The secflow and lockorder analyzers are built on these
-// summaries, and simdet/schedblock consult them so a helper that reaches
-// time.Now through two calls is treated exactly like the direct call.
+// does with its parameters (logs them, compares them in variable time),
+// what its results carry (key material, taint derived from arguments),
+// and what it transitively reaches (the wall clock, a Proc-parking API, a
+// packet emission, lock acquisitions). The secflow and lockorder
+// analyzers are built on these summaries, and simdet/schedblock consult
+// them so a helper that reaches time.Now through two calls is treated
+// exactly like the direct call.
 //
 // Everything here is may-analysis over the AST (stdlib go/ast+go/types
 // only, no SSA): facts only accumulate, so the SCC fixpoint terminates,
-// and a fact like ParamZeroized means "there is a path that zeroizes",
-// not "every path does". The checks built on top are written so this
+// and a fact like ParamLogged means "there is a path that logs", not
+// "every path does". The checks built on top are written so this
 // direction of approximation produces missed findings under adversarial
 // code, never noise on straightforward code.
 
@@ -37,12 +37,6 @@ const (
 	// ParamVarCompared: compared with bytes.Equal, reflect.DeepEqual or
 	// ==/!= rather than a constant-time primitive.
 	ParamVarCompared
-	// ParamRetained: the parameter's backing array may be aliased into
-	// heap state (field, global, map, channel, closure) or returned.
-	ParamRetained
-	// ParamZeroized: overwritten with zeros (clear(), a full zero loop,
-	// or a callee that zeroizes it).
-	ParamZeroized
 )
 
 // Reach records one transitive fact with the call chain that produces
@@ -435,13 +429,6 @@ func isSecretSource(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// isECDHSecret reports whether call computes an ECDH shared secret — the
-// sources covered by secflow's must-zeroize rule.
-func isECDHSecret(info *types.Info, call *ast.CallExpr) bool {
-	fn := calleeFunc(info, call)
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Name() == "ecdh" && fn.Name() == "ECDH"
-}
-
 // secretFieldNames are struct fields that hold private-key material by
 // convention; reading one inside a crypto package is a secret source.
 var secretFieldNames = map[string]bool{
@@ -503,14 +490,10 @@ func taintCarrier(t types.Type) bool {
 
 // --- per-function summarization ---------------------------------------
 
-// sumWalker computes one function's summary. Two value relations are
-// tracked separately:
-//
-//   - taint (information flow; copies count): which parameters' bytes a
-//     local value may encode, plus whether it carries source material.
-//     Drives Logged/VarCompared and the return facts.
-//   - alias (same backing array; copies do not count): which parameters'
-//     storage a local may share. Drives Retained/Zeroized.
+// sumWalker computes one function's summary. It tracks taint
+// (information flow; copies count): which parameters' bytes a local value
+// may encode, plus whether it carries source material. Taint drives
+// Logged/VarCompared and the return facts.
 type sumWalker struct {
 	prog   *Program
 	fi     *funcInfo
@@ -520,7 +503,6 @@ type sumWalker struct {
 
 	taint  map[types.Object]uint64 // local → param mask (info flow)
 	secret map[types.Object]bool   // local → carries source material
-	alias  map[types.Object]uint64 // local → param mask (same array)
 
 	out *Summary
 }
@@ -533,7 +515,6 @@ func (p *Program) summarize(fi *funcInfo) *Summary {
 		pidx:   make(map[types.Object]int),
 		taint:  make(map[types.Object]uint64),
 		secret: make(map[types.Object]bool),
-		alias:  make(map[types.Object]uint64),
 	}
 	sig := fi.fn.Type().(*types.Signature)
 	if r := sig.Recv(); r != nil {
@@ -547,15 +528,14 @@ func (p *Program) summarize(fi *funcInfo) *Summary {
 		if i < 64 {
 			w.pidx[pv] = i
 			w.taint[pv] = 1 << uint(i)
-			w.alias[pv] = 1 << uint(i)
 		}
 	}
-	// Iterate the body until the local taint/alias maps stabilize, so
-	// flows through locals defined later in source converge.
+	// Iterate the body until the local taint map stabilizes, so flows
+	// through locals defined later in source converge.
 	for pass := 0; pass < 8; pass++ {
-		before := len(w.taint) + len(w.alias) + countSecrets(w.secret)
+		before := len(w.taint) + countSecrets(w.secret)
 		grown := w.pass()
-		after := len(w.taint) + len(w.alias) + countSecrets(w.secret)
+		after := len(w.taint) + countSecrets(w.secret)
 		if !grown && before == after {
 			break
 		}
@@ -705,56 +685,6 @@ func (w *sumWalker) callArgsTaint(call *ast.CallExpr, callee *types.Func) (uint6
 	return m, s
 }
 
-// evalAlias returns the parameters whose backing storage e may share.
-func (w *sumWalker) evalAlias(e ast.Expr) uint64 {
-	switch x := e.(type) {
-	case *ast.Ident:
-		obj := w.info.Uses[x]
-		if obj == nil {
-			obj = w.info.Defs[x]
-		}
-		if obj == nil {
-			return 0
-		}
-		return w.alias[obj]
-	case *ast.ParenExpr:
-		return w.evalAlias(x.X)
-	case *ast.SliceExpr:
-		return w.evalAlias(x.X)
-	case *ast.IndexExpr:
-		return w.evalAlias(x.X)
-	case *ast.StarExpr:
-		return w.evalAlias(x.X)
-	case *ast.UnaryExpr:
-		return w.evalAlias(x.X)
-	case *ast.SelectorExpr:
-		return w.evalAlias(x.X)
-	case *ast.CompositeLit:
-		var m uint64
-		for _, el := range x.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				el = kv.Value
-			}
-			m |= w.evalAlias(el)
-		}
-		return m
-	case *ast.CallExpr:
-		// append(dst, b) keeps a reference to b when b is itself a
-		// slice element; append(dst, b...) copies bytes.
-		if isBuiltinCall(w.info, x, "append") {
-			var m uint64
-			for i, a := range x.Args {
-				if i > 0 && x.Ellipsis.IsValid() && i == len(x.Args)-1 {
-					continue
-				}
-				m |= w.evalAlias(a)
-			}
-			return m
-		}
-	}
-	return 0
-}
-
 // pass walks the whole body once, growing the maps and the summary.
 // It reports whether any summary bit changed.
 func (w *sumWalker) pass() bool {
@@ -765,10 +695,6 @@ func (w *sumWalker) pass() bool {
 		switch x := n.(type) {
 		case *ast.AssignStmt:
 			w.assign(x)
-		case *ast.RangeStmt:
-			if mask, ok := w.zeroLoop(x); ok {
-				w.markParams(mask, ParamZeroized)
-			}
 		case *ast.ReturnStmt:
 			for _, r := range x.Results {
 				m, s := w.evalTaint(r)
@@ -778,11 +704,9 @@ func (w *sumWalker) pass() bool {
 				if m != 0 {
 					w.out.TaintsReturn = true
 				}
-				w.markParams(w.evalAlias(r), ParamRetained)
 			}
 		case *ast.SendStmt:
 			w.reachEmit(&Reach{What: "channel send"})
-			w.markParams(w.evalAlias(x.Value), ParamRetained)
 		case *ast.BinaryExpr:
 			if x.Op == token.EQL || x.Op == token.NEQ {
 				if comparableSecretType(w.info, x.X) || comparableSecretType(w.info, x.Y) {
@@ -793,20 +717,6 @@ func (w *sumWalker) pass() bool {
 			}
 		case *ast.CallExpr:
 			w.call(x)
-		case *ast.FuncLit:
-			// The literal's body is walked by this same Inspect; any
-			// captured parameter alias additionally counts as retained
-			// (the closure may outlive the call).
-			ast.Inspect(x.Body, func(m ast.Node) bool {
-				if id, ok := m.(*ast.Ident); ok {
-					if obj := w.info.Uses[id]; obj != nil {
-						if i, ok := w.pidx[obj]; ok {
-							w.out.Params[i] |= ParamRetained
-						}
-					}
-				}
-				return true
-			})
 		}
 		return true
 	})
@@ -832,8 +742,7 @@ func (w *sumWalker) reachEmit(r *Reach) {
 	}
 }
 
-// assign merges RHS facts into LHS locals and records retention for
-// stores into non-local locations.
+// assign merges RHS taint into LHS locals.
 func (w *sumWalker) assign(as *ast.AssignStmt) {
 	// Tuple assignment from one call: every LHS gets the call's facts.
 	rhsFor := func(i int) ast.Expr {
@@ -850,37 +759,24 @@ func (w *sumWalker) assign(as *ast.AssignStmt) {
 		if rhs == nil {
 			continue
 		}
-		m, s := w.evalTaint(rhs)
-		am := w.evalAlias(rhs)
-		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-			if id.Name == "_" {
-				continue
-			}
-			obj := w.info.Defs[id]
-			if obj == nil {
-				obj = w.info.Uses[id]
-			}
-			if obj == nil {
-				continue
-			}
-			if _, isParam := w.pidx[obj]; !isParam && isLocalObj(obj, w.fi) {
-				if taintCarrier(obj.Type()) {
-					w.taint[obj] |= m
-					if s {
-						w.secret[obj] = true
-					}
-				}
-				w.alias[obj] |= am
-				continue
-			}
-			// Package-level variable (or a parameter rebound): storing an
-			// alias there retains it.
-			w.markParams(am, ParamRetained)
+		id, ok := ast.Unparen(lhs).(*ast.Ident)
+		if !ok || id.Name == "_" {
 			continue
 		}
-		// Store through a selector/index/deref: the RHS alias escapes
-		// into heap state.
-		w.markParams(am, ParamRetained)
+		obj := w.info.Defs[id]
+		if obj == nil {
+			obj = w.info.Uses[id]
+		}
+		if obj == nil {
+			continue
+		}
+		if _, isParam := w.pidx[obj]; !isParam && isLocalObj(obj, w.fi) && taintCarrier(obj.Type()) {
+			m, s := w.evalTaint(rhs)
+			w.taint[obj] |= m
+			if s {
+				w.secret[obj] = true
+			}
+		}
 	}
 }
 
@@ -892,42 +788,9 @@ func isLocalObj(obj types.Object, fi *funcInfo) bool {
 	return v.Pos() >= fi.decl.Pos() && v.Pos() <= fi.decl.End()
 }
 
-// zeroLoop matches `for i := range b { b[i] = 0 }` and returns b's alias
-// mask.
-func (w *sumWalker) zeroLoop(r *ast.RangeStmt) (uint64, bool) {
-	if r.Key == nil || len(r.Body.List) != 1 {
-		return 0, false
-	}
-	as, ok := r.Body.List[0].(*ast.AssignStmt)
-	if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 || as.Tok != token.ASSIGN {
-		return 0, false
-	}
-	ix, ok := as.Lhs[0].(*ast.IndexExpr)
-	if !ok || !isZeroConst(w.info, as.Rhs[0]) {
-		return 0, false
-	}
-	if !sameRoot(w.info, ix.X, r.X) {
-		return 0, false
-	}
-	keyID, ok := r.Key.(*ast.Ident)
-	if !ok {
-		return 0, false
-	}
-	ixID, ok := ast.Unparen(ix.Index).(*ast.Ident)
-	if !ok || ixID.Name != keyID.Name {
-		return 0, false
-	}
-	return w.evalAlias(r.X), true
-}
-
 // call processes one call expression for effects and reach facts.
 func (w *sumWalker) call(call *ast.CallExpr) {
 	info := w.info
-	// clear(b) zeroizes.
-	if isBuiltinCall(info, call, "clear") && len(call.Args) == 1 {
-		w.markParams(w.evalAlias(call.Args[0]), ParamZeroized)
-		return
-	}
 	fn := calleeFunc(info, call)
 
 	// Wall clock.
@@ -1045,18 +908,11 @@ func (w *sumWalker) call(call *ast.CallExpr) {
 				continue
 			}
 			tm, _ := w.evalTaint(arg)
-			am := w.evalAlias(arg)
 			if facts&ParamLogged != 0 {
 				w.markParams(tm, ParamLogged)
 			}
 			if facts&ParamVarCompared != 0 {
 				w.markParams(tm, ParamVarCompared)
-			}
-			if facts&ParamRetained != 0 {
-				w.markParams(am, ParamRetained)
-			}
-			if facts&ParamZeroized != 0 {
-				w.markParams(am, ParamZeroized)
 			}
 		}
 	}

@@ -68,19 +68,6 @@ func TestSummaryInterfaceTaint(t *testing.T) {
 	}
 }
 
-// TestSummaryZeroizeChain checks that a clear() two frames down
-// discharges the caller's parameter.
-func TestSummaryZeroizeChain(t *testing.T) {
-	prog := summaryProg(t)
-
-	if paramFact(t, prog, "wipe", 0)&ParamZeroized == 0 {
-		t.Error("wipe: clear(b) should mark the parameter zeroized")
-	}
-	if paramFact(t, prog, "wipeOuter", 0)&ParamZeroized == 0 {
-		t.Error("wipeOuter: the callee's zeroization should propagate up")
-	}
-}
-
 // TestSummaryWallClockReach checks both directions of the reach rules:
 // a static chain carries the wall-clock fact with its call chain, while
 // a dynamic dispatch with a clock-free implementor must not (reach facts

@@ -1,14 +1,13 @@
 // Package keymat here is a hiplint fixture for the secflow analyzer: the
-// package name puts it in the crypto set, so the source predicates
-// (keymat.Draw, ecdh.ECDH), the key-material parameter seeding and the
-// retire/eviction rules all fire. Each violation carries a // want
-// expectation; the adjacent clean variants prove the analyzer stays
-// quiet once the key material is handled correctly.
+// package name puts it in the crypto set, so the source predicate
+// (keymat.Draw) and the key-material parameter seeding fire. Each
+// violation carries a // want expectation; the adjacent clean variants
+// prove the analyzer stays quiet once the key material is handled
+// correctly.
 package keymat
 
 import (
 	"bytes"
-	"crypto/ecdh"
 	"encoding/hex"
 	"fmt"
 	"log"
@@ -74,103 +73,4 @@ func comparesViaBytesEqual(secret, other []byte) bool {
 // name: its summary marks both parameters variable-compared.
 func bytesEqual(a, b []byte) bool {
 	return bytes.Equal(a, b)
-}
-
-// --- ECDH shared-secret must-zeroize ---
-
-// kdf copies the secret into derived output without retaining it, so the
-// caller keeps the zeroization obligation.
-func kdf(b []byte) []byte {
-	d := append([]byte(nil), b...)
-	return d
-}
-
-// wipeBuf zeroizes its parameter; passing a secret here discharges the
-// obligation interprocedurally.
-func wipeBuf(b []byte) { clear(b) }
-
-func ecdhLeaked(priv *ecdh.PrivateKey, peer *ecdh.PublicKey) []byte {
-	secret, err := priv.ECDH(peer) // want "ECDH shared secret secret is never zeroized"
-	if err != nil {
-		return nil
-	}
-	return kdf(secret)
-}
-
-func ecdhCleared(priv *ecdh.PrivateKey, peer *ecdh.PublicKey) []byte {
-	secret, err := priv.ECDH(peer)
-	if err != nil {
-		return nil
-	}
-	out := kdf(secret)
-	clear(secret)
-	return out
-}
-
-func ecdhWipedViaHelper(priv *ecdh.PrivateKey, peer *ecdh.PublicKey) []byte {
-	secret, err := priv.ECDH(peer)
-	if err != nil {
-		return nil
-	}
-	out := kdf(secret)
-	wipeBuf(secret)
-	return out
-}
-
-func ecdhReturnedOK(priv *ecdh.PrivateKey, peer *ecdh.PublicKey) []byte {
-	secret, err := priv.ECDH(peer)
-	if err != nil {
-		return nil
-	}
-	return secret // ownership moves to the caller
-}
-
-// --- retire/rekey overwrites ---
-
-type session struct {
-	key []byte
-}
-
-// installKey marks session.key as a key-material class: the seeded
-// parameter taints the field program-wide.
-func installKey(s *session, key []byte) { s.key = key }
-
-// rekeySwap overwrites live key material through a pointer on a
-// rekey-named path without wiping the displaced value.
-func rekeySwap(s *session, fresh []byte) {
-	s.key = fresh // want "overwritten on a retire/rekey path"
-}
-
-// rekeyWiped clears the old key first.
-func rekeyWiped(s *session, fresh []byte) {
-	clear(s.key)
-	s.key = fresh
-}
-
-// rekeyFreshLocal assembles a value-typed local: overwriting its fields
-// strands nothing long-lived, so the retire rule stays quiet.
-func rekeyFreshLocal(fresh []byte) session {
-	var out session
-	out.key = fresh
-	return out
-}
-
-// --- map eviction dropping key bytes ---
-
-type store struct {
-	sessions map[string][]byte
-}
-
-// putSession marks store.sessions as secret-bearing.
-func (st *store) putSession(id string, secret []byte) {
-	st.sessions[id] = secret
-}
-
-func (st *store) evictSession(id string) {
-	delete(st.sessions, id) // want "delete on st.sessions drops an entry holding key material"
-}
-
-func (st *store) evictWiped(id string) {
-	clear(st.sessions[id])
-	delete(st.sessions, id)
 }

@@ -51,11 +51,6 @@ type wrapVisitor struct{ inner visitor }
 
 func (w wrapVisitor) visit(b []byte) []byte { return w.inner.visit(b) }
 
-// --- zeroization discharged through a helper ---
-
-func wipe(b []byte)      { clear(b) }
-func wipeOuter(b []byte) { wipe(b) }
-
 // --- wall clock: a static chain propagates, a dynamic dispatch with a
 // clock-free implementor must not. ---
 

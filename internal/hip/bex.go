@@ -1,7 +1,6 @@
 package hip
 
 import (
-	"crypto/ecdh"
 	"crypto/hmac"
 	"crypto/sha256"
 	"net/netip"
@@ -240,16 +239,14 @@ func (h *Host) handleI2(pkt *hipwire.Packet, src netip.Addr, now time.Duration) 
 		h.notify(pkt.SenderHIT, src, hipwire.NotifyNoDHProposalChosen)
 		return
 	}
-	peerPub, err := ecdh.P256().NewPublicKey(dh.Public)
+	secret, err := keymat.SharedSecret(h.dhPriv, dh.Public)
 	if err != nil {
 		h.PacketsDropped++
 		return
 	}
-	secret, err := h.dhPriv.ECDH(peerPub)
-	if err != nil {
-		h.PacketsDropped++
-		return
-	}
+	// The key stream takes its own copy of Kij; ours must not outlive
+	// this frame on any path.
+	defer keymat.Zeroize(secret)
 	h.cost += h.cfg.Costs.DHCompute
 	// Cipher: the initiator's choice must be one we offered.
 	cipherP, ok := pkt.Get(hipwire.ParamHIPCipher)
@@ -273,14 +270,24 @@ func (h *Host) handleI2(pkt *hipwire.Packet, src netip.Addr, now time.Duration) 
 		return
 	}
 	km := keymat.New(secret, pkt.SenderHIT, h.HIT(), sol.I, sol.J)
-	// The key stream holds its own copy of Kij; wipe ours now rather
-	// than leaving the raw shared secret on the heap.
-	keymat.Zeroize(secret)
 	keys, err := keymat.DeriveAssociation(km, suite, false)
 	if err != nil {
+		km.Zeroize()
 		h.PacketsDropped++
 		return
 	}
+	// A rejected I2 leaves nothing keyed behind: what acceptI2 does not
+	// hand to an Association is wiped here.
+	if !h.acceptI2(pkt, src, now, sol, suite, keys, km) {
+		keys.Zeroize()
+		km.Zeroize()
+	}
+}
+
+// acceptI2 authenticates an I2 under the keys derived from it and, if it
+// verifies, establishes the responder's association, which then owns keys
+// and km. It reports whether it did.
+func (h *Host) acceptI2(pkt *hipwire.Packet, src netip.Addr, now time.Duration, sol hipwire.Solution, suite keymat.Suite, keys keymat.AssociationKeys, km *keymat.Keymat) bool {
 	// The initiator's HOST_ID arrives either in the clear or inside an
 	// ENCRYPTED parameter (identity privacy, RFC 5201 §5.2.17).
 	var hostIDBody []byte
@@ -290,47 +297,47 @@ func (h *Host) handleI2(pkt *hipwire.Packet, src netip.Addr, now time.Duration) 
 		innerType, inner, err := h.openEncryptedParam(keys.HIPEncIn, encP.Data)
 		if err != nil || innerType != hipwire.ParamHostID {
 			h.notify(pkt.SenderHIT, src, hipwire.NotifyAuthenticationFailed)
-			return
+			return false
 		}
 		hostIDBody = inner
 	} else {
 		h.PacketsDropped++
-		return
+		return false
 	}
 	hid, err := hipwire.ParseHostID(hostIDBody)
 	if err != nil {
 		h.PacketsDropped++
-		return
+		return false
 	}
 	peerID, err := identity.ParsePublicID(identity.Algorithm(hid.Algorithm), hid.HI)
 	if err != nil || peerID.HIT() != pkt.SenderHIT {
 		h.notify(pkt.SenderHIT, src, hipwire.NotifyAuthenticationFailed)
-		return
+		return false
 	}
 	if h.cfg.Policy != nil && !h.cfg.Policy(pkt.SenderHIT) {
 		h.notify(pkt.SenderHIT, src, hipwire.NotifyBlockedByPolicy)
-		return
+		return false
 	}
 	// Verify HMAC then signature (RFC order: cheap check first).
 	if !verifyPacketHMAC(pkt, keys.HIPMacIn) {
 		h.notify(pkt.SenderHIT, src, hipwire.NotifyAuthenticationFailed)
-		return
+		return false
 	}
 	if err := verifyPacketSig(pkt, peerID); err != nil {
 		h.cost += h.cfg.Costs.Verify
 		h.notify(pkt.SenderHIT, src, hipwire.NotifyAuthenticationFailed)
-		return
+		return false
 	}
 	h.cost += h.cfg.Costs.Verify
 	espP, ok := pkt.Get(hipwire.ParamESPInfo)
 	if !ok {
 		h.PacketsDropped++
-		return
+		return false
 	}
 	ei, err := hipwire.ParseESPInfo(espP.Data)
 	if err != nil || ei.NewSPI == 0 {
 		h.PacketsDropped++
-		return
+		return false
 	}
 	// Association established on the responder side. puzzleI/J fingerprint
 	// the accepted solution so a retransmitted I2 (R2 loss) is told apart
@@ -353,7 +360,7 @@ func (h *Host) handleI2(pkt *hipwire.Packet, src netip.Addr, now time.Duration) 
 	pair, err := esp.NewPair(keys, a.localSPI, a.remoteSPI)
 	if err != nil {
 		h.PacketsDropped++
-		return
+		return false
 	}
 	a.espPair = pair
 	if old, ok := h.assocs[a.PeerHIT]; ok {
@@ -376,6 +383,7 @@ func (h *Host) handleI2(pkt *hipwire.Packet, src netip.Addr, now time.Duration) 
 	a.retransDst = src
 	h.emit(src, out)
 	h.event(EventEstablished, a.PeerHIT, src)
+	return true
 }
 
 // --- Initiator side ---
@@ -440,19 +448,18 @@ func (h *Host) handleR1(pkt *hipwire.Packet, src netip.Addr, now time.Duration) 
 	if err != nil || dh.Group != hipwire.DHGroupP256 {
 		return
 	}
-	peerPub, err := ecdh.P256().NewPublicKey(dh.Public)
-	if err != nil {
-		return
-	}
 	priv, err := detECDHKey(h.rng)
 	if err != nil {
 		return
 	}
 	h.cost += h.cfg.Costs.DHKeygen
-	secret, err := priv.ECDH(peerPub)
+	secret, err := keymat.SharedSecret(priv, dh.Public)
 	if err != nil {
 		return
 	}
+	// As on the responder side: the key stream copies Kij, so the raw
+	// shared secret must not outlive this frame.
+	defer keymat.Zeroize(secret)
 	h.cost += h.cfg.Costs.DHCompute
 	// Cipher negotiation: intersect the responder's R1 offer with this
 	// host's own preference list (h.suites). Preference order on OUR
@@ -472,11 +479,9 @@ func (h *Host) handleR1(pkt *hipwire.Packet, src netip.Addr, now time.Duration) 
 		return
 	}
 	km := keymat.New(secret, h.HIT(), pkt.SenderHIT, pz.I, j)
-	// As on the responder side: the key stream copied Kij, so the raw
-	// shared secret must not outlive this frame.
-	keymat.Zeroize(secret)
 	keys, err := keymat.DeriveAssociation(km, suite, true)
 	if err != nil {
+		km.Zeroize()
 		return
 	}
 	a.puzzleI, a.puzzleJ = pz.I, j

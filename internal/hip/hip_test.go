@@ -10,6 +10,7 @@ import (
 	"hipcloud/internal/esp"
 	"hipcloud/internal/hipwire"
 	"hipcloud/internal/identity"
+	"hipcloud/internal/keymat"
 	"hipcloud/internal/puzzle"
 )
 
@@ -116,6 +117,19 @@ func establish(t *testing.T, w *wire, a, b *Host) {
 	assocB, ok := b.Association(a.HIT())
 	if !ok || assocB.State() != Established {
 		t.Fatalf("responder state: %v", stateOf(b, a))
+	}
+}
+
+// keysBalanced shuts the hosts down, which wipes whatever their
+// associations still hold, and then expects keymat's key ledger back at
+// start: a key left over is one some path dropped without a wipe.
+func keysBalanced(t *testing.T, start int, hosts ...*Host) {
+	t.Helper()
+	for _, h := range hosts {
+		h.Shutdown()
+	}
+	if left := keymat.KeysOutstanding(); len(left) != start {
+		t.Errorf("%d keys dropped unwiped, created at %q", len(left)-start, left[min(start, len(left)):])
 	}
 }
 
@@ -246,6 +260,7 @@ func TestBEXRetransmissionRecoversLoss(t *testing.T) {
 // HIT; it must recognize the fresh puzzle solution as a new exchange and
 // replace the stale state instead of replaying the old R2 forever.
 func TestReEstablishAfterSilentPeerLoss(t *testing.T) {
+	start := len(keymat.KeysOutstanding())
 	w := newWire(t)
 	a := newHost(t, idA, locA)
 	b := newHost(t, idB, locB)
@@ -288,6 +303,7 @@ func TestReEstablishAfterSilentPeerLoss(t *testing.T) {
 	if al != newRemote || ar != newLocal {
 		t.Fatalf("SPI mismatch after re-establish: a=(%d,%d) b=(%d,%d)", al, ar, newLocal, newRemote)
 	}
+	keysBalanced(t, start, a, a2, b) // the stale association was wiped when replaced
 }
 
 func TestBEXFailsAfterMaxRetries(t *testing.T) {
@@ -321,6 +337,7 @@ func TestBEXFailsAfterMaxRetries(t *testing.T) {
 // in I2Sent already holds the derived key set, and none of it may outlive
 // the association.
 func TestGiveUpWipesKeys(t *testing.T) {
+	start := len(keymat.KeysOutstanding())
 	w := newWire(t)
 	a := newHost(t, idA, locA)
 	b := newHost(t, idB, locB)
@@ -334,20 +351,10 @@ func TestGiveUpWipesKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.pump()
-	aa, ok := a.Association(b.HIT())
-	if !ok || aa.State() != I2Sent {
+	if stateOf(a, b) != I2Sent {
 		t.Fatalf("initiator state %v, want I2Sent", stateOf(a, b))
 	}
-	k := aa.keys // the copy shares the key slices' backing arrays
-	held := [][]byte{
-		k.HIPEncOut, k.HIPEncIn, k.HIPMacOut, k.HIPMacIn,
-		k.ESPEncOut, k.ESPAuthOut, k.ESPEncIn, k.ESPAuthIn,
-	}
-	var keyed bool
-	for _, key := range held {
-		keyed = keyed || !bytes.Equal(key, make([]byte, len(key)))
-	}
-	if !keyed {
+	if len(keymat.KeysOutstanding()) == start {
 		t.Fatal("no key material derived by I2Sent: the test proves nothing")
 	}
 	for i := 0; i < 10; i++ {
@@ -356,11 +363,7 @@ func TestGiveUpWipesKeys(t *testing.T) {
 	if _, ok := a.Association(b.HIT()); ok {
 		t.Fatal("association still present after max retries")
 	}
-	for i, key := range held {
-		if !bytes.Equal(key, make([]byte, len(key))) {
-			t.Errorf("key slice %d not wiped after give-up", i)
-		}
-	}
+	keysBalanced(t, start, b) // a holds nothing now: only b is shut down
 }
 
 func TestResponderStatelessOnI1Flood(t *testing.T) {
@@ -386,6 +389,7 @@ func TestResponderStatelessOnI1Flood(t *testing.T) {
 }
 
 func TestPolicyRejectsPeer(t *testing.T) {
+	start := len(keymat.KeysOutstanding())
 	w := newWire(t)
 	a := newHost(t, idA, locA)
 	bCfg := Config{Identity: idB, Locator: locB, Policy: func(peer netip.Addr) bool {
@@ -411,6 +415,24 @@ func TestPolicyRejectsPeer(t *testing.T) {
 	if !failed {
 		t.Fatal("initiator did not observe policy failure")
 	}
+
+	// A policy that changes between the I1 and the I2 (an ACL update
+	// mid-handshake) refuses the I2 after its keys are derived.
+	calls := 0
+	c, err := NewHost(Config{Identity: idC, Locator: locC, Policy: func(netip.Addr) bool {
+		calls++
+		return calls == 1 // admit the I1 only
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.add(c, locC)
+	a.Connect(c.HIT(), locC, w.now)
+	w.pump()
+	if calls < 2 || stateOf(c, a) != Unassociated {
+		t.Fatalf("policy consulted %d times, responder state %v: the I2 was not refused by policy", calls, stateOf(c, a))
+	}
+	keysBalanced(t, start, a, b, c)
 }
 
 func TestWrongPuzzleSolutionRejected(t *testing.T) {
@@ -453,6 +475,7 @@ func TestWrongPuzzleSolutionRejected(t *testing.T) {
 func TestForgedHostIDRejected(t *testing.T) {
 	// A mallory host C replays A's handshake role but with its own key
 	// while claiming A's HIT: HIT(HI) check must reject.
+	start := len(keymat.KeysOutstanding())
 	w := newWire(t)
 	b := newHost(t, idB, locB)
 	c := newHost(t, idC, locC)
@@ -469,20 +492,42 @@ func TestForgedHostIDRejected(t *testing.T) {
 	if len(r1) != 1 {
 		t.Fatal("no R1 for forged I1")
 	}
-	// C can't usefully answer: its HOST_ID won't hash to A's HIT. Simulate
-	// the best it can do: complete handshake honestly as C-but-claiming-A.
-	// The R1 is addressed to A's HIT so C's state machine drops it, which
-	// is itself the defense; verify no association appears on B.
+	// The R1 is addressed to A's HIT, so C's state machine drops it, which
+	// is itself the first defense.
 	c.OnPacket(r1[0].Data, locB, w.now)
-	w.pump()
-	for _, assoc := range b.Associations() {
-		if assoc.PeerHIT == idA.HIT() && assoc.State() == Established {
-			t.Fatal("forged identity established")
+	if len(c.Outgoing()) != 0 {
+		t.Fatal("C answered an R1 addressed to A")
+	}
+	// A C that takes the R1 anyway (its signature leaves the receiver HIT
+	// out) answers with its own HOST_ID under A's HIT, and zeroes the
+	// puzzle's K so that its solution for its own HIT passes.
+	pkt, _ := hipwire.Parse(r1[0].Data)
+	pkt.ReceiverHIT = c.HIT()
+	c.OnPacket(pkt.Marshal(), locB, w.now)
+	i2 := c.Outgoing()
+	if len(i2) != 1 {
+		t.Fatal("no I2 from C")
+	}
+	pkt, _ = hipwire.Parse(i2[0].Data)
+	pkt.SenderHIT = idA.HIT()
+	for i := range pkt.Params {
+		if pkt.Params[i].Type == hipwire.ParamSolution {
+			sol, _ := hipwire.ParseSolution(pkt.Params[i].Data)
+			sol.K = 0
+			pkt.Params[i].Data = sol.Marshal()
 		}
 	}
+	b.OnPacket(pkt.Marshal(), locC, w.now)
+	for _, assoc := range b.Associations() {
+		if assoc.PeerHIT == idA.HIT() {
+			t.Fatal("forged identity accepted")
+		}
+	}
+	keysBalanced(t, start, b, c)
 }
 
 func TestTamperedI2HMACRejected(t *testing.T) {
+	start := len(keymat.KeysOutstanding())
 	w := newWire(t)
 	a := newHost(t, idA, locA)
 	b := newHost(t, idB, locB)
@@ -508,6 +553,7 @@ func TestTamperedI2HMACRejected(t *testing.T) {
 	if len(b.Associations()) != 0 {
 		t.Fatal("tampered I2 accepted")
 	}
+	keysBalanced(t, start, a, b)
 }
 
 func TestMobilityUpdate(t *testing.T) {
@@ -799,6 +845,7 @@ func TestEncryptedHostIDBEX(t *testing.T) {
 }
 
 func TestEncryptedHostIDTamperRejected(t *testing.T) {
+	start := len(keymat.KeysOutstanding())
 	w := newWire(t)
 	a, _ := NewHost(Config{Identity: idA, Locator: locA, EncryptHostID: true})
 	b := newHost(t, idB, locB)
@@ -825,4 +872,5 @@ func TestEncryptedHostIDTamperRejected(t *testing.T) {
 	if _, ok := b.Association(a.HIT()); ok {
 		t.Fatal("tampered encrypted identity accepted")
 	}
+	keysBalanced(t, start, a, b)
 }

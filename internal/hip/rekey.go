@@ -220,12 +220,15 @@ func (h *Host) handleRekeyConfirm(a *Association, pkt *hipwire.Packet, src netip
 	return true
 }
 
-// installRekeyedSAs swaps in fresh SAs under new SPIs, preserving the
-// control-plane keys.
+// installRekeyedSAs swaps in fresh SAs under new SPIs, carrying the
+// control-plane keys into the successor key set. The fresh ESP keys are
+// wiped if no SA takes them.
 func (h *Host) installRekeyedSAs(a *Association, espKeys keymat.AssociationKeys, newLocal, newRemote uint32) error {
+	espKeys.HIPEncOut, espKeys.HIPEncIn = a.keys.HIPEncOut, a.keys.HIPEncIn
 	espKeys.HIPMacOut, espKeys.HIPMacIn = a.keys.HIPMacOut, a.keys.HIPMacIn
 	pair, err := esp.NewPair(espKeys, newLocal, newRemote)
 	if err != nil {
+		espKeys.ZeroizeESP()
 		return err
 	}
 	delete(h.bySPI, a.localSPI)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hipcloud/internal/esp"
+	"hipcloud/internal/keymat"
 )
 
 func TestForceRekeySwapsSPIsAndKeys(t *testing.T) {
@@ -158,6 +159,38 @@ func TestRepeatedRekeysStayInSync(t *testing.T) {
 			t.Fatalf("round %d data: %v %v", round, got, err)
 		}
 	}
+}
+
+// TestRekeysAndCloseWipeEveryKey: a base exchange, three rekeys and a
+// CLOSE leave no key behind on either end. Each rekey wipes the ESP keys
+// it displaces and carries the control keys into the successor set, and
+// teardown wipes the rest.
+func TestRekeysAndCloseWipeEveryKey(t *testing.T) {
+	start := len(keymat.KeysOutstanding())
+	w := newWire(t)
+	a := newHost(t, idA, locA)
+	b := newHost(t, idB, locB)
+	w.add(a, locA)
+	w.add(b, locB)
+	establish(t, w, a, b)
+	aa, _ := a.Association(b.HIT())
+	for i := 0; i < 3; i++ {
+		if err := a.ForceRekey(b.HIT(), w.now); err != nil {
+			t.Fatal(err)
+		}
+		w.pump()
+	}
+	if aa.Rekeys != 3 {
+		t.Fatalf("rekeys = %d, want 3", aa.Rekeys)
+	}
+	if err := a.Close(b.HIT(), w.now); err != nil {
+		t.Fatal(err)
+	}
+	w.pump()
+	if n := len(a.Associations()) + len(b.Associations()); n != 0 {
+		t.Fatalf("%d associations left after CLOSE", n)
+	}
+	keysBalanced(t, start) // CLOSE retired both ends: nothing to shut down
 }
 
 func TestRekeyThresholdClampedNearSaturation(t *testing.T) {

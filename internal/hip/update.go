@@ -217,12 +217,30 @@ func (h *Host) handleCloseAck(pkt *hipwire.Packet, src netip.Addr, now time.Dura
 	h.teardown(a)
 }
 
+// teardown forgets an association whose CLOSE exchange has run.
 func (h *Host) teardown(a *Association) {
+	h.closeAssoc(a)
+	h.delAssoc(a.PeerHIT)
+	h.event(EventClosed, a.PeerHIT, a.PeerLocator)
+}
+
+// closeAssoc wipes a's keys and takes its SAs out of the SPI table.
+func (h *Host) closeAssoc(a *Association) {
 	a.state = Closed
 	a.retire()
-	h.delAssoc(a.PeerHIT)
 	if a.localSPI != 0 {
 		delete(h.bySPI, a.localSPI)
 	}
-	h.event(EventClosed, a.PeerHIT, a.PeerLocator)
+}
+
+// Shutdown closes every association at once without telling the peers,
+// for a transport that is going away (hipudp.Stack.Close): each one is
+// wiped, turns Closed and leaves the SPI table, so nothing seals or opens
+// under it again. The associations stay listed for callers that inspect
+// the host afterwards.
+func (h *Host) Shutdown() {
+	for _, a := range h.assocList {
+		a.cancelRetrans()
+		h.closeAssoc(a)
+	}
 }

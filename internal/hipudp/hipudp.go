@@ -195,7 +195,8 @@ func (s *Stack) AddPeer(hit netip.Addr, ep netip.AddrPort) {
 	s.locToEP[ep.Addr()] = ep
 }
 
-// Close shuts the stack down.
+// Close shuts the stack down and wipes the keys of every association its
+// host holds; peers learn of it only when their traffic goes unanswered.
 func (s *Stack) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -207,6 +208,7 @@ func (s *Stack) Close() error {
 		c.inner.Abort()
 		c.cond.Broadcast()
 	}
+	s.host.Shutdown()
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	// Drain the sender before tearing the socket down so already queued

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"hipcloud/internal/keymat"
+	"hipcloud/internal/netsim"
 	"hipcloud/internal/stream"
 )
 
@@ -140,6 +142,29 @@ func TestCloseIsNotCountedAsLoss(t *testing.T) {
 		if da, db := a.Stats().TxDrops, b.Stats().TxDrops; da != 0 || db != 0 {
 			t.Fatalf("cycle %d: TxDrops dialer=%d listener=%d, want 0", i, da, db)
 		}
+	}
+}
+
+// TestStackCloseWipesKeys is the regression test for Stack.Close leaving
+// every association's keys on the heap: after a base exchange, an echo and
+// Close on both stacks, keymat's key ledger is back where it started. So
+// is netsim's pool ledger, which the stack does not draw from.
+func TestStackCloseWipesKeys(t *testing.T) {
+	keys, bufs := len(keymat.KeysOutstanding()), netsim.PoolOutstanding()
+	a, b := pair(t)
+	l, err := b.Listen(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go serveEcho(l)
+	dialEcho(t, a, idB.HIT(), 7).Close()
+	a.Close()
+	b.Close()
+	if left := keymat.KeysOutstanding(); len(left) != keys {
+		t.Errorf("%d keys left unwiped after Close, created at %q", len(left)-keys, left[min(keys, len(left)):])
+	}
+	if n := netsim.PoolOutstanding() - bufs; n != 0 {
+		t.Errorf("%d pooled buffers outstanding after Close", n)
 	}
 }
 

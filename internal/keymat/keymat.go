@@ -18,6 +18,7 @@ package keymat
 
 import (
 	"bytes"
+	"crypto/ecdh"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -148,14 +149,16 @@ func Negotiate(offer, prefs []Suite) (Suite, error) {
 	return SuiteReserved, ErrUnknownSuite
 }
 
-// Keymat is a deterministic key stream derived from the base exchange.
+// Keymat is a deterministic key stream derived from the base exchange. It
+// holds one block of the stream: Draw hands out its bytes from off on and
+// hashes the next block into the same array once they run out.
 type Keymat struct {
 	kij   []byte
 	hits  [32]byte // sorted concatenation of the two HITs
 	ij    [16]byte
-	prev  []byte // previous block Kn-1
-	block uint8
-	buf   bytes.Buffer
+	block [sha256.Size]byte // Kn
+	n     uint8             // index n of block; 0 before the first
+	off   int               // bytes of block already drawn
 	drawn int
 }
 
@@ -164,10 +167,8 @@ type Keymat struct {
 func New(dhSecret []byte, hitI, hitR netip.Addr, i, j uint64) *Keymat {
 	a, b := hitI.As16(), hitR.As16()
 	// The key stream owns its copy of Kij (callers wipe theirs right
-	// after New); exact-size, and the HIT concatenation is an inline
-	// array — no growing appends.
-	k := &Keymat{kij: make([]byte, len(dhSecret))}
-	copy(k.kij, dhSecret)
+	// after New), and the HIT concatenation is an inline array.
+	k := &Keymat{kij: Clone(dhSecret), off: sha256.Size}
 	if bytes.Compare(a[:], b[:]) < 0 {
 		copy(k.hits[:16], a[:])
 		copy(k.hits[16:], b[:])
@@ -180,77 +181,116 @@ func New(dhSecret []byte, hitI, hitR netip.Addr, i, j uint64) *Keymat {
 	return k
 }
 
+// extend replaces block with the next one: K1 from the HITs and I|J, every
+// later Kn from its predecessor.
 func (k *Keymat) extend() {
 	h := sha256.New()
 	h.Write(k.kij)
-	if k.block == 0 {
+	if k.n == 0 {
 		h.Write(k.hits[:])
 		h.Write(k.ij[:])
-		h.Write([]byte{1})
-		k.block = 1
 	} else {
-		k.block++
-		h.Write(k.prev)
-		h.Write([]byte{k.block})
+		h.Write(k.block[:])
 	}
-	k.prev = h.Sum(nil)
-	k.buf.Write(k.prev)
+	k.n++
+	h.Write([]byte{k.n})
+	h.Sum(k.block[:0])
+	k.off = 0
 }
 
 // Draw returns the next n bytes of keying material.
 func (k *Keymat) Draw(n int) []byte {
-	for k.buf.Len() < n {
-		k.extend()
-	}
 	out := make([]byte, n)
-	if _, err := k.buf.Read(out); err != nil {
-		panic("keymat: internal buffer underflow: " + err.Error())
+	for rest := out; len(rest) > 0; {
+		if k.off == len(k.block) {
+			k.extend()
+		}
+		c := copy(rest, k.block[k.off:])
+		k.off += c
+		rest = rest[c:]
 	}
 	k.drawn += n
+	if ledger != nil {
+		ledger.add(out)
+	}
 	return out
 }
 
 // Drawn reports total bytes drawn (the KEYMAT index).
 func (k *Keymat) Drawn() int { return k.drawn }
 
+// SharedSecret computes the ECDH shared secret between priv and the peer's
+// encoded public key on priv's curve: Kij for New, or a TLS-style
+// premaster secret. The caller owns the result and must Zeroize it once
+// the KDF has consumed it.
+func SharedSecret(priv *ecdh.PrivateKey, peerPub []byte) ([]byte, error) {
+	pub, err := priv.Curve().NewPublicKey(peerPub)
+	if err != nil {
+		return nil, err
+	}
+	secret, err := priv.ECDH(pub)
+	if err != nil {
+		return nil, err
+	}
+	if ledger != nil {
+		ledger.add(secret)
+	}
+	return secret, nil
+}
+
+// Clone returns a copy of key for a store that keeps it past the call
+// that produced it. The store owns the copy and must Zeroize it when it
+// drops the entry.
+func Clone(key []byte) []byte {
+	c := make([]byte, len(key))
+	copy(c, key)
+	if ledger != nil {
+		ledger.add(c)
+	}
+	return c
+}
+
 // Zeroize overwrites b with zeros. Retired key material — an ECDH shared
 // secret the KDF has consumed, keys displaced by a rekey, evicted
 // session secrets — must be wiped before the last reference is dropped,
 // or the plaintext lingers on the heap for as long as the allocator
-// pleases (hiplint's secflow check enforces this on rekey/close paths).
+// pleases. Test binaries referee this: a key buffer from Draw, New,
+// SharedSecret or Clone counts as wiped only once Zeroize has cleared it
+// whole (KeysOutstanding).
 func Zeroize(b []byte) {
 	clear(b)
+	if ledger != nil {
+		ledger.wiped(b)
+	}
 }
 
-// Zeroize wipes the key stream's secret state: Kij, the chained block,
-// and any drawn-but-unread stream bytes. The Keymat must not be used
+// Zeroize wipes the key stream's secret state: Kij, I|J and the current
+// block, which is all the stream ever held. The Keymat must not be used
 // afterwards; an association drops its stream only at teardown.
 func (k *Keymat) Zeroize() {
-	clear(k.kij)
-	clear(k.prev)
+	Zeroize(k.kij)
 	k.ij = [16]byte{}
-	clear(k.buf.Bytes())
-	k.buf.Reset()
+	k.block = [sha256.Size]byte{}
 }
 
 // ZeroizeESP wipes the four directional ESP keys, leaving the HIP
 // control-plane keys intact: a rekey replaces only the data-plane keys
 // and carries the control keys into the successor key set.
 func (a *AssociationKeys) ZeroizeESP() {
-	clear(a.ESPEncOut)
-	clear(a.ESPAuthOut)
-	clear(a.ESPEncIn)
-	clear(a.ESPAuthIn)
+	Zeroize(a.ESPEncOut)
+	Zeroize(a.ESPAuthOut)
+	Zeroize(a.ESPEncIn)
+	Zeroize(a.ESPAuthIn)
 }
 
 // Zeroize wipes the full key set, control-plane keys included; for
 // association teardown, where nothing is carried forward.
 func (a *AssociationKeys) Zeroize() {
 	a.ZeroizeESP()
-	clear(a.HIPEncOut)
-	clear(a.HIPEncIn)
-	clear(a.HIPMacOut)
-	clear(a.HIPMacIn)
+	Zeroize(a.HIPEncOut)
+	Zeroize(a.HIPEncIn)
+	Zeroize(a.HIPMacOut)
+	Zeroize(a.HIPMacIn)
 }
 
 // AssociationKeys is the full key set for one HIP association.

@@ -2,7 +2,11 @@ package keymat
 
 import (
 	"bytes"
+	"crypto/ecdh"
+	"crypto/rand"
+	"encoding/hex"
 	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -57,6 +61,111 @@ func TestDrawAcrossBlockBoundaries(t *testing.T) {
 	}
 	if k.Drawn() != 140 {
 		t.Fatalf("drawn = %d", k.Drawn())
+	}
+}
+
+// TestStreamVector pins the KEYMAT stream byte for byte: a fixed Kij,
+// HIT pair and puzzle I/J, drawn in chunks that end inside blocks, on
+// their edges and across two of them.
+func TestStreamVector(t *testing.T) {
+	kij := make([]byte, 32)
+	for i := range kij {
+		kij[i] = byte(i)
+	}
+	k := New(kij, hitI, hitR, 0x0102030405060708, 0x1112131415161718)
+	for i, d := range []struct {
+		n    int
+		want string
+	}{
+		{16, "ae5102c5c64d4bd80edd5c391ac6ca04"},
+		{32, "1e29da4d3da0f603df952defcb87ea47f47b6fd339d18f68a5026a7dae7027ca"},
+		{16, "21b9001bb823c2e15457d9bc60e2481c"},
+		{32, "235e102af658ee1f6bd39fb300511f75d988e5e65616c2e4f27e839da92fc3d7"},
+		{3, "b13f2a"},
+		{29, "026294e7c0b33e11e1fb8271bd2b1fd3f7dc39862100feb7dae167edc6"},
+		{1, "99"},
+		{31, "5fd8949f943cbe072a8399fbbfcc9d835c89f064c0a2c5d99756ce36489631"},
+		{64, "cd5b49535712ea9c16e776a9c74fd0690e8500476e3c109b9c57530a1d4c7823aa5aa04763a34722d1d2071c791ec0feb7e9418e6eeb38c3a4b57f40e62e3d53"},
+		{5, "4080b687c5"},
+	} {
+		if got := hex.EncodeToString(k.Draw(d.n)); got != d.want {
+			t.Errorf("draw %d (%d bytes) = %s, want %s", i, d.n, got, d.want)
+		}
+	}
+	if k.Drawn() != 229 {
+		t.Errorf("drawn = %d, want 229", k.Drawn())
+	}
+}
+
+// TestZeroizeClearsStream checks that a wiped stream keeps no byte of
+// Kij or of the block the last draws came from.
+func TestZeroizeClearsStream(t *testing.T) {
+	k := New([]byte("shared-dh-secret"), hitI, hitR, 1, 2)
+	k.Draw(40)
+	k.Zeroize()
+	if !bytes.Equal(k.kij, make([]byte, len(k.kij))) || k.block != [32]byte{} || k.ij != [16]byte{} {
+		t.Fatalf("stream state survives Zeroize: kij=%x block=%x ij=%x", k.kij, k.block, k.ij)
+	}
+}
+
+// TestLedgerCountsWholeWipes drives the test-binary key ledger: every
+// buffer the package hands out is outstanding, named by the function
+// that asked for it, until Zeroize clears it whole.
+func TestLedgerCountsWholeWipes(t *testing.T) {
+	start := len(KeysOutstanding())
+	k := New([]byte("dh"), hitI, hitR, 1, 2)
+	a, b := k.Draw(16), k.Draw(4)
+	c := Clone(a)
+	left := KeysOutstanding()
+	if len(left) != start+4 { // Kij, a, b, c
+		t.Fatalf("%d keys outstanding, want 4: %q", len(left)-start, left[start:])
+	}
+	for _, site := range left[start:] {
+		if !strings.HasPrefix(site, "keymat.TestLedgerCountsWholeWipes (keymat_test.go:") {
+			t.Errorf("creation site %q does not name the test", site)
+		}
+	}
+	Zeroize(a[:8]) // a prefix is not the key
+	Zeroize(b[1:]) // nor is a tail
+	Zeroize(nil)   // nor nothing
+	Zeroize(c[:0]) // nor an empty view
+	if n := len(KeysOutstanding()) - start; n != 4 {
+		t.Fatalf("partial wipes counted: %d keys outstanding, want 4", n)
+	}
+	Zeroize(a)
+	Zeroize(b)
+	Zeroize(c)
+	k.Zeroize()
+	if left := KeysOutstanding(); len(left) != start {
+		t.Fatalf("keys outstanding after every wipe: %q", left[start:])
+	}
+}
+
+func TestSharedSecretAgrees(t *testing.T) {
+	start := len(KeysOutstanding())
+	a, _ := ecdh.P256().GenerateKey(rand.Reader)
+	b, _ := ecdh.P256().GenerateKey(rand.Reader)
+	ab, err := SharedSecret(a, b.PublicKey().Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba, err := SharedSecret(b, a.PublicKey().Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ab, ba) || len(ab) != 32 {
+		t.Fatalf("shared secrets differ: %x vs %x", ab, ba)
+	}
+	if _, err := SharedSecret(a, []byte("not a point")); err == nil {
+		t.Fatal("a malformed public key was accepted")
+	}
+	if n := len(KeysOutstanding()) - start; n != 2 {
+		t.Fatalf("%d shared secrets outstanding, want 2", n)
+	}
+	Zeroize(ab)
+	Zeroize(ba)
+	if n := len(KeysOutstanding()) - start; n != 0 {
+		t.Fatalf("%d shared secrets outstanding after the wipes", n)
 	}
 }
 
@@ -169,8 +278,11 @@ func BenchmarkDeriveAssociation(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k := New(secret, hitI, hitR, 1, 2)
-		if _, err := DeriveAssociation(k, SuiteAESCTRSHA256, true); err != nil {
+		keys, err := DeriveAssociation(k, SuiteAESCTRSHA256, true)
+		if err != nil {
 			b.Fatal(err)
 		}
+		keys.Zeroize()
+		k.Zeroize()
 	}
 }

@@ -6,6 +6,8 @@ import (
 	mrand "math/rand"
 	"sync"
 	"testing"
+
+	"hipcloud/internal/keymat"
 )
 
 // scriptStream is one side's view of a handshake whose peer is the fuzz
@@ -71,10 +73,12 @@ func damaged(flight []byte) [][]byte {
 
 // FuzzHandshake feeds Server an arbitrary client side of the handshake
 // and Client an arbitrary server side: neither may panic, return a Conn
-// together with an error, or keep reading once the input has ended. Both
-// sides draw their randoms from a fixed-seed source, so the recorded
-// resumption flights replay to a successful handshake and the fuzzer
-// starts from inside the accepted set, not only from rejections.
+// together with an error, keep reading once the input has ended, or leave
+// a key unwiped — keymat's ledger may grow only by the sessions the
+// server stored. Both sides draw their randoms from a fixed-seed source,
+// so the recorded resumption flights replay to a successful handshake and
+// the fuzzer starts from inside the accepted set, not only from
+// rejections.
 func FuzzHandshake(f *testing.F) {
 	fixedRand := func() io.Reader { return mrand.New(mrand.NewSource(1)) }
 	sessions := NewServerSessions()
@@ -101,6 +105,7 @@ func FuzzHandshake(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, first, reply []byte, resume bool) {
+		keys, stored := len(keymat.KeysOutstanding()), sessions.Len()
 		check := func(side string, in []byte, run func(Stream) (*Conn, error)) {
 			s := &scriptStream{in: in}
 			conn, err := run(s)
@@ -121,8 +126,12 @@ func FuzzHandshake(f *testing.F) {
 			if resume { // a fresh cache per run: a refused resumption forgets its entry
 				cfg.Cache = NewSessionCache()
 				cfg.Cache.put("fuzz", ticket.ticket, ticket.secret, ticket.suite)
+				defer cfg.Cache.Forget("fuzz")
 			}
 			return Client(s, cfg)
 		})
+		if grew, gained := len(keymat.KeysOutstanding())-keys, sessions.Len()-stored; grew != gained {
+			t.Fatalf("%d keys left unwiped, %d sessions stored", grew, gained)
+		}
 	})
 }

@@ -48,15 +48,12 @@ func (s *ServerSessions) put(ticket, secret []byte, suite keymat.Suite) {
 			break
 		}
 	}
-	s.m[string(ticket)] = serverSession{
-		secret: append([]byte(nil), secret...),
-		suite:  suite,
-	}
+	s.m[string(ticket)] = serverSession{secret: keymat.Clone(secret), suite: suite}
 }
 
-// get returns a copy of the session for ticket: the store wipes its
-// secret slices on eviction, so handing out aliases would zero material
-// a caller is still deriving keys from.
+// get returns a copy of the session for ticket, which the caller must
+// wipe: the store wipes its secret slices on eviction, so handing out
+// aliases would zero material a caller is still deriving keys from.
 func (s *ServerSessions) get(ticket []byte) (serverSession, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -64,10 +61,7 @@ func (s *ServerSessions) get(ticket []byte) (serverSession, bool) {
 	if !ok {
 		return serverSession{}, false
 	}
-	return serverSession{
-		secret: append([]byte(nil), sess.secret...),
-		suite:  sess.suite,
-	}, true
+	return serverSession{secret: keymat.Clone(sess.secret), suite: sess.suite}, true
 }
 
 // Len reports stored sessions.
@@ -103,15 +97,15 @@ func (c *SessionCache) put(server string, ticket, secret []byte, suite keymat.Su
 	}
 	c.m[server] = clientSession{
 		ticket: append([]byte(nil), ticket...),
-		secret: append([]byte(nil), secret...),
+		secret: keymat.Clone(secret),
 		suite:  suite,
 	}
 }
 
-// get returns a copy of the cached session: Forget and put wipe the
-// stored slices in place, so an aliased return would zero the ticket out
-// from under a caller mid-handshake (the fallback path reconstructs the
-// transcript hello from it after Forget).
+// get returns a copy of the cached session, whose secret the caller must
+// wipe: Forget and put wipe the stored slices in place, so an aliased
+// return would zero the ticket out from under a caller mid-handshake (the
+// fallback path reconstructs the transcript hello from it after Forget).
 func (c *SessionCache) get(server string) (clientSession, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -121,7 +115,7 @@ func (c *SessionCache) get(server string) (clientSession, bool) {
 	}
 	return clientSession{
 		ticket: append([]byte(nil), s.ticket...),
-		secret: append([]byte(nil), s.secret...),
+		secret: keymat.Clone(s.secret),
 		suite:  s.suite,
 	}, true
 }

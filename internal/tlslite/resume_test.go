@@ -1,9 +1,12 @@
 package tlslite
 
 import (
+	"io"
 	"sync"
 	"testing"
 	"time"
+
+	"hipcloud/internal/keymat"
 )
 
 // resumingHandshake runs one handshake with the given shared caches.
@@ -120,7 +123,45 @@ func TestNoCacheNoTicketStored(t *testing.T) {
 	}
 }
 
+// closePair closes both ends of an in-memory channel, draining each pipe
+// so that neither close alert blocks.
+func closePair(cli, srv *Conn) {
+	ce, se := cli.stream.(*pipeEnd), srv.stream.(*pipeEnd)
+	go io.Copy(io.Discard, ce.r)
+	go io.Copy(io.Discard, se.r)
+	cli.Close()
+	srv.Close()
+	ce.w.Close()
+	se.w.Close()
+}
+
+// TestHandshakesWipeTheirSecrets: a full handshake and then a resumed one
+// leave no key behind but the secrets the session stores still hold. The
+// ECDH secret, the cache's copies and the copies a resumption reads out
+// of either store are all wiped.
+func TestHandshakesWipeTheirSecrets(t *testing.T) {
+	start := len(keymat.KeysOutstanding())
+	cache, sessions := NewSessionCache(), NewServerSessions()
+	costs := Costs{DHCompute: time.Millisecond}
+	for _, resumed := range []bool{false, true} {
+		var c, s time.Duration
+		cli, srv := resumingHandshake(t, cache, sessions, costs, &c, &s)
+		if (c == 0) != resumed {
+			t.Fatalf("resumed=%v, but the client paid %v for ECDH", resumed, c)
+		}
+		closePair(cli, srv)
+	}
+	cache.Forget("web1")
+	if n := sessions.Len(); n != 1 {
+		t.Fatalf("server stores %d sessions, want 1", n)
+	}
+	if left := keymat.KeysOutstanding(); len(left) != start+1 {
+		t.Errorf("%d keys outstanding beyond the stored session, created at %q", len(left)-start-1, left[min(start, len(left)):])
+	}
+}
+
 func TestServerSessionsCapBound(t *testing.T) {
+	start := len(keymat.KeysOutstanding())
 	s := NewServerSessions()
 	s.Cap = 8
 	for i := 0; i < 50; i++ {
@@ -128,6 +169,9 @@ func TestServerSessionsCapBound(t *testing.T) {
 	}
 	if s.Len() > 8 {
 		t.Fatalf("store grew to %d, cap 8", s.Len())
+	}
+	if n := len(keymat.KeysOutstanding()) - start; n != s.Len() {
+		t.Fatalf("%d secrets outstanding for %d stored sessions: an evicted one was not wiped", n, s.Len())
 	}
 }
 

@@ -306,6 +306,7 @@ func TestResumptionCarriesAEADSuite(t *testing.T) {
 // A cached session whose suite the client's current policy forbids is
 // not resumed: the connection renegotiates with a full handshake.
 func TestResumptionSkippedWhenSuiteForbidden(t *testing.T) {
+	start := len(keymat.KeysOutstanding())
 	costs := Costs{Sign: time.Millisecond, Verify: time.Millisecond}
 	cache := NewSessionCache()
 	sessions := NewServerSessions()
@@ -330,6 +331,12 @@ func TestResumptionSkippedWhenSuiteForbidden(t *testing.T) {
 	}
 	if cli.Suite() != keymat.SuiteChaCha20Poly1305 {
 		t.Fatalf("renegotiated suite %v", cli.Suite())
+	}
+	// The renegotiated session replaced the cached one, which was wiped,
+	// as was the copy the skipped resumption read out.
+	cache.Forget("web1")
+	if left := keymat.KeysOutstanding(); len(left) != start+sessions.Len() {
+		t.Errorf("%d keys outstanding beyond the stored sessions, created at %q", len(left)-start-sessions.Len(), left[min(start, len(left)):])
 	}
 }
 

@@ -366,19 +366,22 @@ func Client(s Stream, cfg Config) (*Conn, error) {
 		// A cached session whose suite the current config no longer accepts
 		// is skipped (not resumed onto a now-forbidden record layer); the
 		// full handshake below renegotiates and overwrites the cache entry.
-		if sess, ok := cfg.Cache.get(cfg.ServerName); ok && cfg.allows(sess.suite) {
-			conn, resumed, err := resumeClient(s, cfg, sess, clientRand)
-			if resumed {
-				return conn, err
+		if sess, ok := cfg.Cache.get(cfg.ServerName); ok {
+			defer keymat.Zeroize(sess.secret)
+			if cfg.allows(sess.suite) {
+				conn, resumed, err := resumeClient(s, cfg, sess, clientRand)
+				if resumed {
+					return conn, err
+				}
+				if fb, isFb := err.(errFallback); isFb {
+					// Server declined the ticket but already answered with a
+					// full ServerHello: continue the full handshake.
+					cfg.Cache.Forget(cfg.ServerName)
+					hello := clientHello(&cfg, clientRand, sess.ticket)
+					return clientFull(s, cfg, clientRand, hello, fb.rec, fb.body)
+				}
+				return nil, err
 			}
-			if fb, isFb := err.(errFallback); isFb {
-				// Server declined the ticket but already answered with a
-				// full ServerHello: continue the full handshake.
-				cfg.Cache.Forget(cfg.ServerName)
-				hello := clientHello(&cfg, clientRand, sess.ticket)
-				return clientFull(s, cfg, clientRand, hello, fb.rec, fb.body)
-			}
-			return nil, err
 		}
 	}
 	hello := clientHello(&cfg, clientRand, nil)
@@ -455,14 +458,11 @@ func clientFull(s Stream, cfg Config, clientRand, hello, shRec, body []byte) (*C
 		return nil, err
 	}
 	cfg.charge(cfg.Costs.DHKeygen)
-	srvKey, err := ecdh.P256().NewPublicKey(dhPub)
+	secret, err := keymat.SharedSecret(priv, dhPub)
 	if err != nil {
 		return nil, ErrHandshake
 	}
-	secret, err := priv.ECDH(srvKey)
-	if err != nil {
-		return nil, ErrHandshake
-	}
+	defer keymat.Zeroize(secret) // the Conn and the session cache keep copies
 	cfg.charge(cfg.Costs.DHCompute)
 	cke := msg(msgClientKey, priv.PublicKey().Bytes())
 	if err := writeRecord(s, recHandshake, cke); err != nil {
@@ -549,8 +549,11 @@ func Server(s Stream, cfg Config) (*Conn, error) {
 	// record suite the current config still permits; otherwise fall
 	// through to a full handshake that renegotiates.
 	if len(ticket) > 0 && cfg.Sessions != nil {
-		if sess, ok := cfg.Sessions.get(ticket); ok && cfg.allows(sess.suite) {
-			return serverResume(s, cfg, chRec, clientRand, serverRand, sess)
+		if sess, ok := cfg.Sessions.get(ticket); ok {
+			defer keymat.Zeroize(sess.secret)
+			if cfg.allows(sess.suite) {
+				return serverResume(s, cfg, chRec, clientRand, serverRand, sess)
+			}
 		}
 	}
 	priv, err := cfg.ecdheKey()
@@ -591,14 +594,11 @@ func Server(s Stream, cfg Config) (*Conn, error) {
 	if err != nil || ct != msgClientKey {
 		return nil, ErrHandshake
 	}
-	cliPub, err := ecdh.P256().NewPublicKey(cliPubB)
+	secret, err := keymat.SharedSecret(priv, cliPubB)
 	if err != nil {
 		return nil, ErrHandshake
 	}
-	secret, err := priv.ECDH(cliPub)
-	if err != nil {
-		return nil, ErrHandshake
-	}
+	defer keymat.Zeroize(secret) // the Conn and the session store keep copies
 	cfg.charge(cfg.Costs.DHCompute)
 	finRec, err := readRecord(s, recHandshake)
 	if err != nil {
