@@ -106,10 +106,11 @@ bench-smoke:
 # has no keys, so it stops at the ICV check; keymat.FuzzCipherOpen and
 # tlslite.FuzzOpenRecord hold the keys and fuzz what lies behind it. The
 # eleventh target, hipudp.FuzzFrameDemux, feeds datagrams to a live stack's
-# frame demux (onControl/onData) as an outsider would; the twelfth,
+# frame demux (onFrames, one frame a vector) as an outsider would; the twelfth,
 # tlslite.FuzzHandshake, plays an arbitrary peer to Server and to Client;
 # the thirteenth, stream.FuzzTransfer, runs two stream conns through
-# input-chosen loss, duplication and reordering and checks exactly-once,
+# input-chosen loss, duplication, reordering and ACK coalescing
+# (stream.CoalesceACKs, as hipudp sends) and checks exactly-once,
 # in-order delivery and the lend invariant.
 FUZZTIME ?= 30s
 

@@ -98,13 +98,26 @@ func TestBatchedWriteErrorSurfaces(t *testing.T) {
 
 // TestBatchingReducesSyscalls drives enough localhost traffic through
 // the stack that sendmmsg/recvmmsg must coalesce: strictly fewer
-// syscalls than packets on both sides of the socket.
+// syscalls than packets on both sides of the socket. Packets are counted
+// per syscall on both sides, and loopback loses none, so once the last
+// ACK has landed each side has read exactly what the other wrote.
 func TestBatchingReducesSyscalls(t *testing.T) {
 	if !VectoredIO() {
 		t.Skip("vectored I/O not compiled in on this platform")
 	}
 	a, b := pair(t)
 	echoBytes(t, a, b, 512*1024)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		sa, sb := a.Stats(), b.Stats()
+		if sa.TxPackets == sb.RxPackets && sb.TxPackets == sa.RxPackets &&
+			sa.TxBytes == sb.RxBytes && sb.TxBytes == sa.RxBytes {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("packets/bytes: dialer Tx %d/%d Rx %d/%d, listener Tx %d/%d Rx %d/%d; want each side's Tx = the other's Rx",
+				sa.TxPackets, sa.TxBytes, sa.RxPackets, sa.RxBytes, sb.TxPackets, sb.TxBytes, sb.RxPackets, sb.RxBytes)
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		st   Stats

@@ -12,7 +12,8 @@ import (
 )
 
 // FuzzFrameDemux feeds arbitrary datagrams to a stack that holds an
-// established association and a listener, the way readLoop dispatches them.
+// established association and a listener, each as a one-frame vector
+// through onFrames, the path readLoop runs.
 // Nothing an outsider can send may panic, open a conn or a listener, or make
 // the stack answer — unless it parsed as a HIP control packet, which the
 // protocol core may answer (an I1 earns its R1).
@@ -55,7 +56,7 @@ func FuzzFrameDemux(f *testing.F) {
 	f.Add(append([]byte{frameESP}, sealed[:esp.HeaderLen-1]...))
 	f.Add(append([]byte{frameESP}, sealed...))
 
-	from := netip.MustParseAddrPort("127.0.0.1:9")
+	from := []netip.AddrPort{netip.MustParseAddrPort("127.0.0.1:9")}
 	state := func() (conns, listeners int, queued uint64) {
 		b.mu.Lock()
 		defer b.mu.Unlock()
@@ -64,16 +65,11 @@ func FuzzFrameDemux(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		conns, listeners, queued := state()
 		control := false
-		if len(frame) > 0 {
-			switch frame[0] {
-			case frameHIP:
-				_, err := hipwire.Parse(frame[1:])
-				control = err == nil
-				b.onControl(append([]byte(nil), frame[1:]...), from)
-			case frameESP:
-				b.onData(frame[1:])
-			}
+		if len(frame) > 0 && frame[0] == frameHIP {
+			_, err := hipwire.Parse(frame[1:])
+			control = err == nil
 		}
+		b.onFrames([][]byte{frame}, from)
 		c, l, q := state()
 		if c > conns || l > listeners {
 			t.Fatalf("frame %x: conns %d -> %d, listeners %d -> %d", frame, conns, c, listeners, l)

@@ -99,8 +99,10 @@ type Stack struct {
 	closed bool
 
 	// plain and rxPlain are the scratches in which pumpLocked builds each
-	// segment's ESP plaintext and onData opens each packet's, reused under mu.
+	// segment's ESP plaintext and onFrames opens each packet's, and touched
+	// lists the conns one vector's segments reached; all reused under mu.
 	plain, rxPlain []byte
+	touched        []*Conn
 
 	// Socket counters and the sender every frame leaves through.
 	stats   ioStats
@@ -217,16 +219,15 @@ func (s *Stack) Close() error {
 	return s.pc.Close()
 }
 
-// readLoop drains inbound datagrams in recvmmsg-sized vectors and
-// dispatches them. ESP frames are opened straight out of the receive
-// arena (onData retains nothing of pkt); control frames are copied out
-// first, since hip.Host may retain parsed parameters.
+// readLoop drains inbound datagrams in recvmmsg-sized vectors and hands
+// each vector to onFrames whole.
 func (s *Stack) readLoop() {
 	eng := newRxEngine()
 	var (
-		bufs  [rxBatchMax][]byte
-		sizes [rxBatchMax]int
-		eps   [rxBatchMax]netip.AddrPort
+		bufs   [rxBatchMax][]byte
+		frames [rxBatchMax][]byte
+		sizes  [rxBatchMax]int
+		eps    [rxBatchMax]netip.AddrPort
 	)
 	for i := range bufs {
 		bufs[i] = make([]byte, 64*1024)
@@ -235,21 +236,15 @@ func (s *Stack) readLoop() {
 		cnt, nsys, err := eng.read(s.pc, s.rc, bufs[:], sizes[:], eps[:])
 		s.stats.rxSyscalls.Add(uint64(nsys))
 		if cnt > 0 {
+			var n uint64
+			for i := range frames[:cnt] {
+				frames[i] = bufs[i][:sizes[i]]
+				n += uint64(sizes[i])
+			}
 			s.stats.rxBatches.Add(1)
-		}
-		for i := 0; i < cnt; i++ {
-			n := sizes[i]
-			s.stats.rxPackets.Add(1)
-			s.stats.rxBytes.Add(uint64(n))
-			if n < 1 {
-				continue
-			}
-			switch buf := bufs[i]; buf[0] {
-			case frameHIP:
-				s.onControl(append([]byte(nil), buf[1:n]...), eps[i])
-			case frameESP:
-				s.onData(buf[1:n])
-			}
+			s.stats.rxPackets.Add(uint64(cnt))
+			s.stats.rxBytes.Add(n)
+			s.onFrames(frames[:cnt], eps[:cnt])
 		}
 		// Stop only on shutdown (Close closes the socket); transient socket
 		// errors (e.g. an ICMP port-unreachable surfacing on the UDP socket)
@@ -260,12 +255,46 @@ func (s *Stack) readLoop() {
 	}
 }
 
-func (s *Stack) onControl(data []byte, from netip.AddrPort) {
+// onFrames runs one received vector to completion under one hold of s.mu.
+// Frames are handled in order: a control frame (from[i] sent it) goes to the
+// host and is answered at once, an ESP frame's segment goes to its conn.
+// Each conn a segment reached is pumped and woken once, after the whole
+// vector, so that the ACKs of a run of segments leave as one cumulative ACK.
+// ESP frames are opened straight out of frames, which may be arena memory
+// and is not retained; control frames are copied first, since hip.Host may
+// retain parsed parameters.
+func (s *Stack) onFrames(frames [][]byte, from []netip.AddrPort) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
+	for i, f := range frames {
+		if len(f) < 1 {
+			continue
+		}
+		switch f[0] {
+		case frameHIP:
+			s.controlLocked(append([]byte(nil), f[1:]...), from[i])
+		case frameESP:
+			if c := s.segmentLocked(f[1:]); c != nil && !c.touched {
+				c.touched = true
+				s.touched = append(s.touched, c)
+			}
+		}
+	}
+	for _, c := range s.touched {
+		c.touched = false
+		s.pumpLocked(c)
+		c.cond.Broadcast()
+	}
+	clear(s.touched)
+	s.touched = s.touched[:0]
+}
+
+// controlLocked hands one control packet to the host and sends its answer.
+// Callers hold s.mu.
+func (s *Stack) controlLocked(data []byte, from netip.AddrPort) {
 	s.locToEP[from.Addr()] = from
 	// Remember the sender HIT's endpoint (header bytes 8..24).
 	if len(data) >= 40 {
@@ -276,43 +305,39 @@ func (s *Stack) onControl(data []byte, from netip.AddrPort) {
 	s.flushLocked()
 }
 
-// onData opens one ESP packet into rxPlain and feeds the segment inside to its
-// conn (OnSegment copies what it keeps). pkt may be arena memory: not retained.
-func (s *Stack) onData(pkt []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
+// segmentLocked opens one ESP packet into rxPlain and feeds the segment
+// inside to its conn (OnSegment copies what it keeps), opening the conn if
+// the segment is a SYN for a listener. It returns the conn, nil if the
+// packet reached none. Callers hold s.mu and pump the conn.
+func (s *Stack) segmentLocked(pkt []byte) *Conn {
 	payload, peerHIT, err := s.host.OpenDataAppend(s.rxPlain[:0], pkt, false)
 	s.host.TakeCost()
 	if err != nil || len(payload) < muxHeader || payload[0] != innerStream {
-		return
+		return nil
 	}
 	s.rxPlain = payload[:0] // keep what OpenDataAppend grew
 	remotePort := binary.BigEndian.Uint16(payload[1:])
 	localPort := binary.BigEndian.Uint16(payload[3:])
 	seg, err := stream.ParseSegment(payload[muxHeader:])
 	if err != nil {
-		return
+		return nil
 	}
 	key := connKey{peer: peerHIT, localPort: localPort, remotePort: remotePort}
 	c, ok := s.conns[key]
 	if !ok {
 		if seg.Flags&stream.FlagSYN == 0 || seg.Flags&stream.FlagACK != 0 {
-			return
+			return nil
 		}
 		l, ok := s.listeners[localPort]
 		if !ok || len(l.backlog) >= 64 {
-			return
+			return nil
 		}
 		c = s.newConnLocked(key)
 		l.backlog = append(l.backlog, c)
 		s.cond.Broadcast()
 	}
 	c.inner.OnSegment(seg, s.now())
-	s.pumpLocked(c)
-	c.cond.Broadcast()
+	return c
 }
 
 // flushLocked sends pending control packets and wakes establishment
@@ -454,16 +479,17 @@ func (s *Stack) newConnLocked(key connKey) *Conn {
 }
 
 // pumpLocked flushes a conn's outgoing segments through ESP and forgets
-// the conn once it is closed on both sides. Each segment is marshaled
-// once into the plaintext scratch and sealed straight into the frame the
-// sender sends. Callers hold s.mu.
+// the conn once it is closed on both sides. Of a run of pure ACKs only
+// those the peer needs leave (stream.CoalesceACKs). Each segment is
+// marshaled once into the plaintext scratch and sealed straight into the
+// frame the sender sends. Callers hold s.mu.
 func (s *Stack) pumpLocked(c *Conn) {
 	if s.closed {
 		return
 	}
 	segs, deadline := c.inner.Poll(s.now())
 	c.deadline = deadline
-	for _, seg := range segs {
+	for _, seg := range stream.CoalesceACKs(segs) {
 		n := muxHeader + stream.HeaderSize + len(seg.Payload)
 		if cap(s.plain) < n {
 			s.plain = make([]byte, n)
@@ -591,6 +617,8 @@ type Conn struct {
 	deadline time.Duration
 	// closedByUser lets pumpLocked forget the conn once the stream is done.
 	closedByUser bool
+	// touched is set while the conn is listed in Stack.touched.
+	touched bool
 }
 
 // PeerHIT returns the remote host identity tag.

@@ -212,14 +212,15 @@ func TestPumpAllocsPerSegment(t *testing.T) {
 	}
 }
 
-// inOrderPackets dials a conn from a fresh stack a to b and returns it with
-// n sealed in-order data packets of one MSS each from b's end, made by b's
-// stream and SA for the test to carry. a has no endpoint for b left, so the
-// ACKs it answers with are sealed and dropped: an allocation count over
-// a.onData is onData's own, with no sender goroutine and no reply.
-func inOrderPackets(t *testing.T, n int) (a *Stack, c *Conn, pkts [][]byte) {
+// inOrderFrames dials a conn from a fresh stack a to b and returns it with
+// at least n sealed in-order data frames of one MSS each from b's end, made
+// by b's stream and SA for the test to carry. Both senders are stopped: a
+// frame a queues is dropped at once and counted in TxDrops, and nothing b
+// sends reaches a. So an allocation count over a.onFrames is its own, with
+// no sender goroutine and no reply.
+func inOrderFrames(t *testing.T, n int) (a, b *Stack, c *Conn, frames [][]byte) {
 	t.Helper()
-	a, b := pair(t)
+	a, b = pair(t)
 	l, err := b.Listen(7)
 	if err != nil {
 		t.Fatal(err)
@@ -240,58 +241,116 @@ func inOrderPackets(t *testing.T, n int) (a *Stack, c *Conn, pkts [][]byte) {
 	if _, err := cb.Read(make([]byte, 1)); err != nil {
 		t.Fatal(err)
 	}
-	a.mu.Lock()
-	delete(a.hitToEP, idB.HIT())
-	delete(a.peers, idB.HIT())
-	clear(a.locToEP)
-	a.mu.Unlock()
+	a.sender.close()
+	b.sender.close()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if wn, err := cb.inner.Write(make([]byte, n*stream.DefaultMSS)); wn != n*stream.DefaultMSS || err != nil {
 		t.Fatalf("stream write: %d %v", wn, err)
 	}
-	segs, _ := cb.inner.Poll(b.now())
-	for _, seg := range segs {
-		plain := make([]byte, muxHeader+stream.HeaderSize+len(seg.Payload))
-		plain[0] = innerStream
-		binary.BigEndian.PutUint16(plain[1:], cb.key.localPort)
-		binary.BigEndian.PutUint16(plain[3:], cb.key.remotePort)
-		seg.MarshalInto(plain[muxHeader:])
-		pkt, _, err := b.host.SealData(idA.HIT(), plain, false)
-		if err != nil {
-			t.Fatal(err)
+	for len(frames) < n {
+		segs, _ := cb.inner.Poll(b.now())
+		if len(segs) == 0 {
+			t.Fatalf("%d frames, want %d", len(frames), n)
 		}
-		pkts = append(pkts, pkt)
+		for _, seg := range segs {
+			plain := make([]byte, muxHeader+stream.HeaderSize+len(seg.Payload))
+			plain[0] = innerStream
+			binary.BigEndian.PutUint16(plain[1:], cb.key.localPort)
+			binary.BigEndian.PutUint16(plain[3:], cb.key.remotePort)
+			seg.MarshalInto(plain[muxHeader:])
+			frame, _, err := b.host.SealDataAppend([]byte{frameESP}, idA.HIT(), plain, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, frame)
+		}
+		// Acknowledge the flight on a's behalf, so that b's windows let the
+		// next Poll send more.
+		last := segs[len(segs)-1]
+		ack := stream.Segment{Flags: stream.FlagACK, Seq: last.Ack, Ack: last.Seq + uint32(len(last.Payload)), Window: stream.DefaultWindow}
+		cb.inner.OnSegment(ack, b.now())
 	}
-	if len(pkts) < n {
-		t.Fatalf("%d packets, want %d", len(pkts), n)
-	}
-	return a, c, pkts
+	return a, b, c, frames
 }
 
-// TestOnDataAllocsPerPacket pins the receive path's allocation count for
-// an in-order data packet that the application reads at once: the frame of
-// the ACK it answers with. The plaintext is opened into the stack's
-// scratch, rcvBuf slides in its array and the ACK comes out of a lent Poll
-// slice.
-func TestOnDataAllocsPerPacket(t *testing.T) {
-	const runs, total = 5, (5 + 1) * stream.DefaultMSS
-	a, c, pkts := inOrderPackets(t, runs+1)
-	buf := make([]byte, 4096)
-	read := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		a.onData(pkts[0])
-		pkts = pkts[1:]
-		n, err := c.Read(buf)
-		if err != nil {
-			t.Fatalf("read: %v", err)
+// TestOnFramesAllocsPerVector pins the receive path's allocation count for
+// a vector of in-order data frames that the application reads at once: the
+// frame of the one cumulative ACK the vector is answered with, for one
+// frame as for six. The plaintext is opened into the stack's scratch,
+// rcvBuf slides in its array and the ACK comes out of a lent Poll slice.
+func TestOnFramesAllocsPerVector(t *testing.T) {
+	const runs = 5
+	for _, vec := range []int{1, 6} {
+		a, _, c, frames := inOrderFrames(t, (runs+1)*vec)
+		from := make([]netip.AddrPort, vec)
+		buf := make([]byte, 16<<10)
+		read := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			a.onFrames(frames[:vec], from)
+			frames = frames[vec:]
+			n, err := c.Read(buf)
+			if err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			read += n
+		})
+		if total := (runs + 1) * vec * stream.DefaultMSS; read != total {
+			t.Fatalf("vectors of %d: read %d bytes in %d runs, want %d: a segment was not delivered in order", vec, read, runs+1, total)
 		}
-		read += n
-	})
-	if read != total {
-		t.Fatalf("read %d bytes in %d runs: a packet was not delivered in order", read, runs+1)
+		if allocs > 1 {
+			t.Errorf("%.0f allocations per vector of %d frames, want <= 1 (the ACK frame)", allocs, vec)
+		}
 	}
-	if allocs > 1 {
-		t.Errorf("%.0f allocations per packet, want <= 1 (ACK frame)", allocs)
+}
+
+// TestVectorQueuesOneCumulativeACK hands a's read path one vector of six
+// in-order data frames, then one of a frame in order and three past a gap,
+// and opens every frame a queues in reply with b's SA. The six are answered
+// with one cumulative ACK, not six. The gap vector is answered with four
+// ACKs of one Ack: the three duplicates that make the peer fast retransmit
+// survive coalescing.
+func TestVectorQueuesOneCumulativeACK(t *testing.T) {
+	a, b, _, frames := inOrderFrames(t, 11)
+	// Open a's stopped sender again: nothing drains its queue now, so what a
+	// queues stays there, in wire order, for acks to take.
+	a.sender.mu.Lock()
+	a.sender.closed = false
+	a.sender.mu.Unlock()
+	from := make([]netip.AddrPort, 6)
+	acks := func(vector ...[]byte) []stream.Segment {
+		a.onFrames(vector, from[:len(vector)])
+		a.sender.mu.Lock()
+		queued := a.sender.queue
+		a.sender.queue = nil
+		a.sender.mu.Unlock()
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		var segs []stream.Segment
+		for _, p := range queued {
+			plain, peer, err := b.host.OpenDataAppend(nil, p.buf[1:], false)
+			if err != nil || p.buf[0] != frameESP || peer != idA.HIT() || len(plain) < muxHeader {
+				t.Fatalf("a queued a frame b cannot open: %v", err)
+			}
+			seg, err := stream.ParseSegment(plain[muxHeader:])
+			if err != nil || seg.Flags != stream.FlagACK || len(seg.Payload) != 0 {
+				t.Fatalf("a queued %+v (%v), want pure ACKs", seg, err)
+			}
+			segs = append(segs, seg)
+		}
+		return segs
+	}
+	inOrder := acks(frames[:6]...)
+	if len(inOrder) != 1 {
+		t.Fatalf("six in-order segments in one vector queued %d ACKs, want one cumulative ACK", len(inOrder))
+	}
+	gap := acks(frames[6], frames[8], frames[9], frames[10])
+	if len(gap) != 4 {
+		t.Fatalf("a segment in order and three past a gap queued %d ACKs, want 4", len(gap))
+	}
+	for _, seg := range gap {
+		if want := inOrder[0].Ack + stream.DefaultMSS; seg.Ack != want {
+			t.Fatalf("ACK of %d in the gap vector, want all four at %d (one MSS past the cumulative ACK)", seg.Ack, want)
+		}
 	}
 }

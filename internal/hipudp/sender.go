@@ -87,12 +87,14 @@ func (s *Stack) senderLoop() {
 func (s *Stack) transmit(eng *txEngine, batch []txPacket) {
 	for len(batch) > 0 {
 		sent, nsys, err := eng.send(s.pc, s.rc, batch)
+		var n uint64
+		for _, p := range batch[:sent] {
+			n += uint64(len(p.buf))
+		}
 		s.stats.txSyscalls.Add(uint64(nsys))
 		s.stats.txBatches.Add(1)
-		for _, p := range batch[:sent] {
-			s.stats.txPackets.Add(1)
-			s.stats.txBytes.Add(uint64(len(p.buf)))
-		}
+		s.stats.txPackets.Add(uint64(sent))
+		s.stats.txBytes.Add(n)
 		batch = batch[sent:]
 		if err != nil {
 			// The socket refused a frame (typically: stack closing). Count

@@ -151,12 +151,13 @@ func TestAbortWakesBlockedReader(t *testing.T) {
 }
 
 // TestBlockedReadAllocatesNoTimer counts "block in Read, receive one in-order
-// packet, return": the frame of the ACK, as in TestOnDataAllocsPerPacket,
+// packet, return": the frame of the ACK, as in TestOnFramesAllocsPerVector,
 // and nothing for the wait itself. With a time.AfterFunc and its closure
 // per blocked Read the same loop read 4.
 func TestBlockedReadAllocatesNoTimer(t *testing.T) {
 	const runs, total = 8, (8 + 1) * stream.DefaultMSS
-	a, c, pkts := inOrderPackets(t, runs+1)
+	a, _, c, frames := inOrderFrames(t, runs+1)
+	from := make([]netip.AddrPort, 1)
 	// The deliverer gives the reader 2 ms to block before each packet; a
 	// reader that was not blocked yet could only lower the count.
 	kick := make(chan struct{})
@@ -164,8 +165,8 @@ func TestBlockedReadAllocatesNoTimer(t *testing.T) {
 	go func() {
 		for range kick {
 			time.Sleep(2 * time.Millisecond)
-			a.onData(pkts[0])
-			pkts = pkts[1:]
+			a.onFrames(frames[:1], from)
+			frames = frames[1:]
 		}
 	}()
 	buf := make([]byte, 4096)

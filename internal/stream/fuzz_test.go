@@ -9,8 +9,10 @@ import (
 
 // FuzzTransfer runs a one-way transfer between two conns joined in memory
 // on a schedule the input picks: write and read sizes, when a's
-// retransmission timer fires, and whether each data segment and each ACK
-// is delivered, dropped, duplicated or held back behind the next batch.
+// retransmission timer fires, whether each batch of b's ACKs goes through
+// CoalesceACKs first, as the real driver sends it, and whether each data
+// segment and each ACK is delivered, dropped, duplicated or held back
+// behind the next batch.
 // Every payload a polls must be the pattern's bytes at its sequence (the
 // lend invariant), every Read must return the next bytes of the pattern,
 // exactly once and in order, and once the input runs out a loss-free tail
@@ -36,6 +38,10 @@ func FuzzTransfer(f *testing.F) {
 	// A short schedule on which a Write that slid under a queued
 	// retransmission would lend overwritten bytes.
 	f.Add([]byte("A00000007"))
+	// Every byte carries the coalescing bit, so every batch of b's ACKs is
+	// coalesced, under a drop, a duplicate and a hold in every twelve
+	// segments, and timers.
+	f.Add(bytes.Repeat([]byte{0x24, 0x64, 0x2c, 0x24, 0x26, 0x64, 0x2c, 0x25, 0x24, 0x64, 0x27, 0x2c}, 50))
 
 	const total = 8 << 10
 	src := make([]byte, total)
@@ -55,11 +61,14 @@ func FuzzTransfer(f *testing.F) {
 			return c
 		}
 		var held [2][][]byte
-		// carry polls from and hands each segment to to as next picks:
-		// deliver, drop, duplicate or hold back. What was held back last
-		// time follows this batch.
-		carry := func(from, to *Conn, dir int) {
+		// carry polls from, coalesces the batch if asked, and hands each
+		// segment to to as next picks: deliver, drop, duplicate or hold
+		// back. What was held back last time follows this batch.
+		carry := func(from, to *Conn, dir int, coalesce bool) {
 			segs, _ := from.Poll(now)
+			if coalesce {
+				segs = CoalesceACKs(segs)
+			}
 			late := held[dir]
 			held[dir] = nil
 			deliver := func(wire []byte) {
@@ -138,15 +147,17 @@ func FuzzTransfer(f *testing.F) {
 			if i == 3 {
 				t.Fatalf("handshake: a=%v b=%v", a.State(), b.State())
 			}
-			carry(a, b, 0)
-			carry(b, a, 1)
+			carry(a, b, 0, false)
+			carry(b, a, 1, false)
 		}
 		in = schedule
 		for len(in) > 0 {
 			write(int(next()) * 16)
-			carry(a, b, 0)
+			carry(a, b, 0, false)
 			readUpTo(int(next()) * 16)
-			carry(b, a, 1)
+			// The coalescing bit is bit 2, which no other choice reads, so a
+			// seed whose bytes all have it set coalesces every batch.
+			carry(b, a, 1, next()&4 != 0)
 			// Firing at most maxRetries/2 timeouts in a row keeps the
 			// conn short of giving up before the tail.
 			tick(next()&1 == 1 && a.retries < maxRetries/2)
@@ -156,9 +167,9 @@ func FuzzTransfer(f *testing.F) {
 				t.Fatalf("loss-free tail stalled: %d of %d bytes read", read, total)
 			}
 			write(total)
-			carry(a, b, 0)
+			carry(a, b, 0, false)
 			readUpTo(total)
-			carry(b, a, 1)
+			carry(b, a, 1, false)
 			tick(true)
 		}
 	})

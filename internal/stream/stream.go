@@ -757,6 +757,27 @@ func (c *Conn) Poll(now time.Duration) ([]Segment, time.Duration) {
 	return out, c.rtoDeadline
 }
 
+// CoalesceACKs drops every pure ACK in segs that the next segment, a pure
+// ACK with a later Ack, supersedes, compacts what is left in place and
+// returns it. Equal Acks are duplicate ACKs and all stay, since three of
+// them make the peer retransmit; SYN, FIN, RST and data segments are never
+// dropped. A driver that sends a Poll's segments back to back may apply it
+// to them: only the last of a run of cumulative ACKs tells the peer
+// anything. It allocates nothing.
+func CoalesceACKs(segs []Segment) []Segment {
+	out := segs[:0]
+	for i, seg := range segs {
+		if i+1 < len(segs) && seg.pureACK() && segs[i+1].pureACK() && seqLT(seg.Ack, segs[i+1].Ack) {
+			continue
+		}
+		out = append(out, seg)
+	}
+	return out
+}
+
+// pureACK reports whether the segment is an ACK and nothing else.
+func (s Segment) pureACK() bool { return s.Flags == FlagACK && len(s.Payload) == 0 }
+
 func (c *Conn) packetize(now time.Duration) {
 	for {
 		unsentStart := int(c.sndNxt - c.sndUna)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"container/heap"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -657,6 +658,46 @@ func TestSegmentMarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseSegment(make([]byte, HeaderSize-1)); err == nil {
 		t.Fatal("short segment parsed")
+	}
+}
+
+// TestCoalesceACKs: a pure ACK goes only when the segment right after it is
+// a pure ACK with a later Ack; duplicate ACKs and every segment that is not
+// a pure ACK stay, in order, and coalescing allocates nothing.
+func TestCoalesceACKs(t *testing.T) {
+	seg := func(flags uint8, ack uint32, payload string) Segment {
+		var p []byte
+		if payload != "" {
+			p = []byte(payload)
+		}
+		return Segment{Flags: flags, Seq: 9, Ack: ack, Window: 1000, Payload: p}
+	}
+	ack := func(n uint32) Segment { return seg(FlagACK, n, "") }
+	mixed := []Segment{ack(1), seg(FlagSYN|FlagACK, 2, ""), ack(3), seg(FlagFIN|FlagACK, 4, ""), ack(5),
+		seg(FlagRST, 0, ""), ack(6), seg(FlagACK, 7, "data"), ack(8)}
+	for _, tc := range []struct {
+		name    string
+		in, out []Segment
+	}{
+		{"empty", nil, nil},
+		{"one ACK", []Segment{ack(1)}, []Segment{ack(1)}},
+		{"in-order run keeps the last", []Segment{ack(1), ack(2), ack(3), ack(4)}, []Segment{ack(4)}},
+		{"dup ACKs all stay", []Segment{ack(5), ack(5), ack(5)}, []Segment{ack(5), ack(5), ack(5)}},
+		{"only the dup before the new Ack goes", []Segment{ack(5), ack(5), ack(5), ack(5), ack(6)},
+			[]Segment{ack(5), ack(5), ack(5), ack(6)}},
+		{"an earlier Ack after a later one stays", []Segment{ack(6), ack(5)}, []Segment{ack(6), ack(5)}},
+		{"later across wraparound", []Segment{ack(1<<32 - 16), ack(16)}, []Segment{ack(16)}},
+		{"SYN/ACK, FIN, RST and data pass untouched", mixed, mixed},
+	} {
+		got := CoalesceACKs(append([]Segment(nil), tc.in...))
+		if len(got) != len(tc.out) || (len(got) > 0 && !reflect.DeepEqual(got, tc.out)) {
+			t.Errorf("%s: CoalesceACKs(%v) = %v, want %v", tc.name, tc.in, got, tc.out)
+		}
+	}
+	buf := make([]Segment, len(mixed)+4)
+	run := append([]Segment{ack(1), ack(2), ack(2), ack(3)}, mixed...)
+	if allocs := testing.AllocsPerRun(100, func() { CoalesceACKs(buf[:copy(buf, run)]) }); allocs != 0 {
+		t.Errorf("CoalesceACKs allocated %.0f times per call, want 0", allocs)
 	}
 }
 
