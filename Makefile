@@ -15,15 +15,16 @@ all: check
 check: lint budget vet build bench-build test race bench-smoke fuzz-smoke chaos-smoke storm-smoke
 
 # hiplint (cmd/hiplint + internal/analysis) machine-checks the DESIGN.md
-# §5a contracts with seven checks: append-API aliasing (appendalias),
-# simulator determinism (simdet, schedblock), lock discipline
-# (lockedsend, lockorder), secret hygiene in logs and compares
-# (secflow) and the hot-path allocation idioms the compiler does not
-# report (hotpath; the ones it does are `budget`'s). Key wipes and pooled
-# buffers are refereed at run time, by keymat's and netsim's test-binary
-# ledgers, so `test` checks them. The whole
-# module loads into one program so the interprocedural checks see
-# cross-package call chains. Findings are waived only with
+# §5a contracts with five checks: append-API aliasing (appendalias),
+# simulator determinism (simdet), lock ordering (lockorder), secret
+# hygiene in logs and compares (secflow) and the hot-path allocation
+# idioms the compiler does not report (hotpath; the ones it does are
+# `budget`'s). Key wipes and pooled buffers are refereed at run time, by
+# keymat's and netsim's test-binary ledgers, and the simulator's
+# run-to-completion contract by netsim itself (a blocking Proc API called
+# from a handler or for another process panics), so `test` checks them.
+# The whole module loads into one program so the interprocedural checks
+# see cross-package call chains. Findings are waived only with
 # //lint:allow <check> <reason>; the hot set carries zero waivers.
 lint:
 	$(GO) run ./cmd/hiplint ./...

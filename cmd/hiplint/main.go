@@ -9,7 +9,7 @@
 // Patterns default to ./... and accept directories or module import
 // paths, recursively with /... . All matched packages are loaded into one
 // program, so the interprocedural analyzers (secflow, lockorder, and the
-// summary-aware simdet/schedblock) see cross-package call chains.
+// summary-aware simdet) see cross-package call chains.
 // Findings print as
 //
 //	file:line:col: [check] message

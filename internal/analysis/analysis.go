@@ -4,7 +4,7 @@
 //
 // It exists to turn the prose contracts of DESIGN.md §5a — append-API
 // aliasing, simulator determinism, constant-time comparison, lock
-// discipline — into machine-checked invariants that run on every
+// ordering — into machine-checked invariants that run on every
 // `make check` via the cmd/hiplint driver.
 //
 // The model mirrors x/tools/go/analysis in miniature: an Analyzer is a
@@ -117,8 +117,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		AppendAlias,
 		SimDet,
-		SchedBlock,
-		LockedSend,
 		SecFlow,
 		LockOrder,
 		HotPath,

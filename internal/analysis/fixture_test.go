@@ -139,9 +139,7 @@ func checkPkgs(t *testing.T, fixture string, pkgs []*Package, analyzer *Analyzer
 
 func TestAppendAliasFixture(t *testing.T) { checkFixture(t, "appendalias", AppendAlias) }
 func TestSimDetFixture(t *testing.T)      { checkFixture(t, "simdet", SimDet) }
-func TestSchedBlockFixture(t *testing.T)  { checkFixture(t, "schedblock", SchedBlock) }
 func TestCTCompareFixture(t *testing.T)   { checkFixture(t, "ctcompare", SecFlow) }
-func TestLockedSendFixture(t *testing.T)  { checkFixture(t, "lockedsend", LockedSend) }
 func TestSecFlowFixture(t *testing.T)     { checkFixture(t, "secflow", SecFlow) }
 func TestLockOrderFixture(t *testing.T)   { checkFixture(t, "lockorder", LockOrder) }
 func TestHotPathFixture(t *testing.T)     { checkFixture(t, "hotpath", HotPath) }

@@ -22,36 +22,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isDynamicCall reports whether call invokes a func-typed value (a
-// callback) rather than a statically known function, method, conversion
-// or builtin.
-func isDynamicCall(info *types.Info, call *ast.CallExpr) bool {
-	fun := ast.Unparen(call.Fun)
-	var obj types.Object
-	switch fn := fun.(type) {
-	case *ast.Ident:
-		obj = info.Uses[fn]
-	case *ast.SelectorExpr:
-		obj = info.Uses[fn.Sel]
-	default:
-		// Calling the result of an expression (f()(), m[k](), ...).
-		tv, ok := info.Types[fun]
-		if !ok {
-			return false
-		}
-		_, isSig := tv.Type.Underlying().(*types.Signature)
-		return isSig
-	}
-	if obj == nil {
-		return false
-	}
-	if _, isVar := obj.(*types.Var); !isVar {
-		return false
-	}
-	_, isSig := obj.Type().Underlying().(*types.Signature)
-	return isSig
-}
-
 // pkgPathOf returns the import path of the package declaring fn, or "".
 func pkgPathOf(fn *types.Func) string {
 	if fn == nil || fn.Pkg() == nil {

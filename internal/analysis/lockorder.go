@@ -3,36 +3,32 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
 
-// LockOrder is the call-graph-aware companion to LockedSend: it builds
-// the mutex-acquisition graph across the whole program and reports
-//
-//   - lock-order cycles: somewhere lock A is taken while B is held and
-//     somewhere else B is taken while A is held (directly or through a
-//     callee chain) — the classic ABBA deadlock, invisible to any
-//     single-function walk;
-//   - locks held across Proc blocking points: a simulated process that
-//     parks (Proc.Sleep, WaitQueue.Wait, Conn.Read — anything taking a
-//     *netsim.Proc) while holding a mutex wedges every other process
-//     that needs the lock, including through helpers whose blocking is
-//     only visible in their summaries;
-//   - locks held across calls whose *callees* emit packets or invoke
-//     callbacks (the direct-emission case is LockedSend's).
+// LockOrder builds the mutex-acquisition graph across the whole program
+// and reports lock-order cycles: somewhere lock A is taken while B is held
+// and somewhere else B is taken while A is held (directly or through a
+// callee chain) — the classic ABBA deadlock, invisible to any
+// single-function walk.
 //
 // Locks are identified by class — "pkg.Type.field" for mutexes reached
 // through a receiver or parameter, "pkg.var" for package-level ones —
 // so h1.mu and h2.mu of the same type order against each other.
 // Function-local mutexes have no class: no other function can
-// participate in an ordering with them, so they only join the
-// held-across-blocking check. Two acquisitions of the *same* class
-// (locking two peers of one type) are not reported: ordering those
+// participate in an ordering with them. Two acquisitions of the *same*
+// class (locking two peers of one type) are not reported: ordering those
 // needs a runtime tiebreak the analyzer cannot see.
+//
+// Locks held across a park or a synchronous re-entry are not this check's
+// business: virtual-time code needs no mutex (the scheduler runs one
+// goroutine at a time), and netsim's blocking APIs panic when called from
+// anywhere but their own running process.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "lock-order cycles and locks held across blocking or emitting call chains",
+	Doc:  "lock-order cycles in the module-wide mutex-acquisition graph",
 	Run:  runLockOrder,
 }
 
@@ -44,18 +40,8 @@ type lockEdge struct {
 	via      string // callee chain when the acquisition is transitive
 }
 
-// lockSite records a lock held across a blocking or emitting operation.
-type lockSite struct {
-	pos  token.Pos
-	pkg  *Package
-	held string // display name of the held lock(s)
-	what string // what happens under the lock
-}
-
 type lockGraph struct {
-	edges  []lockEdge
-	blocks []lockSite
-	emits  []lockSite
+	edges []lockEdge
 
 	onCycle map[string]string // "from→to" → cycle description
 }
@@ -73,9 +59,8 @@ func (p *Program) lockOrderGraph() *lockGraph {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				w := &orderWalker{prog: p, pkg: pkg, g: g}
-				w.hw = &heldWalker{info: pkg.Info, held: map[string]string{}, acquire: w.acquire, scan: w.scan}
-				w.hw.walk(fd.Body)
+				w := &orderWalker{prog: p, pkg: pkg, g: g, held: map[string]string{}}
+				w.walk(fd.Body)
 			}
 		}
 	}
@@ -127,35 +112,152 @@ func (g *lockGraph) findCycles() {
 	}
 }
 
-// orderWalker records, for one function, the graph edges and the
-// blocking/emitting sites its heldWalker comes across; held classes are ""
-// for function-local mutexes.
+// orderWalker walks one function body in statement order, tracking which
+// mutexes are held — from x.Lock()/x.RLock() to the matching Unlock in
+// statement order, to the end of the function under defer x.Unlock() —
+// and records a graph edge from every held class to each lock taken,
+// directly or inside a callee. Helper methods that are only ever called
+// with a lock held (the fooLocked convention) are not chased.
 type orderWalker struct {
 	prog *Program
 	pkg  *Package
 	g    *lockGraph
-	hw   *heldWalker
+	// held maps the access chain of each classed mutex currently held to
+	// its lock class; function-local mutexes order against nothing.
+	held map[string]string
 }
 
-func (w *orderWalker) heldDesc() string {
-	names := make([]string, 0, len(w.hw.held))
-	for chain, class := range w.hw.held {
-		if class != "" {
-			names = append(names, class)
-		} else {
-			names = append(names, chain)
-		}
+// mutexOp recognizes <chain>.Lock/RLock/Unlock/RUnlock() on a
+// sync.Mutex/RWMutex-typed receiver and returns the chain and whether the
+// op acquires.
+func mutexOp(info *types.Info, call *ast.CallExpr) (chain string, acquire, ok bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel || len(call.Args) != 0 {
+		return "", false, false
 	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
+	switch sel.Sel.Name {
+	case "Lock", "RLock":
+		acquire = true
+	case "Unlock", "RUnlock":
+		acquire = false
+	default:
+		return "", false, false
+	}
+	fn, isFn := info.Uses[sel.Sel].(*types.Func)
+	if !isFn || pkgPathOf(fn) != "sync" {
+		return "", false, false
+	}
+	recv := recvTypeName(fn)
+	if recv != "Mutex" && recv != "RWMutex" {
+		return "", false, false
+	}
+	chain, base := rootChain(info, sel.X)
+	if base == nil {
+		return "", false, false
+	}
+	return chain, acquire, true
 }
 
-// acquire adds an edge from every held class to the one being taken.
+// walk processes statements in order, updating the held set and handing
+// everything else to scanHeld. Branch bodies are walked with the current
+// held set (a lock held at the branch point is held inside it).
+func (w *orderWalker) walk(n ast.Node) {
+	switch x := n.(type) {
+	case *ast.BlockStmt:
+		for _, s := range x.List {
+			w.walk(s)
+		}
+	case *ast.ExprStmt:
+		if call, ok := x.X.(*ast.CallExpr); ok {
+			if chain, acquire, ok := mutexOp(w.pkg.Info, call); ok {
+				if !acquire {
+					delete(w.held, chain)
+				} else if class := w.acquire(call, chain); class != "" {
+					w.held[chain] = class
+				}
+				return
+			}
+		}
+		w.scanHeld(x)
+	case *ast.DeferStmt:
+		if _, acquire, ok := mutexOp(w.pkg.Info, x.Call); ok && !acquire {
+			// defer mu.Unlock(): held for the rest of the function; the
+			// preceding Lock already put it in the set, keep it there.
+			return
+		}
+		w.scanHeld(x)
+	case *ast.IfStmt:
+		if x.Init != nil {
+			w.walk(x.Init)
+		}
+		w.scanHeld(x.Cond)
+		// Clone so an Unlock on one branch doesn't leak to the other.
+		w.walkBranch(x.Body)
+		if x.Else != nil {
+			w.walkBranch(x.Else)
+		}
+	case *ast.ForStmt:
+		if x.Init != nil {
+			w.walk(x.Init)
+		}
+		if x.Cond != nil {
+			w.scanHeld(x.Cond)
+		}
+		w.walkBranch(x.Body)
+	case *ast.RangeStmt:
+		w.scanHeld(x.X)
+		w.walkBranch(x.Body)
+	case *ast.SwitchStmt:
+		if x.Init != nil {
+			w.walk(x.Init)
+		}
+		if x.Tag != nil {
+			w.scanHeld(x.Tag)
+		}
+		w.walkBranch(x.Body)
+	case *ast.TypeSwitchStmt:
+		w.walkBranch(x.Body)
+	case *ast.SelectStmt:
+		w.walkBranch(x.Body)
+	case *ast.CaseClause:
+		for _, s := range x.Body {
+			w.walk(s)
+		}
+	case *ast.CommClause:
+		if x.Comm != nil {
+			w.walk(x.Comm)
+		}
+		for _, s := range x.Body {
+			w.walk(s)
+		}
+	case *ast.LabeledStmt:
+		w.walk(x.Stmt)
+	case ast.Stmt:
+		w.scanHeld(x)
+	case ast.Expr:
+		w.scanHeld(x)
+	}
+}
+
+// walkBranch walks a nested region with a copy of the held set, so lock
+// state changes inside a branch stay local to it.
+func (w *orderWalker) walkBranch(n ast.Node) {
+	saved := w.held
+	w.held = make(map[string]string, len(saved))
+	for k, v := range saved {
+		w.held[k] = v
+	}
+	w.walk(n)
+	w.held = saved
+}
+
+// acquire adds an edge from every held class to the one being taken and
+// returns its class.
 func (w *orderWalker) acquire(call *ast.CallExpr, chain string) string {
 	class := lockClass(w.pkg.Info, call, chain)
 	if class != "" {
-		for _, held := range w.hw.held {
-			if held != "" && held != class {
+		for _, held := range w.held {
+			if held != class {
 				w.g.edges = append(w.g.edges, lockEdge{from: held, to: class, pos: call.Pos(), pkg: w.pkg})
 			}
 		}
@@ -163,35 +265,19 @@ func (w *orderWalker) acquire(call *ast.CallExpr, chain string) string {
 	return class
 }
 
-// scan inspects one statement/expression under the current held set.
-func (w *orderWalker) scan(n ast.Node) {
+// scanHeld adds, for one statement/expression reached with a lock held,
+// the edges its callees' summaries acquire. Nested function literals are
+// skipped: they run later, typically after the lock is dropped.
+func (w *orderWalker) scanHeld(n ast.Node) {
+	if len(w.held) == 0 {
+		return
+	}
 	info := w.pkg.Info
 	inspectSkipFuncLit(n, func(m ast.Node) {
 		call, ok := m.(*ast.CallExpr)
 		if !ok {
 			return
 		}
-		fn := calleeFunc(info, call)
-
-		// Direct Proc blocking under a lock.
-		if fn != nil && isNetsimFunc(fn) && recvTypeName(fn) == "Proc" && fn.Name() == "Sleep" {
-			w.g.blocks = append(w.g.blocks, lockSite{pos: call.Pos(), pkg: w.pkg, held: w.heldDesc(), what: "Proc.Sleep"})
-			return
-		}
-		isSpawn := fn != nil && isNetsimFunc(fn) && fn.Name() == "Spawn"
-		if !isSpawn {
-			for _, a := range call.Args {
-				if isProcPtr(info, a) {
-					w.g.blocks = append(w.g.blocks, lockSite{pos: call.Pos(), pkg: w.pkg, held: w.heldDesc(), what: callDisplayName(fn, call) + " (takes *Proc)"})
-					return
-				}
-			}
-		}
-		if fn == nil {
-			return
-		}
-		// Direct emissions are LockedSend's; here only callee facts.
-		directSend := sendNames[fn.Name()] && strings.HasPrefix(pkgPathOf(fn), "hipcloud/")
 		for _, cand := range w.prog.resolveCall(info, call) {
 			sum := w.prog.SummaryOf(cand)
 			if sum == nil {
@@ -201,19 +287,12 @@ func (w *orderWalker) scan(n ast.Node) {
 			if r := recvTypeName(cand); r != "" {
 				name = r + "." + name
 			}
-			// Transitive acquisitions: edges from every held class.
 			for class, reach := range sum.Acquires {
-				for _, held := range w.hw.held {
-					if held != "" && held != class {
+				for _, held := range w.held {
+					if held != class {
 						w.g.edges = append(w.g.edges, lockEdge{from: held, to: class, pos: call.Pos(), pkg: w.pkg, via: through(name, reach).chain()})
 					}
 				}
-			}
-			if sum.Blocks != nil {
-				w.g.blocks = append(w.g.blocks, lockSite{pos: call.Pos(), pkg: w.pkg, held: w.heldDesc(), what: through(name, sum.Blocks).chain()})
-			}
-			if sum.Emits != nil && !directSend {
-				w.g.emits = append(w.g.emits, lockSite{pos: call.Pos(), pkg: w.pkg, held: w.heldDesc(), what: through(name, sum.Emits).chain()})
 			}
 		}
 	})
@@ -237,27 +316,5 @@ func runLockOrder(pass *Pass) {
 			via = " (via " + e.via + ")"
 		}
 		pass.Reportf(e.pos, "acquiring %s while holding %s%s closes a lock-order cycle (%s); acquire locks in one global order", e.to, e.from, via, cycle)
-	}
-	// Held-across-blocking and held-across-emit extend schedblock and
-	// lockedsend through the call graph, and like those checks they are
-	// run-to-completion rules: they apply only to the virtual-time
-	// packages. Real-socket packages (hipudp, cmd/*) hold mutexes across
-	// blocking I/O and callback dispatch by design — goroutines and
-	// blocking calls are their whole concurrency model — so only the
-	// lock-order-cycle rule above applies to them.
-	if !virtualTimePkgs[pass.Pkg.Name] {
-		return
-	}
-	for _, s := range g.blocks {
-		if s.pkg != pass.Pkg {
-			continue
-		}
-		pass.Reportf(s.pos, "%s held across %s, which parks the calling process; any process needing the lock deadlocks the simulation", s.held, s.what)
-	}
-	for _, s := range g.emits {
-		if s.pkg != pass.Pkg {
-			continue
-		}
-		pass.Reportf(s.pos, "%s held across a call that reaches %s; delivery can re-enter the lock holder synchronously (deadlock shape)", s.held, s.what)
 	}
 }

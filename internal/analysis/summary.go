@@ -13,11 +13,10 @@ import (
 // over strongly connected components. A summary records what a function
 // does with its parameters (logs them, compares them in variable time),
 // what its results carry (key material, taint derived from arguments),
-// and what it transitively reaches (the wall clock, a Proc-parking API, a
-// packet emission, lock acquisitions). The secflow and lockorder
-// analyzers are built on these summaries, and simdet/schedblock consult
-// them so a helper that reaches time.Now through two calls is treated
-// exactly like the direct call.
+// and what it transitively reaches (the wall clock, lock acquisitions).
+// The secflow and lockorder analyzers are built on these summaries, and
+// simdet consults them so a helper that reaches time.Now through two
+// calls is treated exactly like the direct call.
 //
 // Everything here is may-analysis over the AST (stdlib go/ast+go/types
 // only, no SSA): facts only accumulate, so the SCC fixpoint terminates,
@@ -42,7 +41,7 @@ const (
 // Reach records one transitive fact with the call chain that produces
 // it, for diagnostics like "helper → metrics.snap → time.Now".
 type Reach struct {
-	What string   // terminal culprit ("time.Now", "Proc.Sleep", "channel send", ...)
+	What string   // terminal culprit ("time.Now", "pkg.Type.mu.Lock", ...)
 	Via  []string // callee names from this function down to the culprit
 }
 
@@ -83,8 +82,6 @@ type Summary struct {
 	TaintsReturn bool
 
 	WallClock *Reach // transitively reads/waits on the wall clock
-	Blocks    *Reach // transitively calls a Proc-parking API
-	Emits     *Reach // transitively performs a Send/callback/channel send
 
 	// Acquires maps lock class → how this function (transitively) takes
 	// it. Lock classes are type-qualified ("tlslite.ServerSessions.mu")
@@ -384,9 +381,7 @@ func summaryEqual(a, b *Summary) bool {
 	if a.ReturnsSecret != b.ReturnsSecret || a.TaintsReturn != b.TaintsReturn {
 		return false
 	}
-	if (a.WallClock == nil) != (b.WallClock == nil) ||
-		(a.Blocks == nil) != (b.Blocks == nil) ||
-		(a.Emits == nil) != (b.Emits == nil) {
+	if (a.WallClock == nil) != (b.WallClock == nil) {
 		return false
 	}
 	if len(a.Acquires) != len(b.Acquires) {
@@ -705,8 +700,6 @@ func (w *sumWalker) pass() bool {
 					w.out.TaintsReturn = true
 				}
 			}
-		case *ast.SendStmt:
-			w.reachEmit(&Reach{What: "channel send"})
 		case *ast.BinaryExpr:
 			if x.Op == token.EQL || x.Op == token.NEQ {
 				if comparableSecretType(w.info, x.X) || comparableSecretType(w.info, x.Y) {
@@ -731,15 +724,7 @@ func (w *sumWalker) pass() bool {
 	}
 	return before.ReturnsSecret != w.out.ReturnsSecret ||
 		before.TaintsReturn != w.out.TaintsReturn ||
-		(before.WallClock == nil) != (w.out.WallClock == nil) ||
-		(before.Blocks == nil) != (w.out.Blocks == nil) ||
-		(before.Emits == nil) != (w.out.Emits == nil)
-}
-
-func (w *sumWalker) reachEmit(r *Reach) {
-	if w.out.Emits == nil {
-		w.out.Emits = r
-	}
+		(before.WallClock == nil) != (w.out.WallClock == nil)
 }
 
 // assign merges RHS taint into LHS locals.
@@ -799,34 +784,6 @@ func (w *sumWalker) call(call *ast.CallExpr) {
 			w.out.WallClock = &Reach{What: "time." + fn.Name()}
 		}
 	}
-	// Proc blocking: Proc.Sleep, or any call passing a *netsim.Proc.
-	if fn != nil && isNetsimFunc(fn) && recvTypeName(fn) == "Proc" && fn.Name() == "Sleep" {
-		if w.out.Blocks == nil {
-			w.out.Blocks = &Reach{What: "Proc.Sleep"}
-		}
-	}
-	// The "*Proc argument ⇒ parks the caller" convention holds for
-	// netsim's public API as used from outside; netsim's own internals
-	// shuttle *Proc values around constantly without parking anyone
-	// (scheduleWake, ready queues, WakeAll), so the heuristic is
-	// suspended while summarizing netsim itself. Proc.Sleep above stays.
-	isSpawn := fn != nil && isNetsimFunc(fn) && fn.Name() == "Spawn"
-	if !isSpawn && w.fi.pkg.Name != "netsim" {
-		for _, a := range call.Args {
-			if isProcPtr(info, a) {
-				if w.out.Blocks == nil {
-					w.out.Blocks = &Reach{What: callDisplayName(fn, call) + "(*Proc)"}
-				}
-				break
-			}
-		}
-	}
-	// Emission: module Send-shaped calls and dynamic (callback) calls.
-	if fn != nil && sendNames[fn.Name()] && strings.HasPrefix(pkgPathOf(fn), "hipcloud/") {
-		w.reachEmit(&Reach{What: recvTypeName(fn) + "." + fn.Name()})
-	} else if fn == nil && isDynamicCall(info, call) {
-		w.reachEmit(&Reach{What: "callback invocation"})
-	}
 	// Lock acquisition (for the transitive Acquires set).
 	if chain, acquire, ok := mutexOp(info, call); ok && acquire {
 		if class := lockClass(info, call, chain); class != "" {
@@ -855,14 +812,14 @@ func (w *sumWalker) call(call *ast.CallExpr) {
 	}
 	// Module callees: propagate their summaries. Per-param and lock
 	// facts use may-semantics (any candidate), so taint flows through
-	// interface methods. Reach facts (wall clock, blocking, emission)
-	// use must-semantics across dynamic dispatch: an interface call is
-	// charged with a reach only when every module implementor has it —
-	// otherwise every sim-wired call through secio's Conn would be
-	// condemned for the real-socket implementor it never binds.
+	// interface methods. The wall-clock reach uses must-semantics across
+	// dynamic dispatch: an interface call is charged with it only when
+	// every module implementor has it — otherwise every sim-wired call
+	// through secio's Conn would be condemned for the real-socket
+	// implementor it never binds.
 	cands := w.prog.resolveCall(info, call)
 	static := fn != nil && len(cands) == 1 && cands[0] == fn
-	wallAll, blocksAll, emitsAll := true, true, true
+	wallAll := true
 	if !static {
 		for _, cand := range cands {
 			sum := w.prog.summaries[cand]
@@ -870,8 +827,6 @@ func (w *sumWalker) call(call *ast.CallExpr) {
 				continue
 			}
 			wallAll = wallAll && sum.WallClock != nil
-			blocksAll = blocksAll && sum.Blocks != nil
-			emitsAll = emitsAll && sum.Emits != nil
 		}
 	}
 	for _, cand := range cands {
@@ -885,12 +840,6 @@ func (w *sumWalker) call(call *ast.CallExpr) {
 		}
 		if sum.WallClock != nil && wallAll && w.out.WallClock == nil {
 			w.out.WallClock = through(name, sum.WallClock)
-		}
-		if sum.Blocks != nil && blocksAll && w.out.Blocks == nil {
-			w.out.Blocks = through(name, sum.Blocks)
-		}
-		if sum.Emits != nil && emitsAll && w.out.Emits == nil {
-			w.out.Emits = through(name, sum.Emits)
 		}
 		for class, r := range sum.Acquires {
 			if _, seen := w.out.Acquires[class]; !seen {

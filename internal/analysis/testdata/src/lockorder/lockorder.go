@@ -1,19 +1,8 @@
-// Package netsim here is a hiplint fixture for the lockorder analyzer:
-// the package name puts it in the virtual-time set, so the
-// held-across-blocking and held-across-emission rules apply alongside
-// the lock-order-cycle rule. The Proc stub reuses the scheduler naming
-// the analyzers key on.
-package netsim
+// Package lockorder is a hiplint fixture for the lockorder analyzer:
+// lock-order cycles closed directly and through a callee's summary.
+package lockorder
 
 import "sync"
-
-type Proc struct{}
-
-func (p *Proc) Sleep(d int) {}
-
-// parkHelper parks through its Proc: callers that hold a lock across it
-// are flagged through the summary engine.
-func parkHelper(p *Proc) { p.Sleep(1) }
 
 // --- lock-order cycle ---
 
@@ -67,48 +56,4 @@ func indexThenJournal(j *journal, ix *index) {
 	defer ix.mu.Unlock()
 	j.mu.Lock() // want "closes a lock-order cycle"
 	j.mu.Unlock()
-}
-
-// --- lock held across a blocking point ---
-
-type table struct{ mu sync.Mutex }
-
-func (t *table) waitLocked(p *Proc) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p.Sleep(1) // want "held across Proc.Sleep"
-}
-
-func (t *table) waitViaHelper(p *Proc) {
-	t.mu.Lock()
-	parkHelper(p) // want "held across parkHelper"
-	t.mu.Unlock()
-}
-
-// unlockFirstOK releases before parking.
-func unlockFirstOK(t *table, p *Proc) {
-	t.mu.Lock()
-	t.mu.Unlock()
-	p.Sleep(1)
-}
-
-// --- lock held across an emission ---
-
-type mailbox struct{ ch chan int }
-
-// deliver's summary records the channel send.
-func (m *mailbox) deliver() { m.ch <- 1 }
-
-func (t *table) notifyLocked(m *mailbox) {
-	t.mu.Lock()
-	m.deliver() // want "held across a call that reaches"
-	t.mu.Unlock()
-}
-
-// directSendLocked is the lockedsend analyzer's territory: lockorder
-// leaves sends at the flagged line itself to that check.
-func (t *table) directSendLocked(m *mailbox) {
-	t.mu.Lock()
-	m.ch <- 2
-	t.mu.Unlock()
 }

@@ -400,6 +400,7 @@ func (f *Fabric) Establish(p *netsim.Proc, peer netip.Addr) error {
 // resolution, so re-contact after a migration exercises the real
 // rendezvous/DNS path instead of the registry's instant oracle.
 func (f *Fabric) EstablishAt(p *netsim.Proc, peerHIT, locator netip.Addr) error {
+	p.MayPark()
 	if a, ok := f.host.Association(peerHIT); ok && a.State() == hip.Established {
 		return nil
 	}

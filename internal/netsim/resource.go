@@ -20,6 +20,7 @@ func NewResource(s *Sim, capacity int) *Resource {
 
 // Acquire blocks p until one unit is available and claims it.
 func (r *Resource) Acquire(p *Proc) {
+	p.MayPark()
 	for r.inUse >= r.cap {
 		r.q.Wait(p, 0)
 	}
@@ -96,6 +97,7 @@ func NewCPU(s *Sim, cores int, speed float64) *CPU {
 // blocks p until it is fully charged: the task UseAsync queues, completed
 // by resuming p. Zero or negative work is a no-op.
 func (c *CPU) Use(p *Proc, work time.Duration) {
+	p.MayPark()
 	if work <= 0 {
 		return
 	}
@@ -112,6 +114,7 @@ func (c *CPU) Use(p *Proc, work time.Duration) {
 // than scheduled work; internal/faults seizes every core this way for a
 // full backend stall.
 func (c *CPU) Stall(p *Proc, d time.Duration) {
+	p.MayPark()
 	if d <= 0 {
 		return
 	}

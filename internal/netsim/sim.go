@@ -405,7 +405,8 @@ func (s *Sim) fire(ev *event) {
 // their goroutines unwind. It must be called from outside scheduler
 // context after Run returns. Processes are resumed one at a time (LIFO,
 // deterministically) with the aborted flag set; their API calls panic
-// with a sentinel recovered by the worker loop.
+// with a sentinel recovered by the worker loop. An unwinding process is
+// the running one, so its deferred cleanup may still call Proc APIs.
 func (s *Sim) Shutdown() {
 	s.closed = true
 	for len(s.parked) > 0 {
@@ -413,13 +414,11 @@ func (s *Sim) Shutdown() {
 		s.parked = s.parked[:len(s.parked)-1]
 		p.parkedIdx = -1
 		p.aborted = true
-		p.resume <- struct{}{}
-		<-s.sched
+		s.transferTo(p)
 	}
 	for _, p := range s.procFree {
 		p.aborted = true
-		p.resume <- struct{}{}
-		<-s.sched
+		s.transferTo(p)
 	}
 	s.procFree = nil
 }
@@ -506,15 +505,28 @@ func (s *Sim) transferTo(p *Proc) {
 	s.current = nil
 }
 
-// park blocks the calling process until it is woken via an event. The
-// caller must have arranged for a wake before parking. Calling it from a
-// run-to-completion handler is a contract violation and panics: handlers
-// run on the scheduler goroutine and must never block (DESIGN.md §5.2).
-func (p *Proc) park() {
+// MayPark marks the entry of an API that may park p: it panics unless p is
+// the process running now. Handlers run on the scheduler goroutine and
+// must never block (DESIGN.md §5.2), and a process may only park itself.
+// Every blocking API checks on entry, not only when it parks, so a call
+// from the wrong context fails the first time it runs, even when its fast
+// path would have returned without parking.
+func (p *Proc) MayPark() {
 	s := p.sim
-	if s.current != p {
+	switch s.current {
+	case p:
+	case nil:
 		panic("netsim: blocking Proc API called from scheduler context (proc " + p.name + ")")
+	default:
+		panic("netsim: blocking Proc API for proc " + p.name + " called from proc " + s.current.name)
 	}
+}
+
+// park blocks the calling process until it is woken via an event. The
+// caller must have arranged for a wake before parking.
+func (p *Proc) park() {
+	p.MayPark()
+	s := p.sim
 	p.parkedIdx = len(s.parked)
 	s.parked = append(s.parked, p)
 	s.sched <- struct{}{}
@@ -652,6 +664,7 @@ func (s *Sim) Deadline(timeout VTime) VTime {
 // Allocation-free in steady state: the waiter and the timeout event are
 // both pooled.
 func (q *WaitQueue) WaitUntil(p *Proc, deadline VTime) (timedOut bool) {
+	p.MayPark()
 	if deadline != 0 && deadline <= q.s.now {
 		return true
 	}

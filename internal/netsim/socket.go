@@ -128,6 +128,7 @@ func (s *UDPSocket) enqueue(pkt *Packet) {
 // RecvFrom blocks p until a datagram arrives or timeout elapses
 // (timeout <= 0 blocks forever).
 func (s *UDPSocket) RecvFrom(p *Proc, timeout time.Duration) (Datagram, error) {
+	p.MayPark()
 	deadline := p.sim.Deadline(timeout)
 	for len(s.buf) == 0 {
 		if s.closed {
@@ -170,6 +171,7 @@ func (w *EchoWait) Done() {
 
 // Wait blocks p until Done or the timeout and returns the round-trip time.
 func (w *EchoWait) Wait(p *Proc, timeout time.Duration) (time.Duration, error) {
+	p.MayPark()
 	if !w.done && w.wq.Wait(p, timeout) {
 		return 0, ErrTimeout
 	}

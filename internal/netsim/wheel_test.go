@@ -193,10 +193,9 @@ func TestTimerResetStop(t *testing.T) {
 	}
 }
 
-// TestParkFromSchedulerContextPanics checks the runtime backstop behind
-// the hiplint schedblock rule: a blocking Proc API reached from a
-// run-to-completion handler must panic loudly instead of deadlocking the
-// scheduler goroutine.
+// TestParkFromSchedulerContextPanics checks the run-to-completion
+// referee: a blocking Proc API reached from a run-to-completion handler
+// must panic loudly instead of deadlocking the scheduler goroutine.
 func TestParkFromSchedulerContextPanics(t *testing.T) {
 	s := New(1)
 	q := NewWaitQueue(s)
@@ -219,6 +218,76 @@ func TestParkFromSchedulerContextPanics(t *testing.T) {
 		leaked.Sleep(time.Millisecond) // contract violation: handler blocks
 	})
 	s.Run(0)
+}
+
+// TestBlockingAPIsCheckTheirCallerOnEntry pins the rest of the referee:
+// every netsim API that may park its process panics when it runs in a
+// handler or on another process's behalf, even when its fast path would
+// return without parking, so the first call from the wrong context fails
+// rather than only the one that finds its condition unmet.
+func TestBlockingAPIsCheckTheirCallerOnEntry(t *testing.T) {
+	fastPaths := []struct {
+		name string
+		call func(s *Sim, p *Proc)
+	}{
+		{"WaitQueue.WaitUntil past its deadline", func(s *Sim, p *Proc) { NewWaitQueue(s).WaitUntil(p, time.Nanosecond) }},
+		{"CPU.Use of no work", func(s *Sim, p *Proc) { NewCPU(s, 1, 1).Use(p, 0) }},
+		{"CPU.Stall of no time", func(s *Sim, p *Proc) { NewCPU(s, 1, 1).Stall(p, 0) }},
+		{"Resource.Acquire of a free unit", func(s *Sim, p *Proc) { NewResource(s, 1).Acquire(p) }},
+		{"UDPSocket.RecvFrom of a queued datagram", func(s *Sim, p *Proc) {
+			(&UDPSocket{buf: []Datagram{{}}}).RecvFrom(p, 0)
+		}},
+		{"EchoWait.Wait after its reply", func(s *Sim, p *Proc) {
+			w := NewEchoWait(s)
+			w.Done()
+			w.Wait(p, 0)
+		}},
+	}
+	for _, fp := range fastPaths {
+		for _, from := range []string{"scheduler context", "called from proc intruder"} {
+			s := New(1)
+			var victim *Proc
+			s.Spawn("victim", func(p *Proc) {
+				victim = p
+				NewWaitQueue(s).Wait(p, 0) // parks until Shutdown
+			})
+			var got interface{}
+			call := func() {
+				defer func() { got = recover() }()
+				fp.call(s, victim)
+			}
+			if from == "scheduler context" {
+				s.At(time.Millisecond, call)
+			} else {
+				s.At(time.Millisecond, func() { s.Spawn("intruder", func(*Proc) { call() }) })
+			}
+			s.Run(0)
+			s.Shutdown()
+			if msg, _ := got.(string); !strings.Contains(msg, from) {
+				t.Errorf("%s %s: panic %v, want one naming %q", fp.name, from, got, from)
+			}
+		}
+	}
+}
+
+// TestShutdownUnwindsThroughDeferredProcCalls: a process that Shutdown
+// unwinds is the running process, so its deferred cleanup may still call
+// a blocking API, and one that parks again is simply aborted again.
+func TestShutdownUnwindsThroughDeferredProcCalls(t *testing.T) {
+	s := New(1)
+	q := NewWaitQueue(s)
+	cleaned := false
+	s.Spawn("worker", func(p *Proc) {
+		defer func() { cleaned = true }()
+		defer q.Wait(p, 0)              // parks while unwinding
+		defer NewCPU(s, 1, 1).Use(p, 0) // returns at once
+		q.Wait(p, 0)
+	})
+	s.Run(0)
+	s.Shutdown()
+	if !cleaned {
+		t.Fatal("the worker's deferred cleanup did not run to the end")
+	}
 }
 
 // TestWaitTimeoutFIFOAndCancel checks WaitQueue semantics under the

@@ -471,6 +471,7 @@ func (s *Stack) MustListen(port uint16) *Listener {
 // Accept blocks p until a connection arrives (it may still be mid
 // handshake; Reads will block until data flows).
 func (l *Listener) Accept(p *netsim.Proc, timeout time.Duration) (*Conn, error) {
+	p.MayPark()
 	deadline := p.Sim().Deadline(timeout)
 	for len(l.backlog) == 0 {
 		if l.closed {
@@ -523,6 +524,7 @@ func (c *Conn) signal() {
 
 // Read blocks p until data is available, EOF, or error.
 func (c *Conn) Read(p *netsim.Proc, b []byte) (int, error) {
+	p.MayPark()
 	for {
 		n, err := c.inner.Read(b)
 		if n > 0 {
@@ -544,6 +546,7 @@ func (c *Conn) Read(p *netsim.Proc, b []byte) (int, error) {
 
 // Write blocks p until all of b is accepted into the send buffer.
 func (c *Conn) Write(p *netsim.Proc, b []byte) (int, error) {
+	p.MayPark()
 	total := 0
 	for len(b) > 0 {
 		n, err := c.inner.Write(b)

@@ -3,6 +3,7 @@ package simtcp
 import (
 	"bytes"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -181,6 +182,59 @@ func TestTransferIntegrityUnderLoss(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("lossy transfer mismatch: %d of %d bytes", len(got), total)
 	}
+}
+
+// TestConnCallsCheckTheirProcOnEntry: a handler that calls a conn's
+// blocking Read or Write on a parked process's behalf panics even when the
+// data or the buffer space is already there, instead of working until the
+// day the call has to park.
+func TestConnCallsCheckTheirProcOnEntry(t *testing.T) {
+	s, sa, sb := env(t, netsim.Link{Latency: time.Millisecond})
+	l := sb.MustListen(80)
+	var srv *Conn
+	var srvProc *netsim.Proc
+	s.Spawn("server", func(p *netsim.Proc) {
+		c, err := l.Accept(p, 0)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		srv, srvProc = c, p
+		p.Sleep(time.Second) // parked while the handler below runs
+	})
+	s.Spawn("client", func(p *netsim.Proc) {
+		c, err := sa.Dial(p, addrB, 80, 5*time.Second)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		c.Write(p, []byte("hello"))
+	})
+	calls := []struct {
+		name string
+		call func() (int, error)
+	}{
+		{"Read", func() (int, error) { return srv.Read(srvProc, make([]byte, 64)) }},
+		{"Write", func() (int, error) { return srv.Write(srvProc, []byte("x")) }},
+	}
+	s.At(500*time.Millisecond, func() {
+		if srv == nil || !srv.inner.Readable() {
+			t.Errorf("server conn not readable by the time the handler runs")
+			return
+		}
+		for _, c := range calls {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, "scheduler context") {
+						t.Errorf("%s from a handler: panic %q, want the scheduler-context panic", c.name, msg)
+					}
+				}()
+				c.call()
+			}()
+		}
+	})
+	s.Run(2 * time.Second)
+	s.Shutdown()
 }
 
 func TestDialNoListenerTimesOut(t *testing.T) {
