@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check lint lint-budget budget lint-fix-scan vet build bench-build test race bench-smoke fuzz-smoke chaos-smoke storm-smoke bench bench-full
+.PHONY: all check lint lint-budget budget lint-fix-scan vet build cross bench-build test race bench-smoke fuzz-smoke chaos-smoke storm-smoke bench bench-full
 
 all: check
 
@@ -9,10 +9,11 @@ all: check
 # concurrent packages), a quick allocation-guard smoke over the crypto
 # fast paths, a build-and-test of the bench/ module (its own go.mod, so
 # `go build ./...` skips it), a short fuzz run over the wire-format
-# parsers, and a short-seed chaos run (determinism plus
+# parsers, a cross-build of the per-platform socket engines, and a
+# short-seed chaos run (determinism plus
 # HIP-recovers-the-migration, via the fault-injection harness), and a
 # short-seed storm run (control-plane overload under mass evacuation).
-check: lint budget vet build bench-build test race bench-smoke fuzz-smoke chaos-smoke storm-smoke
+check: lint budget vet build cross bench-build test race bench-smoke fuzz-smoke chaos-smoke storm-smoke
 
 # hiplint (cmd/hiplint + internal/analysis) machine-checks the DESIGN.md
 # §5a contracts with five checks: append-API aliasing (appendalias),
@@ -56,6 +57,20 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# hipudp's socket engines are build-tagged files that change signature in
+# lockstep: batch_linux.go (sendmmsg/recvmmsg with UDP GSO/GRO, on
+# linux/amd64 and linux/arm64) and batch_portable.go (everything else).
+# `build` compiles only this machine's, so vet the package, its tests
+# included, and build the module for one platform of each other kind.
+CROSS_TARGETS = linux/arm64 linux/386 darwin/amd64 windows/amd64
+
+cross:
+	@for t in $(CROSS_TARGETS); do \
+		echo "cross: $$t"; \
+		GOOS=$${t%/*} GOARCH=$${t#*/} $(GO) vet ./internal/hipudp && \
+		GOOS=$${t%/*} GOARCH=$${t#*/} $(GO) build ./... || exit 1; \
+	done
 
 # bench/ is a module of its own (replace hipcloud => ../): vet and test
 # it here so that a rename in a package it calls cannot break the
@@ -107,7 +122,9 @@ bench-smoke:
 # has no keys, so it stops at the ICV check; keymat.FuzzCipherOpen and
 # tlslite.FuzzOpenRecord hold the keys and fuzz what lies behind it. The
 # eleventh target, hipudp.FuzzFrameDemux, feeds datagrams to a live stack's
-# frame demux (onFrames, one frame a vector) as an outsider would; the twelfth,
+# frame demux as an outsider would, split at an input-chosen UDP_GRO segment
+# size (appendSegments) into one vector for onFrames, as readLoop does; the
+# twelfth,
 # tlslite.FuzzHandshake, plays an arbitrary peer to Server and to Client;
 # the thirteenth, stream.FuzzTransfer, runs two stream conns through
 # input-chosen loss, duplication, reordering and ACK coalescing

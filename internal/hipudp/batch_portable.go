@@ -27,8 +27,8 @@ func (e *txEngine) send(pc *net.UDPConn, rc syscall.RawConn, batch []txPacket) (
 
 type rxEngine struct{}
 
-func newRxEngine() *rxEngine { return &rxEngine{} }
+func newRxEngine(rc syscall.RawConn) *rxEngine { return &rxEngine{} }
 
-func (e *rxEngine) read(pc *net.UDPConn, rc syscall.RawConn, bufs [][]byte, sizes []int, eps []netip.AddrPort) (cnt, nsys int, err error) {
-	return readOne(pc, bufs, sizes, eps)
+func (e *rxEngine) read(pc *net.UDPConn, rc syscall.RawConn, bufs [][]byte, sizes, segs []int, eps []netip.AddrPort) (cnt, nsys int, err error) {
+	return readOne(pc, bufs, sizes, segs, eps)
 }

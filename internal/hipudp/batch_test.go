@@ -1,7 +1,9 @@
 package hipudp
 
 import (
+	"bytes"
 	"encoding/binary"
+	"net"
 	"net/netip"
 	"runtime"
 	"testing"
@@ -165,5 +167,107 @@ func TestShardOrderingSingleAssociation(t *testing.T) {
 	}
 	if runtime.GOOS == "linux" && !batchIO && runtime.GOARCH == "amd64" {
 		t.Fatal("amd64 linux must compile the vectored engine")
+	}
+}
+
+// TestGSORunRule pins which frames from a batch's head leave as one
+// UDP_SEGMENT message.
+func TestGSORunRule(t *testing.T) {
+	epA := netip.MustParseAddrPort("127.0.0.1:1")
+	epB := netip.MustParseAddrPort("127.0.0.1:2")
+	frames := func(ep netip.AddrPort, sizes ...int) []txPacket {
+		var b []txPacket
+		for _, n := range sizes {
+			b = append(b, txPacket{buf: make([]byte, n), ep: ep})
+		}
+		return b
+	}
+	repeat := func(size, n int) []int {
+		s := make([]int, n)
+		for i := range s {
+			s[i] = size
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name  string
+		batch []txPacket
+		want  int
+	}{
+		{"lone frame", frames(epA, 1450), 1},
+		{"equal-size run", frames(epA, 1450, 1450, 1450, 1450), 4},
+		{"run and its short tail", frames(epA, 1450, 1450, 1450, 300), 4},
+		{"tail ends the run", frames(epA, 1450, 1450, 300, 1450, 1450), 3},
+		{"lone frame and a shorter tail stay apart", frames(epA, 1450, 64), 1},
+		{"longer frame ends the run", frames(epA, 1450, 1450, 1500), 2},
+		{"size change at the head", frames(epA, 64, 1450, 1450), 1},
+		{"endpoint change ends the run", append(frames(epA, 1450, 1450), frames(epB, 1450, 1450)...), 2},
+		{"endpoint change after one frame", append(frames(epA, 1450), frames(epB, 1450)...), 1},
+		{"short tail to another endpoint", append(frames(epA, 1450, 1450), frames(epB, 300)...), 2},
+		{"64-segment cap", frames(epA, repeat(100, 70)...), gsoMaxSegs},
+		{"64-segment cap leaves the tail out", frames(epA, append(repeat(100, gsoMaxSegs), 50)...), gsoMaxSegs},
+		{"64 KiB cap", frames(epA, repeat(1450, 50)...), gsoMaxBytes / 1450},
+		{"64 KiB cap leaves the tail out", frames(epA, append(repeat(1200, gsoMaxBytes/1200), 800)...), gsoMaxBytes / 1200},
+		{"two frames over 64 KiB", frames(epA, 40000, 40000), 1},
+	} {
+		if got := gsoRun(tc.batch); got != tc.want {
+			t.Errorf("%s: gsoRun = %d frames, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// segmentBatch is a run of MSS-size frames and a shorter tail, each frame
+// numbered so that a sink can tell them apart.
+func segmentBatch(ep netip.AddrPort) []txPacket {
+	var batch []txPacket
+	for i := 0; i < 20; i++ {
+		n := 1450
+		if i == 19 {
+			n = 300
+		}
+		buf := bytes.Repeat([]byte{byte(i)}, n)
+		buf[0] = frameESP
+		batch = append(batch, txPacket{buf: buf, ep: ep})
+	}
+	return batch
+}
+
+// transmitTo sends batch from s through eng to sink and returns the
+// datagrams sink reads and the stack's counters after the send.
+func transmitTo(t *testing.T, s *Stack, eng *txEngine, sink *net.UDPConn, batch []txPacket) ([][]byte, Stats) {
+	t.Helper()
+	s.transmit(eng, batch)
+	var got [][]byte
+	buf := make([]byte, 64*1024)
+	for {
+		sink.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+		n, err := sink.Read(buf)
+		if err != nil {
+			break
+		}
+		got = append(got, append([]byte(nil), buf[:n]...))
+	}
+	return got, s.Stats()
+}
+
+// TestSegmentRunReachesPlainSocket sends a run of MSS-size frames and a
+// shorter tail, which leaves as one UDP_SEGMENT message where the kernel
+// has GSO, to a plain socket that has not asked for GRO: it must read one
+// datagram per frame, with the frames' sizes, in order.
+func TestSegmentRunReachesPlainSocket(t *testing.T) {
+	s := newTestStack(t, idA)
+	sink, ep := newTestSocket(t)
+	batch := segmentBatch(ep)
+	got, st := transmitTo(t, s, newTxEngine(), sink, batch)
+	if len(got) != len(batch) {
+		t.Fatalf("sink read %d datagrams, want %d (one per frame)", len(got), len(batch))
+	}
+	for i, p := range batch {
+		if !bytes.Equal(got[i], p.buf) {
+			t.Fatalf("datagram %d: %d bytes starting % x, want frame %d (%d bytes)", i, len(got[i]), got[i][:min(len(got[i]), 2)], i, len(p.buf))
+		}
+	}
+	if st.TxPackets != uint64(len(batch)) || st.TxErrors != 0 {
+		t.Fatalf("TxPackets %d TxErrors %d, want %d and 0", st.TxPackets, st.TxErrors, len(batch))
 	}
 }

@@ -1,6 +1,7 @@
 package hipudp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net/netip"
 	"testing"
@@ -12,11 +13,13 @@ import (
 )
 
 // FuzzFrameDemux feeds arbitrary datagrams to a stack that holds an
-// established association and a listener, each as a one-frame vector
-// through onFrames, the path readLoop runs.
+// established association and a listener, down the path readLoop runs: the
+// input picks a UDP_GRO segment size (0: not coalesced), appendSegments
+// splits the datagram at it, and onFrames takes the frames as one vector.
+// The split frames must be non-empty and concatenate back to the datagram.
 // Nothing an outsider can send may panic, open a conn or a listener, or make
-// the stack answer — unless it parsed as a HIP control packet, which the
-// protocol core may answer (an I1 earns its R1).
+// the stack answer — unless a frame parsed as a HIP control packet, which
+// the protocol core may answer (an I1 earns its R1).
 func FuzzFrameDemux(f *testing.F) {
 	a, b := newTestStack(f, idA), newTestStack(f, idB)
 	a.AddPeer(idB.HIT(), b.LocalAddr().AddrPort())
@@ -48,34 +51,50 @@ func FuzzFrameDemux(f *testing.F) {
 	// drop at once, under the call that queued it.
 	b.sender.close()
 
-	f.Add([]byte{})
-	f.Add([]byte{frameHIP})
-	f.Add([]byte{frameESP})
-	f.Add(append([]byte{frameHIP}, i1...))
-	f.Add(append([]byte{frameHIP}, i1[:hipwire.HeaderLen-1]...))
-	f.Add(append([]byte{frameESP}, sealed[:esp.HeaderLen-1]...))
-	f.Add(append([]byte{frameESP}, sealed...))
+	espFrame := append([]byte{frameESP}, sealed...)
+	hipFrame := append([]byte{frameHIP}, i1...)
+	f.Add(uint16(0), []byte{})
+	f.Add(uint16(0), []byte{frameHIP})
+	f.Add(uint16(0), []byte{frameESP})
+	f.Add(uint16(0), hipFrame)
+	f.Add(uint16(0), append([]byte{frameHIP}, i1[:hipwire.HeaderLen-1]...))
+	f.Add(uint16(0), append([]byte{frameESP}, sealed[:esp.HeaderLen-1]...))
+	f.Add(uint16(0), espFrame)
+	// Coalesced runs: three frames and a short tail, a run split off by one
+	// byte, and a control packet among ESP frames of its size.
+	f.Add(uint16(len(espFrame)), append(bytes.Repeat(espFrame, 3), espFrame[:20]...))
+	f.Add(uint16(len(espFrame)-1), bytes.Repeat(espFrame, 2))
+	f.Add(uint16(len(hipFrame)), append(append(append([]byte(nil), hipFrame...), espFrame[:len(hipFrame)]...), hipFrame...))
 
-	from := []netip.AddrPort{netip.MustParseAddrPort("127.0.0.1:9")}
+	ep := netip.MustParseAddrPort("127.0.0.1:9")
 	state := func() (conns, listeners int, queued uint64) {
 		b.mu.Lock()
 		defer b.mu.Unlock()
 		return len(b.conns), len(b.listeners), b.Stats().TxDrops
 	}
-	f.Fuzz(func(t *testing.T, frame []byte) {
-		conns, listeners, queued := state()
+	f.Fuzz(func(t *testing.T, seg uint16, dgram []byte) {
+		frames, from := appendSegments(nil, nil, dgram, int(seg), ep)
 		control := false
-		if len(frame) > 0 && frame[0] == frameHIP {
-			_, err := hipwire.Parse(frame[1:])
-			control = err == nil
+		for _, fr := range frames {
+			if len(fr) == 0 {
+				t.Fatalf("datagram %x split at %d: an empty frame", dgram, seg)
+			}
+			if fr[0] == frameHIP {
+				_, err := hipwire.Parse(fr[1:])
+				control = control || err == nil
+			}
 		}
-		b.onFrames([][]byte{frame}, from)
+		if joined := bytes.Join(frames, nil); !bytes.Equal(joined, dgram) || len(from) != len(frames) {
+			t.Fatalf("datagram %x split at %d into %d frames (%d sources) that join to %x", dgram, seg, len(frames), len(from), joined)
+		}
+		conns, listeners, queued := state()
+		b.onFrames(frames, from)
 		c, l, q := state()
 		if c > conns || l > listeners {
-			t.Fatalf("frame %x: conns %d -> %d, listeners %d -> %d", frame, conns, c, listeners, l)
+			t.Fatalf("datagram %x split at %d: conns %d -> %d, listeners %d -> %d", dgram, seg, conns, c, listeners, l)
 		}
 		if q != queued && !control {
-			t.Fatalf("frame %x is no HIP control packet and was answered with %d frames", frame, q-queued)
+			t.Fatalf("datagram %x split at %d carries no HIP control packet and was answered with %d frames", dgram, seg, q-queued)
 		}
 	})
 }

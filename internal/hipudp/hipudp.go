@@ -7,7 +7,12 @@
 //
 // Framing: one UDP socket carries both planes, distinguished by a leading
 // byte (0 = HIP control packet, 1 = ESP). Inside ESP, payloads use the
-// same inner-type byte + port-pair mux as the simulator fabric.
+// same inner-type byte + port-pair mux as the simulator fabric. Each frame
+// is one UDP datagram on the wire. On Linux the sender hands each run of
+// equal-size frames to one endpoint to the kernel as one UDP GSO message,
+// and the reader takes a run back as one UDP GRO datagram and splits it at
+// its segment size, so every layer above sees single frames, each sealed
+// with its own ESP ICV.
 package hipudp
 
 import (
@@ -79,11 +84,13 @@ type Stack struct {
 
 	// peers maps HITs to UDP endpoints (the static hosts-file role).
 	peers map[netip.Addr]netip.AddrPort
-	// hitToEP maps peer HITs to their last-observed UDP endpoints: HIP
-	// locators carry no port, so several peers may share one IP (e.g.
-	// localhost demos) and only the HIT disambiguates them.
+	// hitToEP maps peer HITs to the UDP endpoints their base exchange or
+	// locator update came from: HIP locators carry no port, so several peers
+	// may share one IP (e.g. localhost demos) and only the HIT disambiguates
+	// them.
 	hitToEP map[netip.Addr]netip.AddrPort
-	// locToEP maps peer locators back to UDP endpoints as a last resort.
+	// locToEP maps peer locators back to UDP endpoints as a last resort,
+	// learned from the same events and from AddPeer.
 	locToEP map[netip.Addr]netip.AddrPort
 
 	// Every blocking call sleeps on a cond under mu until the state it waits
@@ -219,32 +226,36 @@ func (s *Stack) Close() error {
 	return s.pc.Close()
 }
 
-// readLoop drains inbound datagrams in recvmmsg-sized vectors and hands
-// each vector to onFrames whole.
+// readLoop drains inbound datagrams in recvmmsg-sized vectors, splits each
+// coalesced datagram at its UDP_GRO segment size into the frames it carries,
+// and hands the vector's frames to onFrames whole.
 func (s *Stack) readLoop() {
-	eng := newRxEngine()
+	eng := newRxEngine(s.rc)
 	var (
-		bufs   [rxBatchMax][]byte
-		frames [rxBatchMax][]byte
-		sizes  [rxBatchMax]int
-		eps    [rxBatchMax]netip.AddrPort
+		bufs  [rxBatchMax][]byte
+		sizes [rxBatchMax]int
+		segs  [rxBatchMax]int
+		eps   [rxBatchMax]netip.AddrPort
 	)
 	for i := range bufs {
 		bufs[i] = make([]byte, 64*1024)
 	}
+	frames := make([][]byte, 0, rxBatchMax)
+	from := make([]netip.AddrPort, 0, rxBatchMax)
 	for {
-		cnt, nsys, err := eng.read(s.pc, s.rc, bufs[:], sizes[:], eps[:])
+		cnt, nsys, err := eng.read(s.pc, s.rc, bufs[:], sizes[:], segs[:], eps[:])
 		s.stats.rxSyscalls.Add(uint64(nsys))
 		if cnt > 0 {
+			frames, from = frames[:0], from[:0]
 			var n uint64
-			for i := range frames[:cnt] {
-				frames[i] = bufs[i][:sizes[i]]
+			for i := range cnt {
+				frames, from = appendSegments(frames, from, bufs[i][:sizes[i]], segs[i], eps[i])
 				n += uint64(sizes[i])
 			}
 			s.stats.rxBatches.Add(1)
-			s.stats.rxPackets.Add(uint64(cnt))
+			s.stats.rxPackets.Add(uint64(len(frames)))
 			s.stats.rxBytes.Add(n)
-			s.onFrames(frames[:cnt], eps[:cnt])
+			s.onFrames(frames, from)
 		}
 		// Stop only on shutdown (Close closes the socket); transient socket
 		// errors (e.g. an ICMP port-unreachable surfacing on the UDP socket)
@@ -292,17 +303,12 @@ func (s *Stack) onFrames(frames [][]byte, from []netip.AddrPort) {
 	s.touched = s.touched[:0]
 }
 
-// controlLocked hands one control packet to the host and sends its answer.
-// Callers hold s.mu.
+// controlLocked hands one control packet to the host and sends its answer
+// back to from. Callers hold s.mu.
 func (s *Stack) controlLocked(data []byte, from netip.AddrPort) {
-	s.locToEP[from.Addr()] = from
-	// Remember the sender HIT's endpoint (header bytes 8..24).
-	if len(data) >= 40 {
-		s.hitToEP[netip.AddrFrom16([16]byte(data[8:24]))] = from
-	}
 	s.host.OnPacket(data, from.Addr(), s.now())
 	s.host.TakeCost() // real CPU already paid
-	s.flushLocked()
+	s.flushLocked(from)
 }
 
 // segmentLocked opens one ESP packet into rxPlain and feeds the segment
@@ -341,22 +347,37 @@ func (s *Stack) segmentLocked(pkt []byte) *Conn {
 }
 
 // flushLocked sends pending control packets and wakes establishment
-// waiters. Callers hold s.mu.
-func (s *Stack) flushLocked() {
+// waiters. from is the source of the control packet the host has just
+// handled, the zero AddrPort after any other host call. For this flush only,
+// an answer to from's locator goes back to from; and an association that
+// packet established or moved learns from as its peer's endpoint. Nothing
+// else an unauthenticated packet says is remembered, so a spoofed one cannot
+// redirect a peer's frames. Callers hold s.mu.
+func (s *Stack) flushLocked(from netip.AddrPort) {
 	for _, op := range s.host.Outgoing() {
-		// Control packets resolve by the receiver HIT in the header
+		// Other control packets resolve by the receiver HIT in the header
 		// (bytes 24..40), falling back to our own port on the locator.
-		var hit netip.Addr
-		if len(op.Data) >= 40 {
-			hit = netip.AddrFrom16([16]byte(op.Data[24:40]))
+		ep, ok := from, from.IsValid() && op.Dst == from.Addr()
+		if !ok {
+			var hit netip.Addr
+			if len(op.Data) >= 40 {
+				hit = netip.AddrFrom16([16]byte(op.Data[24:40]))
+			}
+			ep, ok = s.endpointFor(hit, op.Dst)
 		}
-		ep, ok := s.endpointFor(hit, op.Dst)
 		if !ok {
 			ep = netip.AddrPortFrom(op.Dst, uint16(s.LocalAddr().Port))
 		}
 		s.writeFrame(frameHIP, ep, op.Data)
 	}
-	if len(s.host.Events()) > 0 {
+	events := s.host.Events()
+	for _, ev := range events {
+		if from.IsValid() && (ev.Kind == hip.EventEstablished || ev.Kind == hip.EventLocatorChanged) {
+			s.hitToEP[ev.PeerHIT] = from
+			s.locToEP[from.Addr()] = from
+		}
+	}
+	if len(events) > 0 {
 		s.cond.Broadcast() // an association changed state
 	}
 }
@@ -397,11 +418,11 @@ func (s *Stack) timerLoop() {
 		if dl := s.host.NextDeadline(); dl != 0 && now >= dl {
 			s.host.OnTimer(now)
 			s.host.TakeCost()
-			s.flushLocked()
+			s.flushLocked(netip.AddrPort{})
 		}
 		s.host.Maintain(now)
 		s.host.TakeCost()
-		s.flushLocked()
+		s.flushLocked(netip.AddrPort{})
 		for _, c := range s.conns {
 			if c.deadline != 0 && now >= c.deadline {
 				c.inner.OnTimer(now)
@@ -459,7 +480,7 @@ func (s *Stack) establishLocked(peerHIT netip.Addr, x *expiry) error {
 			}
 			s.host.Connect(peerHIT, ep.Addr(), s.now())
 			s.host.TakeCost()
-			s.flushLocked()
+			s.flushLocked(netip.AddrPort{})
 			started = true
 		case !ok:
 			return ErrRefused // a failed base exchange deletes the association

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hipcloud/internal/hip"
+	"hipcloud/internal/hipwire"
 	"hipcloud/internal/identity"
 )
 
@@ -279,5 +280,84 @@ func TestMultiplePeersShareOneIP(t *testing.T) {
 			t.Fatalf("got %q, want %q — endpoint demux crossed peers", buf[:n], want)
 		}
 		c.Close()
+	}
+}
+
+// TestSpoofedI1CannotRedirectPeer is the endpoint-learning attack: an
+// outsider on the victim's IP sends the responder an I1 that carries the
+// victim's HIT, from another port. The responder answers that I1 where it
+// came from, but the victim's established stream must keep its endpoint:
+// the next echo reaches the victim, and no ESP frame reaches the outsider.
+func TestSpoofedI1CannotRedirectPeer(t *testing.T) {
+	victim, b := pair(t)
+	l, err := b.Listen(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go serveEcho(l)
+	c := dialEcho(t, victim, idB.HIT(), 7)
+	defer c.Close()
+
+	spoofer, _ := newTestSocket(t)
+	i1 := (&hipwire.Packet{Type: hipwire.I1, SenderHIT: idA.HIT(), ReceiverHIT: idB.HIT()}).Marshal()
+	if _, err := spoofer.WriteToUDPAddrPort(append([]byte{frameHIP}, i1...), b.LocalAddr().AddrPort()); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64*1024)
+	spoofer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := spoofer.Read(buf); err != nil || n < 1 || buf[0] != frameHIP {
+		t.Fatalf("spoofed I1 got no control answer: %d bytes, %v", n, err)
+	}
+
+	msg := []byte("still mine")
+	if _, err := c.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	echoed := make(chan error, 1)
+	go func() {
+		got := make([]byte, len(msg))
+		_, err := io.ReadFull(c, got)
+		if err == nil && !bytes.Equal(got, msg) {
+			err = fmt.Errorf("echo = %q, want %q", got, msg)
+		}
+		echoed <- err
+	}()
+	select {
+	case err := <-echoed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("the victim's echo never came back: the spoofed I1 redirected it")
+	}
+	spoofer.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	for {
+		n, err := spoofer.Read(buf)
+		if err != nil {
+			break
+		}
+		if n > 0 && buf[0] == frameESP {
+			t.Fatal("the responder sent the victim's ESP frames to the spoofer")
+		}
+	}
+}
+
+// TestResponderLearnsInitiatorFromBEX: a responder that has no AddPeer for
+// its initiator (as a server for unknown clients) learns the initiator's
+// endpoint from the base exchange it completed, and streams work both ways.
+func TestResponderLearnsInitiatorFromBEX(t *testing.T) {
+	a, b := newTestStack(t, idA), newTestStack(t, idB)
+	a.AddPeer(idB.HIT(), b.LocalAddr().AddrPort())
+	l, err := b.Listen(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go serveEcho(l)
+	dialEcho(t, a, idB.HIT(), 7).Close()
+	b.mu.Lock()
+	ep := b.hitToEP[idA.HIT()]
+	b.mu.Unlock()
+	if ep != a.LocalAddr().AddrPort() {
+		t.Fatalf("responder learned %v for the initiator, want %v", ep, a.LocalAddr().AddrPort())
 	}
 }

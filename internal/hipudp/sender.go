@@ -5,14 +5,16 @@ import (
 	"sync"
 )
 
-// txPacket is one framed datagram awaiting transmission.
+// txPacket is one frame awaiting transmission: one datagram on the wire,
+// though the Linux engine may hand a run of them to the kernel as one GSO
+// message.
 type txPacket struct {
 	buf []byte
 	ep  netip.AddrPort
 }
 
 const (
-	// txBatchSize is the most datagrams one sender flush covers (the
+	// txBatchSize is the most frames one sender flush covers (the
 	// sendmmsg vector length on Linux).
 	txBatchSize = 32
 	// txQueueCap bounds the backlog. Overflow drops the frame — datagram

@@ -19,22 +19,28 @@ type ioStats struct {
 
 // Stats is a point-in-time copy of the stack's socket counters.
 type Stats struct {
-	// TxPackets/TxBytes count datagrams (frames) actually written.
+	// TxPackets/TxBytes count frames — ESP or HIP packets — actually
+	// written, not datagrams or GSO messages: a UDP_SEGMENT message that
+	// carries a run of n frames counts n.
 	TxPackets, TxBytes uint64
-	// TxSyscalls counts send syscalls; with sendmmsg batching it grows
-	// slower than TxPackets — TxSyscalls/TxPackets is the benchmark's
+	// TxSyscalls counts send syscalls; with sendmmsg batching and GSO it
+	// grows slower than TxPackets — TxSyscalls/TxPackets is the benchmark's
 	// hipudp.tx_syscalls_per_pkt.
 	TxSyscalls uint64
 	// TxBatches counts sender flushes (each covering >=1 packet).
 	TxBatches uint64
 	// TxErrors counts frames the socket refused (write error or short
-	// write). The first such error is retained and exposed via TxErr.
+	// write). The first such error is retained and exposed via TxErr. A GSO
+	// message the kernel declines to segment is no error: its frames leave
+	// one by one.
 	TxErrors uint64
 	// TxDrops counts frames dropped because the sender's queue was
 	// full (datagram semantics: drop, don't block the protocol core). A
 	// closed stack enqueues nothing, so shutdown is not counted as loss.
 	TxDrops uint64
-	// Rx counters mirror the Tx ones for the read side.
+	// Rx counters mirror the Tx ones for the read side: RxPackets counts
+	// frames, a UDP_GRO datagram as the frames it splits into, and
+	// RxSyscalls counts receive syscalls.
 	RxPackets, RxBytes, RxSyscalls, RxBatches uint64
 }
 

@@ -105,7 +105,7 @@ func TestAbortWakesBlockedReader(t *testing.T) {
 	// that deletes it. Neither touches the conn.
 	a.mu.Lock()
 	err = a.host.Close(idB.HIT(), a.now())
-	a.flushLocked()
+	a.flushLocked(netip.AddrPort{})
 	a.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
