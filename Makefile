@@ -9,21 +9,23 @@ all: check
 # concurrent packages), a quick allocation-guard smoke over the crypto
 # fast paths, a build-and-test of the bench/ module (its own go.mod, so
 # `go build ./...` skips it), a short fuzz run over the wire-format
-# parsers, a cross-build of the per-platform socket engines, and a
-# short-seed chaos run (determinism plus
-# HIP-recovers-the-migration, via the fault-injection harness), and a
-# short-seed storm run (control-plane overload under mass evacuation).
+# parsers, a cross-build of the per-platform socket engines, and the
+# short-seed chaos run (HIP-recovers-the-migration, via the
+# fault-injection harness) and storm run (control-plane overload under
+# mass evacuation), each diffed against its committed golden.
 check: lint budget vet build cross bench-build test race bench-smoke fuzz-smoke chaos-smoke storm-smoke
 
 # hiplint (cmd/hiplint + internal/analysis) machine-checks the DESIGN.md
-# §5a contracts with five checks: append-API aliasing (appendalias),
-# simulator determinism (simdet), lock ordering (lockorder), secret
-# hygiene in logs and compares (secflow) and the hot-path allocation
-# idioms the compiler does not report (hotpath; the ones it does are
-# `budget`'s). Key wipes and pooled buffers are refereed at run time, by
-# keymat's and netsim's test-binary ledgers, and the simulator's
-# run-to-completion contract by netsim itself (a blocking Proc API called
-# from a handler or for another process panics), so `test` checks them.
+# §5a contracts with four checks: append-API aliasing (appendalias),
+# lock ordering (lockorder), secret hygiene in logs and compares
+# (secflow) and the hot-path allocation idioms the compiler does not
+# report (hotpath; the ones it does are `budget`'s). Key wipes and pooled
+# buffers are refereed at run time, by keymat's and netsim's test-binary
+# ledgers, the simulator's run-to-completion contract by netsim itself (a
+# blocking Proc API called from a handler or for another process panics),
+# and its per-seed determinism by internal/experiments' same-seed referee
+# (every experiment twice in one process, packet trace compared), so
+# `test` checks them.
 # The whole module loads into one program so the interprocedural checks
 # see cross-package call chains. Findings are waived only with
 # //lint:allow <check> <reason>; the hot set carries zero waivers.
@@ -148,16 +150,21 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzFrameDemux$$ -fuzztime=$(FUZZTIME) ./internal/hipudp
 
 # Short-seed chaos run: drives the RUBiS tiers through the fault
-# schedule (internal/faults) for all three scenarios and prints the
-# recovery/request-loss table. Byte-identical output for a fixed seed.
+# schedule (internal/faults) for all three scenarios and diffs the
+# recovery/request-loss table against the committed golden. benchcloud
+# prints one header line, the table, then a blank line; sed keeps the
+# table.
 chaos-smoke:
-	$(GO) run ./cmd/benchcloud -run chaos -short -seed 1
+	$(GO) run ./cmd/benchcloud -run chaos -short -seed 1 | sed '1d;$$d' | \
+		diff - internal/experiments/testdata/chaos_short_seed1.golden
 
 # Short-seed storm run: evacuates every service VM off one physical host
-# under inter-zone loss and a DNS CPU stall, and prints the re-contact /
-# recovery / shed table per transport tier. Byte-identical for a fixed seed.
+# under inter-zone loss and a DNS CPU stall, and diffs the re-contact /
+# recovery / shed table per transport tier against the committed golden
+# (same framing as chaos-smoke).
 storm-smoke:
-	$(GO) run ./cmd/benchcloud -run storm -short -seed 1
+	$(GO) run ./cmd/benchcloud -run storm -short -seed 1 | sed '1d;$$d' | \
+		diff - internal/experiments/testdata/storm_short_seed1.golden
 
 # Regenerate the tracked control-plane snapshot BENCH_CONTROL.json (the
 # full-scale storm experiment: re-contact latency, recovery time, shed and

@@ -3,8 +3,8 @@
 // preserving the repo's stdlib-only rule).
 //
 // It exists to turn the prose contracts of DESIGN.md §5a — append-API
-// aliasing, simulator determinism, constant-time comparison, lock
-// ordering — into machine-checked invariants that run on every
+// aliasing, constant-time comparison, lock ordering, hot-path
+// allocation — into machine-checked invariants that run on every
 // `make check` via the cmd/hiplint driver.
 //
 // The model mirrors x/tools/go/analysis in miniature: an Analyzer is a
@@ -116,7 +116,6 @@ func RunProgram(prog *Program, analyzers []*Analyzer) []Diagnostic {
 func All() []*Analyzer {
 	return []*Analyzer{
 		AppendAlias,
-		SimDet,
 		SecFlow,
 		LockOrder,
 		HotPath,

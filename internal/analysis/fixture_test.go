@@ -138,19 +138,13 @@ func checkPkgs(t *testing.T, fixture string, pkgs []*Package, analyzer *Analyzer
 }
 
 func TestAppendAliasFixture(t *testing.T) { checkFixture(t, "appendalias", AppendAlias) }
-func TestSimDetFixture(t *testing.T)      { checkFixture(t, "simdet", SimDet) }
 func TestCTCompareFixture(t *testing.T)   { checkFixture(t, "ctcompare", SecFlow) }
 func TestSecFlowFixture(t *testing.T)     { checkFixture(t, "secflow", SecFlow) }
 func TestLockOrderFixture(t *testing.T)   { checkFixture(t, "lockorder", LockOrder) }
 func TestHotPathFixture(t *testing.T)     { checkFixture(t, "hotpath", HotPath) }
 func TestHotSetFixture(t *testing.T)      { checkFixtureMulti(t, "hotset", HotPath) }
 
-// TestSimDetInterprocFixture spans two packages: the virtual-time caller
-// package is flagged for wall-clock access it can only reach through the
-// summarized helper package.
-func TestSimDetInterprocFixture(t *testing.T) { checkFixtureMulti(t, "wallclock", SimDet) }
-
 // TestSuppressFixture proves //lint:allow semantics: a justified waiver
-// silences exactly one simdet diagnostic, an identical violation without
+// silences exactly one secflow diagnostic, an identical violation without
 // one still fires, and a reason-less waiver is itself reported.
-func TestSuppressFixture(t *testing.T) { checkFixture(t, "suppress", SimDet) }
+func TestSuppressFixture(t *testing.T) { checkFixture(t, "suppress", SecFlow) }

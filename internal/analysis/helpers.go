@@ -134,3 +134,13 @@ func inspectSkipFuncLit(n ast.Node, fn func(ast.Node)) {
 		return !isLit
 	})
 }
+
+// isMapRange reports whether r ranges over a map.
+func isMapRange(info *types.Info, r *ast.RangeStmt) bool {
+	tv, ok := info.Types[r.X]
+	if !ok {
+		return false
+	}
+	_, isMap := tv.Type.Underlying().(*types.Map)
+	return isMap
+}

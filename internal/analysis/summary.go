@@ -13,10 +13,8 @@ import (
 // over strongly connected components. A summary records what a function
 // does with its parameters (logs them, compares them in variable time),
 // what its results carry (key material, taint derived from arguments),
-// and what it transitively reaches (the wall clock, lock acquisitions).
-// The secflow and lockorder analyzers are built on these summaries, and
-// simdet consults them so a helper that reaches time.Now through two
-// calls is treated exactly like the direct call.
+// and which locks it transitively acquires. The secflow and lockorder
+// analyzers are built on these summaries.
 //
 // Everything here is may-analysis over the AST (stdlib go/ast+go/types
 // only, no SSA): facts only accumulate, so the SCC fixpoint terminates,
@@ -39,9 +37,9 @@ const (
 )
 
 // Reach records one transitive fact with the call chain that produces
-// it, for diagnostics like "helper → metrics.snap → time.Now".
+// it, for diagnostics like "helper → Type.put → pkg.Type.mu.Lock".
 type Reach struct {
-	What string   // terminal culprit ("time.Now", "pkg.Type.mu.Lock", ...)
+	What string   // terminal culprit ("pkg.Type.mu.Lock", ...)
 	Via  []string // callee names from this function down to the culprit
 }
 
@@ -80,8 +78,6 @@ type Summary struct {
 	// TaintsReturn: some result is derived from the parameters, so a
 	// secret argument makes the result secret.
 	TaintsReturn bool
-
-	WallClock *Reach // transitively reads/waits on the wall clock
 
 	// Acquires maps lock class → how this function (transitively) takes
 	// it. Lock classes are type-qualified ("tlslite.ServerSessions.mu")
@@ -379,9 +375,6 @@ func summaryEqual(a, b *Summary) bool {
 		}
 	}
 	if a.ReturnsSecret != b.ReturnsSecret || a.TaintsReturn != b.TaintsReturn {
-		return false
-	}
-	if (a.WallClock == nil) != (b.WallClock == nil) {
 		return false
 	}
 	if len(a.Acquires) != len(b.Acquires) {
@@ -723,8 +716,7 @@ func (w *sumWalker) pass() bool {
 		}
 	}
 	return before.ReturnsSecret != w.out.ReturnsSecret ||
-		before.TaintsReturn != w.out.TaintsReturn ||
-		(before.WallClock == nil) != (w.out.WallClock == nil)
+		before.TaintsReturn != w.out.TaintsReturn
 }
 
 // assign merges RHS taint into LHS locals.
@@ -778,12 +770,6 @@ func (w *sumWalker) call(call *ast.CallExpr) {
 	info := w.info
 	fn := calleeFunc(info, call)
 
-	// Wall clock.
-	if fn != nil && pkgPathOf(fn) == "time" && wallClockFuncs[fn.Name()] {
-		if w.out.WallClock == nil {
-			w.out.WallClock = &Reach{What: "time." + fn.Name()}
-		}
-	}
 	// Lock acquisition (for the transitive Acquires set).
 	if chain, acquire, ok := mutexOp(info, call); ok && acquire {
 		if class := lockClass(info, call, chain); class != "" {
@@ -812,24 +798,8 @@ func (w *sumWalker) call(call *ast.CallExpr) {
 	}
 	// Module callees: propagate their summaries. Per-param and lock
 	// facts use may-semantics (any candidate), so taint flows through
-	// interface methods. The wall-clock reach uses must-semantics across
-	// dynamic dispatch: an interface call is charged with it only when
-	// every module implementor has it — otherwise every sim-wired call
-	// through secio's Conn would be condemned for the real-socket
-	// implementor it never binds.
-	cands := w.prog.resolveCall(info, call)
-	static := fn != nil && len(cands) == 1 && cands[0] == fn
-	wallAll := true
-	if !static {
-		for _, cand := range cands {
-			sum := w.prog.summaries[cand]
-			if sum == nil {
-				continue
-			}
-			wallAll = wallAll && sum.WallClock != nil
-		}
-	}
-	for _, cand := range cands {
+	// interface methods.
+	for _, cand := range w.prog.resolveCall(info, call) {
 		sum := w.prog.summaries[cand]
 		if sum == nil {
 			continue
@@ -837,9 +807,6 @@ func (w *sumWalker) call(call *ast.CallExpr) {
 		name := cand.Name()
 		if r := recvTypeName(cand); r != "" {
 			name = r + "." + name
-		}
-		if sum.WallClock != nil && wallAll && w.out.WallClock == nil {
-			w.out.WallClock = through(name, sum.WallClock)
 		}
 		for class, r := range sum.Acquires {
 			if _, seen := w.out.Acquires[class]; !seen {

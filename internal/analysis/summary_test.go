@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // summaryProg loads the summary fixture and builds its Program once per
 // test; the helpers fail the test rather than return nil so each
@@ -65,31 +62,5 @@ func TestSummaryInterfaceTaint(t *testing.T) {
 	}
 	if !mustSummary(t, prog, "wrapVisitor.visit").TaintsReturn {
 		t.Error("wrapVisitor.visit should inherit TaintsReturn through the interface call")
-	}
-}
-
-// TestSummaryWallClockReach checks both directions of the reach rules:
-// a static chain carries the wall-clock fact with its call chain, while
-// a dynamic dispatch with a clock-free implementor must not (reach facts
-// use must-semantics across interface calls).
-func TestSummaryWallClockReach(t *testing.T) {
-	prog := summaryProg(t)
-
-	sum := mustSummary(t, prog, "stampTwice")
-	if sum.WallClock == nil {
-		t.Fatal("stampTwice reaches time.Now through now() and should carry WallClock")
-	}
-	if chain := sum.WallClock.chain(); !strings.Contains(chain, "time.Now") {
-		t.Errorf("stampTwice WallClock chain %q should name time.Now", chain)
-	}
-
-	if mustSummary(t, prog, "wallTicker.tick").WallClock == nil {
-		t.Error("wallTicker.tick calls time.Now directly and should carry WallClock")
-	}
-	if mustSummary(t, prog, "simTicker.tick").WallClock != nil {
-		t.Error("simTicker.tick never touches the clock and must stay clock-free")
-	}
-	if got := mustSummary(t, prog, "viaTicker").WallClock; got != nil {
-		t.Errorf("viaTicker dispatches to a clock-free implementor and must stay clock-free (must-semantics), got chain %q", got.chain())
 	}
 }

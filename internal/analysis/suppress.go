@@ -80,7 +80,7 @@ func knownCheckNames() map[string]bool {
 //     its lines (the code was fixed, or the waiver never matched — either
 //     way it is dead and must be deleted).
 //
-// Unused-ness is only judged for checks in ran: a simdet waiver is not
+// Unused-ness is only judged for checks in ran: a lockorder waiver is not
 // "unused" during a -checks=secflow run that never gave it a chance.
 func applySuppressions(pkg *Package, diags []Diagnostic, ran []*Analyzer) []Diagnostic {
 	sups, bad := parseSuppressions(pkg)

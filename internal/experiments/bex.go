@@ -48,7 +48,7 @@ func RunBEX(alg identity.Algorithm, k uint8, seed int64) (BEXPoint, error) {
 
 func runBEXOnce(alg identity.Algorithm, k uint8, seed int64) (BEXPoint, error) {
 	pt := BEXPoint{Alg: alg, PuzzleK: k}
-	s := netsim.New(seed)
+	s := newSim(seed)
 	n := netsim.NewNetwork(s)
 	cl := cloud.New(n, cloud.EC2)
 	a := cl.Zones[0].Launch("a", cloud.Micro, nil)

@@ -23,6 +23,10 @@ import (
 	"hipcloud/internal/simtcp"
 )
 
+// newSim builds every experiment's simulation. It is a seam for tests:
+// the determinism referee swaps in a constructor that traces each packet.
+var newSim = netsim.New
+
 // Deployment is the paper's Figure 1 testbed: consumers -> load balancer
 // (outside the cloud) -> web VMs -> one DB VM, with the inner hops running
 // the scenario's transport.
@@ -93,7 +97,7 @@ func (c *DeployConfig) fill() {
 // Deploy builds the testbed.
 func Deploy(cfg DeployConfig) *Deployment {
 	cfg.fill()
-	s := netsim.New(cfg.Seed)
+	s := newSim(cfg.Seed)
 	n := netsim.NewNetwork(s)
 	cl := cloud.New(n, cfg.Profile)
 	for i := 1; i < cfg.Zones; i++ {

@@ -55,7 +55,7 @@ func RunDoS(cfg DoSConfig) (DoSResult, error) {
 	}
 	res := DoSResult{Adaptive: cfg.Adaptive, Bots: cfg.Bots}
 
-	s := netsim.New(cfg.Seed)
+	s := newSim(cfg.Seed)
 	n := netsim.NewNetwork(s)
 	cl := cloud.New(n, cloud.EC2)
 	tenant := &cloud.Tenant{Name: "victim", VLAN: 1}

@@ -192,17 +192,13 @@ func TestDoSAdaptivePuzzlesThrottleAttack(t *testing.T) {
 	}
 }
 
-// TestChaosDeterministicAndHIPRecovers pins the tentpole contract: the
-// same seed reproduces the chaos run byte-for-byte, and only HIP brings
-// the migrated web VM back (the paper's UPDATE-survives-locator-change
-// argument).
+// TestChaosDeterministicAndHIPRecovers pins the chaos contract: only HIP
+// brings the migrated web VM back (the paper's UPDATE-survives-
+// locator-change argument), and the seed reaches the schedule. That the
+// same seed reproduces the run byte for byte is the same-seed referee's
+// check (referee_test.go).
 func TestChaosDeterministicAndHIPRecovers(t *testing.T) {
-	cfg := ChaosConfig{Duration: 10 * time.Second, Clients: 4, Seed: 3}
-	res1, tbl1 := RunChaos(cfg)
-	_, tbl2 := RunChaos(cfg)
-	if tbl1.String() != tbl2.String() {
-		t.Fatalf("same-seed chaos runs differ:\n%s\nvs\n%s", tbl1, tbl2)
-	}
+	res1, tbl1 := RunChaos(ChaosConfig{Duration: 10 * time.Second, Clients: 4, Seed: 3})
 	for _, r := range res1 {
 		t.Logf("%v: ok=%d failed=%d outage=%v recovery=%v", r.Kind, r.Completed, r.Failed, r.WorstOutage, r.WebRecovery)
 		if r.Completed == 0 {

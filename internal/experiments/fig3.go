@@ -100,7 +100,7 @@ type fig3World struct {
 }
 
 func buildFig3World(cfg Fig3Config, needTeredo bool) *fig3World {
-	s := netsim.New(cfg.Seed)
+	s := newSim(cfg.Seed)
 	n := netsim.NewNetwork(s)
 	cl := cloud.New(n, cfg.Profile)
 	tenant := &cloud.Tenant{Name: "t", VLAN: 1}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hipcloud/internal/keymat"
 	"hipcloud/internal/secio"
 	"hipcloud/internal/tlslite"
 )
@@ -35,23 +36,42 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestChaosGoldenShortSeed1 pins the exact table `benchcloud -run chaos
-// -short -seed 1` prints: any nondeterminism (across processes, via the
-// committed golden, or within one, via the immediate re-run) or
-// unintended behavior change fails the test.
+// -short -seed 1` prints: any nondeterminism across processes or
+// unintended behavior change fails the test. The same-seed referee
+// (referee_test.go) checks determinism within one process.
 func TestChaosGoldenShortSeed1(t *testing.T) {
-	cfg := ChaosConfig{Duration: 12 * time.Second, Seed: 1}
-	_, tbl := RunChaos(cfg)
-	got := tbl.String()
-	checkGolden(t, "chaos_short_seed1.golden", got)
-	_, tbl2 := RunChaos(cfg)
-	if tbl2.String() != got {
-		t.Fatalf("chaos replay diverged in-process:\n%s\nvs\n%s", got, tbl2)
-	}
+	_, tbl := RunChaos(ChaosConfig{Duration: 12 * time.Second, Seed: 1})
+	checkGolden(t, "chaos_short_seed1.golden", tbl.String())
 }
 
-// TestFig2GoldenShortSeed1 pins the short fig2 sweep at seed 1 (the
-// committed golden doubles as a cross-process determinism check; the
-// in-process half is covered by the cheaper chaos test above).
+// TestRTTGoldenShortSeed1 pins the table `benchcloud -run rtt -short
+// -seed 1` prints.
+func TestRTTGoldenShortSeed1(t *testing.T) {
+	_, tbl := RunResponseTimes(RTConfig{Duration: 8 * time.Second, Seed: 1})
+	checkGolden(t, "rtt_short_seed1.golden", tbl.String())
+}
+
+// TestFig3GoldenShortSeed1 pins the table `benchcloud -run fig3 -short
+// -seed 1` prints (-short does not change fig3).
+func TestFig3GoldenShortSeed1(t *testing.T) {
+	_, tbl, err := RunFig3(Fig3Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig3_short_seed1.golden", tbl.String())
+}
+
+// TestFig3ModernGoldenShortSeed1 pins the same table under -modern, with
+// the secured modes on the AEAD HIP_CIPHER set.
+func TestFig3ModernGoldenShortSeed1(t *testing.T) {
+	_, tbl, err := RunFig3(Fig3Config{Seed: 1, Suites: keymat.PreferredAEAD})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fig3_modern_short_seed1.golden", tbl.String())
+}
+
+// TestFig2GoldenShortSeed1 pins the short fig2 sweep at seed 1.
 func TestFig2GoldenShortSeed1(t *testing.T) {
 	_, tbl := RunFig2(Fig2Config{
 		Duration: 8 * time.Second, Warmup: time.Second,

@@ -115,7 +115,7 @@ func runStormScenario(cfg StormConfig, kind secio.Kind) StormResult {
 	D := cfg.Duration
 	res := StormResult{Kind: kind, Clients: cfg.Clients}
 
-	s := netsim.New(cfg.Seed)
+	s := newSim(cfg.Seed)
 	n := netsim.NewNetwork(s)
 	cl := cloud.New(n, cfg.Profile)
 	cl.AddZone("b")

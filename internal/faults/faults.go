@@ -7,8 +7,9 @@
 // Every fault is scheduled on the simulation's event queue and every
 // random choice draws from the simulation's seeded RNG, so a chaos run is
 // exactly reproducible: same seed, same schedule, same packet-level
-// outcome (the hiplint simdet contract). The injector keeps an ordered
-// log of what fired when, for experiment reports.
+// outcome (the experiments package's same-seed referee checks it). The
+// injector keeps an ordered log of what fired when, for experiment
+// reports.
 //
 // Buffer ownership of injected packets follows DESIGN.md §5: corruption
 // delivers a freshly allocated bit-flipped copy and abandons the original

@@ -175,7 +175,7 @@ func (h *Host) handleI1(pkt *hipwire.Packet, src netip.Addr, now time.Duration) 
 		SenderHIT:   h.HIT(),
 		ReceiverHIT: pkt.SenderHIT,
 	}
-	i := h.statelessPuzzleI(pkt.SenderHIT, h.HIT())
+	i := h.statelessPuzzleI(pkt.SenderHIT, h.HIT(), k)
 	for _, sp := range tmpl.packet.params {
 		data := sp.data
 		if sp.typ == hipwire.ParamPuzzle {
@@ -222,8 +222,9 @@ func (h *Host) handleI2(pkt *hipwire.Packet, src netip.Addr, now time.Duration) 
 			return
 		}
 	}
-	// Stateless puzzle verification: recompute I, then check J.
-	wantI := h.statelessPuzzleI(pkt.SenderHIT, h.HIT())
+	// Stateless puzzle verification: recompute I for the K the solution
+	// claims, then check J.
+	wantI := h.statelessPuzzleI(pkt.SenderHIT, h.HIT(), sol.K)
 	h.cost += h.cfg.Costs.HashOp
 	if sol.I != wantI || !puzzle.Verify(sol.I, sol.K, pkt.SenderHIT, h.HIT(), sol.J) {
 		h.notify(pkt.SenderHIT, src, hipwire.NotifyInvalidPuzzleSol)

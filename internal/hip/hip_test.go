@@ -472,6 +472,67 @@ func TestWrongPuzzleSolutionRejected(t *testing.T) {
 	}
 }
 
+// TestI2CannotLowerPuzzleK is the puzzle-K attack: a responder under load
+// sends an R1 whose K is above its base difficulty, and the initiator
+// answers with a well-formed I2 that carries that R1's I, K = 0 and so
+// any J. The responder must refuse the solution and hold no association.
+func TestI2CannotLowerPuzzleK(t *testing.T) {
+	start := len(keymat.KeysOutstanding())
+	a := newHost(t, idA, locA)
+	// Any load at all is at HighWater: every R1 carries MaxK.
+	b, err := NewHost(Config{Identity: idB, Locator: locB,
+		Puzzle: puzzle.Difficulty{BaseK: 1, MaxK: 10, LowWater: 0, HighWater: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Connect(b.HIT(), locB, 0)
+	for _, op := range a.Outgoing() {
+		b.OnPacket(op.Data, locA, 0)
+	}
+	r1 := b.Outgoing()
+	if len(r1) != 1 {
+		t.Fatal("no R1")
+	}
+	// The attacker's own I2 builder answers an R1 that says K = 0: the
+	// loaded R1 with its puzzle's K zeroed, signed as the responder's
+	// K = 0 template (the signature leaves the puzzle's I out).
+	pkt, _ := hipwire.Parse(r1[0].Data)
+	for i := range pkt.Params {
+		switch pkt.Params[i].Type {
+		case hipwire.ParamPuzzle:
+			pz, _ := hipwire.ParsePuzzle(pkt.Params[i].Data)
+			if pz.K <= 1 {
+				t.Fatalf("R1 carried K=%d, want one above the base difficulty", pz.K)
+			}
+			pz.K = 0
+			pkt.Params[i].Data = pz.Marshal()
+		case hipwire.ParamSignature2:
+			pkt.Params[i].Data = hipwire.Signature{
+				Algorithm: uint16(idB.Algorithm()), Sig: b.r1TemplateFor(0).sig,
+			}.Marshal()
+		}
+	}
+	a.OnPacket(pkt.Marshal(), locB, 0)
+	i2 := a.Outgoing()
+	if len(i2) != 1 {
+		t.Fatal("no I2")
+	}
+	b.OnPacket(i2[0].Data, locA, 0)
+	if len(b.Associations()) != 0 {
+		t.Fatal("responder accepted an I2 that lowered the puzzle's K to 0")
+	}
+	out := b.Outgoing()
+	if len(out) != 1 {
+		t.Fatalf("responder sent %d packets, want one NOTIFY", len(out))
+	}
+	n, _ := hipwire.Parse(out[0].Data)
+	np, _ := n.Get(hipwire.ParamNotification)
+	if note, _ := hipwire.ParseNotification(np.Data); n.Type != hipwire.NOTIFY || note.Type != hipwire.NotifyInvalidPuzzleSol {
+		t.Fatalf("responder answered %v/%d, want NOTIFY INVALID_PUZZLE_SOLUTION", n.Type, note.Type)
+	}
+	keysBalanced(t, start, a, b)
+}
+
 func TestForgedHostIDRejected(t *testing.T) {
 	// A mallory host C replays A's handshake role but with its own key
 	// while claiming A's HIT: HIT(HI) check must reject.
@@ -499,8 +560,8 @@ func TestForgedHostIDRejected(t *testing.T) {
 		t.Fatal("C answered an R1 addressed to A")
 	}
 	// A C that takes the R1 anyway (its signature leaves the receiver HIT
-	// out) answers with its own HOST_ID under A's HIT, and zeroes the
-	// puzzle's K so that its solution for its own HIT passes.
+	// out) answers with its own HOST_ID under A's HIT, and re-solves the
+	// puzzle for A's HIT so that the solution passes.
 	pkt, _ := hipwire.Parse(r1[0].Data)
 	pkt.ReceiverHIT = c.HIT()
 	c.OnPacket(pkt.Marshal(), locB, w.now)
@@ -513,7 +574,7 @@ func TestForgedHostIDRejected(t *testing.T) {
 	for i := range pkt.Params {
 		if pkt.Params[i].Type == hipwire.ParamSolution {
 			sol, _ := hipwire.ParseSolution(pkt.Params[i].Data)
-			sol.K = 0
+			sol.J, _, _ = puzzle.Solve(sol.I, sol.K, idA.HIT(), b.HIT(), 1)
 			pkt.Params[i].Data = sol.Marshal()
 		}
 	}

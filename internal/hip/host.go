@@ -370,11 +370,12 @@ func (h *Host) Associations() []*Association { return h.sortedAssocs() }
 // that walks associations AND emits packets or events must iterate this
 // snapshot, never the map: map-range order would make packet emission
 // order depend on Go's map seed, breaking run-to-run determinism of the
-// simulation (the simdet contract). assocList is already sorted, so the
-// snapshot is a single exact-size copy — no map range, no sort, no
-// comparator closure on the timer path. The copy (rather than returning
-// assocList itself) matters: OnTimer tears down failed associations
-// mid-walk, which mutates assocList under the iteration.
+// simulation (the experiments package's same-seed referee checks it).
+// assocList is already sorted, so the snapshot is a single exact-size
+// copy — no map range, no sort, no comparator closure on the timer path.
+// The copy (rather than returning assocList itself) matters: OnTimer
+// tears down failed associations mid-walk, which mutates assocList under
+// the iteration.
 func (h *Host) sortedAssocs() []*Association {
 	out := make([]*Association, len(h.assocList))
 	copy(out, h.assocList)
@@ -468,13 +469,23 @@ func (h *Host) SetJitter(fn func() float64) {
 // SetBacklog reports the driver's admission-queue depth (see Host.backlog).
 func (h *Host) SetBacklog(n int) { h.backlog = n }
 
-// statelessPuzzleI derives the puzzle I for an initiator without storing
-// state: HMAC(secret, HIT-I | HIT-R) truncated to 64 bits.
-func (h *Host) statelessPuzzleI(hitI, hitR netip.Addr) uint64 {
+// statelessPuzzleI derives the puzzle I for an initiator and difficulty k
+// without storing state: HMAC(secret, HIT-I | HIT-R | k) truncated to 64
+// bits. k is mixed in only when it differs from the base difficulty, so
+// an idle responder's I is unchanged, while an I2 that claims a smaller K
+// than its R1 carried no longer matches the I it echoes.
+func (h *Host) statelessPuzzleI(hitI, hitR netip.Addr, k uint8) uint64 {
 	m := hmac.New(sha256.New, h.r1Secret)
-	a, b := hitI.As16(), hitR.As16()
+	a, r := hitI.As16(), hitR.As16()
+	var b [17]byte // HIT-R, then k when it is mixed in
+	copy(b[:], r[:])
+	in := b[:16]
+	if k != h.cfg.Puzzle.BaseK {
+		b[16] = k
+		in = b[:]
+	}
 	m.Write(a[:])
-	m.Write(b[:])
+	m.Write(in)
 	return binary.BigEndian.Uint64(m.Sum(nil))
 }
 

@@ -619,13 +619,21 @@ func (l *Listener) Accept() (*Conn, error) {
 	return c, nil
 }
 
-// Close stops the listener.
+// Close stops the listener. Conns that arrived but were never accepted
+// are reset and forgotten, so their dialers do not wait forever.
 func (l *Listener) Close() {
-	l.stack.mu.Lock()
-	defer l.stack.mu.Unlock()
+	s := l.stack
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	l.closed = true
-	delete(l.stack.listeners, l.port)
-	l.stack.cond.Broadcast()
+	delete(s.listeners, l.port)
+	for _, c := range l.backlog {
+		c.closedByUser = true
+		c.inner.Abort()
+		s.pumpLocked(c)
+	}
+	l.backlog = nil
+	s.cond.Broadcast()
 }
 
 // Conn is a reliable stream inside the ESP tunnel. It implements

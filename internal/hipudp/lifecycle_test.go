@@ -90,6 +90,38 @@ func TestClosedConnsAreForgotten(t *testing.T) {
 	}
 }
 
+// TestListenerCloseResetsItsBacklog: a conn that arrived but was never
+// accepted is reset and forgotten when its listener closes, and the
+// dialer's blocked Read fails instead of waiting forever.
+func TestListenerCloseResetsItsBacklog(t *testing.T) {
+	a, b := pair(t)
+	l, err := b.Listen(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := a.Dial(idB.HIT(), 7, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readErr := make(chan error, 1)
+	go func() {
+		_, err := c.Read(make([]byte, 16))
+		readErr <- err
+	}()
+	l.Close()
+	if n := connCount(b); n != 0 {
+		t.Fatalf("listener's stack still holds %d conns after Close", n)
+	}
+	select {
+	case err := <-readErr:
+		if err == nil {
+			t.Fatal("dialer's Read returned data from a conn nobody accepted")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("dialer's Read still blocked 5 s after the listener closed")
+	}
+}
+
 // TestDialPortsStayEphemeral is the regression test for Dial's uint16
 // port counter wrapping through 0 and the listener range: ports must stay
 // in the ephemeral range and off live conns, so a low-port listener on

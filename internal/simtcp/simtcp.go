@@ -100,7 +100,8 @@ type Stack struct {
 	pending []inSeg // delivered, not yet serviced
 	// dirty conns (Conn.dirty is the membership test) are flushed in marking
 	// order: a map range here would emit packets in Go's randomized map order
-	// and break the simulator's run-to-run determinism (hiplint's simdet).
+	// and break the simulator's run-to-run determinism (the experiments
+	// package's same-seed referee checks it).
 	dirtyQ []*Conn
 	debt   time.Duration // CPU cost not yet charged
 	// armed holds the per-conn timer deadlines as a flat list: every
@@ -486,13 +487,18 @@ func (l *Listener) Accept(p *netsim.Proc, timeout time.Duration) (*Conn, error) 
 	return c, nil
 }
 
-// Close stops the listener.
+// Close stops the listener. Conns that arrived but were never accepted
+// are reset and forgotten, so their dialers do not wait forever.
 func (l *Listener) Close() {
 	if l.closed {
 		return
 	}
 	l.closed = true
 	delete(l.stack.listeners, l.port)
+	for _, c := range l.backlog {
+		c.Abort()
+	}
+	l.backlog = nil
 	l.wq.WakeAll()
 }
 

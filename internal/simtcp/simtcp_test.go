@@ -329,6 +329,40 @@ func TestCloseDeliversEOFAcrossStack(t *testing.T) {
 	}
 }
 
+// TestListenerCloseResetsItsBacklog: a conn that arrived but was never
+// accepted is reset and forgotten when its listener closes, and the
+// dialer's blocked Read fails instead of waiting forever.
+func TestListenerCloseResetsItsBacklog(t *testing.T) {
+	s, sa, sb := env(t, netsim.Link{Latency: time.Millisecond})
+	l := sb.MustListen(80)
+	s.Spawn("server", func(p *netsim.Proc) {
+		p.Sleep(100 * time.Millisecond)
+		l.Close()
+	})
+	var readErr error
+	read := false
+	s.Spawn("client", func(p *netsim.Proc) {
+		c, err := sa.Dial(p, addrB, 80, 5*time.Second)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		_, readErr = c.Read(p, make([]byte, 16))
+		read = true
+	})
+	s.Run(time.Minute)
+	s.Shutdown()
+	if !read {
+		t.Fatal("dialer's Read still blocked a minute after the listener closed")
+	}
+	if readErr != ErrReset {
+		t.Fatalf("dialer's Read = %v, want ErrReset", readErr)
+	}
+	if n := len(sb.conns); n != 0 {
+		t.Fatalf("listener's stack still holds %d conns after Close", n)
+	}
+}
+
 func TestPerPacketCPUChargesNode(t *testing.T) {
 	s := netsim.New(1)
 	n := netsim.NewNetwork(s)
