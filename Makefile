@@ -112,11 +112,15 @@ race:
 # the one virtual-CPU charge path (Use and UseAsync share its task).
 # LockstepBulk is the stream core's bulk path from Write to Read with a
 # full send buffer: 0 B/op once its buffers have grown, as they slide in
-# their arrays instead of regrowing.
+# their arrays instead of regrowing. PumpBulk is hipudp's real data plane
+# over loopback, 16 KiB writes from Conn.Write through the header+payload
+# seal (esp's SealHdrAppend bench is its crypto half) into pooled frames,
+# sendmmsg, recvmmsg and onFrames to Conn.Read: about 0 B/op once warm, so
+# a transmit- or receive-path allocation shows here without running bench/.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Seal|Record|EventThroughput|TimerResetFire|ProcSleepWake|ProcContextSwitch|CPUUse|LockstepBulk' \
+	$(GO) test -run=NONE -bench='Seal|Record|EventThroughput|TimerResetFire|ProcSleepWake|ProcContextSwitch|CPUUse|LockstepBulk|PumpBulk' \
 		-benchtime=10x -benchmem \
-		./internal/esp ./internal/tlslite ./internal/keymat ./internal/netsim ./internal/stream
+		./internal/esp ./internal/tlslite ./internal/keymat ./internal/netsim ./internal/stream ./internal/hipudp
 
 # Short fuzz pass over every fuzz target (go test allows one
 # -fuzz pattern per invocation, hence one line per target), so the

@@ -6,10 +6,12 @@ import (
 )
 
 // AppendAlias flags append-style crypto/marshal calls whose destination
-// can alias their source. esp.SealAppend/OpenAppend (and the wrappers
-// both drivers call, hip.Host.SealDataAppend/OpenDataAppend, and
-// tlslite's sealRecordAppend) write ciphertext into dst's spare capacity
-// while reading payload; if both re-slice the same backing array —
+// can alias one of their sources. esp.SealAppend/OpenAppend (and the
+// wrappers both drivers call, hip.Host.SealDataAppend/OpenDataAppend, the
+// header-carrying seals esp.SealHdrAppend and hip.Host.SealDataHdrAppend,
+// and tlslite's sealRecordAppend) write ciphertext into dst's spare
+// capacity while reading their sources; if dst and a source re-slice the
+// same backing array —
 //
 //	sa.SealAppend(b[:0], b[n:])
 //
@@ -27,14 +29,23 @@ var AppendAlias = &Analyzer{
 	Run:  runAppendAlias,
 }
 
-// appendAPIs maps callee names to the (dst, src) argument indices of the
-// module's append-style two-slice APIs.
-var appendAPIs = map[string][2]int{
-	"SealAppend":       {0, 1},
-	"OpenAppend":       {0, 1},
-	"OpenDataAppend":   {0, 1},
-	"SealDataAppend":   {0, 2},
-	"sealRecordAppend": {0, 1},
+// appendAPI names the dst argument of an append-style API and the source
+// arguments it reads while it writes dst's spare capacity.
+type appendAPI struct {
+	dst  int
+	srcs []int
+}
+
+// appendAPIs maps callee names to the argument indices of the module's
+// append-style APIs.
+var appendAPIs = map[string]appendAPI{
+	"SealAppend":        {0, []int{1}},
+	"SealHdrAppend":     {0, []int{1, 2}},
+	"OpenAppend":        {0, []int{1}},
+	"OpenDataAppend":    {0, []int{1}},
+	"SealDataAppend":    {0, []int{2}},
+	"SealDataHdrAppend": {0, []int{2, 3}},
+	"sealRecordAppend":  {0, []int{1}},
 }
 
 func runAppendAlias(pass *Pass) {
@@ -49,11 +60,16 @@ func runAppendAlias(pass *Pass) {
 			if fn == nil || !strings.HasPrefix(pkgPathOf(fn), "hipcloud/") {
 				return true
 			}
-			if idx, ok := appendAPIs[fn.Name()]; ok && len(call.Args) > idx[1] {
-				dst, src := call.Args[idx[0]], call.Args[idx[1]]
-				if sameRoot(info, dst, src) {
-					chain, _ := rootChain(info, dst)
-					pass.Reportf(call.Pos(), "%s: dst and src both re-slice %q and may share a backing array; the seal would trample its own input", fn.Name(), chain)
+			if api, ok := appendAPIs[fn.Name()]; ok {
+				for _, i := range api.srcs {
+					if i >= len(call.Args) {
+						continue
+					}
+					dst, src := call.Args[api.dst], call.Args[i]
+					if sameRoot(info, dst, src) {
+						chain, _ := rootChain(info, dst)
+						pass.Reportf(call.Pos(), "%s: dst and src both re-slice %q and may share a backing array; the seal would trample its own input", fn.Name(), chain)
+					}
 				}
 				return true
 			}

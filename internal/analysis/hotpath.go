@@ -56,8 +56,9 @@ type HotRoot struct {
 // DefaultHotRoots is the explicit hot-set contract, mirrored in
 // DESIGN.md §5a: the run-to-completion event dispatch and timer wheel
 // (netsim), the rx/tx packet paths, the simtcp/hipsim kick/service
-// pumps, the ESP and TLS record seal/open fast paths, and the HIP
-// packet/timer handlers. Everything statically reachable from these is
+// pumps, the ESP and TLS record seal/open fast paths, the HIP
+// packet/timer handlers and the real-UDP driver's transmit and receive
+// paths. Everything statically reachable from these is
 // hot; a function joins through interface dispatch only when the
 // dispatch *must* land on it (single module implementor — PR 8's
 // must-semantics, so a cold alternate implementor does not drag its
@@ -88,6 +89,8 @@ var DefaultHotRoots = []HotRoot{
 	{"tlslite", "Conn", "openRecordInPlace"},
 	{"hip", "Host", "OnPacket"},
 	{"hip", "Host", "OnTimer"},
+	{"hipudp", "Stack", "pumpLocked"},
+	{"hipudp", "Stack", "onFrames"},
 }
 
 // HotInfo records how one function joined the hot set.

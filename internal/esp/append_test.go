@@ -79,6 +79,47 @@ func TestSealAppendMatchesSeal(t *testing.T) {
 	}
 }
 
+// SealHdrAppend(dst, h, p) must put on the wire exactly what SealAppend
+// puts for h||p, on every suite, for every way of splitting a payload
+// between the two slices: a twin SA built from the same keys seals the
+// joined payload, and the peer opens the pieces' packet back into h||p.
+func TestSealHdrAppendMatchesSealAppend(t *testing.T) {
+	plain := make([]byte, 1419)
+	for i := range plain {
+		plain[i] = byte(i * 7)
+	}
+	for _, s := range suites {
+		a, pr := pairFor(t, s)
+		twin, _ := pairFor(t, s)
+		for _, cut := range []int{0, 1, 5, 19, 700, len(plain) - 1, len(plain)} {
+			for _, n := range []int{0, 1, 19, 20, 33, len(plain)} {
+				if cut > n {
+					continue
+				}
+				joined := plain[:n]
+				split, err := a.Out.SealHdrAppend([]byte{0xEE}, joined[:cut], joined[cut:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				whole, err := twin.Out.SealAppend([]byte{0xEE}, joined)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(split, whole) {
+					t.Fatalf("%v: SealHdrAppend of %d+%d bytes differs from SealAppend of the %d joined", s, cut, n-cut, n)
+				}
+				got, err := pr.In.Open(split[1:])
+				if err != nil || !bytes.Equal(got, joined) {
+					t.Fatalf("%v: %d+%d bytes open to %d bytes (%v), want the joined payload", s, cut, n-cut, len(got), err)
+				}
+			}
+		}
+		if a.Out.Bytes != twin.Out.Bytes || a.Out.Packets != twin.Out.Packets {
+			t.Fatalf("%v: counters %d/%d, twin %d/%d", s, a.Out.Packets, a.Out.Bytes, twin.Out.Packets, twin.Out.Bytes)
+		}
+	}
+}
+
 // SealAppend's CTR output must not alias SA scratch: the packet bytes stay
 // stable across subsequent seals (regression for the old append(iv[:8], ...)
 // construction that shared the IV's backing array).
@@ -332,6 +373,25 @@ func BenchmarkSealAppendCBC1400(b *testing.B)  { benchSealAppend(b, keymat.Suite
 func BenchmarkSealAppendNull1400(b *testing.B) { benchSealAppend(b, keymat.SuiteNullSHA256) }
 
 func BenchmarkSealAppendGCM128_1400(b *testing.B) { benchSealAppend(b, keymat.SuiteAESGCM128) }
+
+// BenchmarkSealHdrAppendGCM128_1400 is hipudp's per-segment seal: a 19-byte
+// mux and stream header on the stack and a 1400-byte payload view, sealed
+// into a reused frame. It must read 0 B/op.
+func BenchmarkSealHdrAppendGCM128_1400(b *testing.B) {
+	pi, _ := pairForBench(b, keymat.SuiteAESGCM128)
+	var hdr [19]byte
+	payload := bytes.Repeat([]byte{7}, 1400)
+	dst := make([]byte, 0, pi.Out.SealedLen(len(hdr)+len(payload)))
+	b.SetBytes(int64(len(hdr) + len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		dst, err = pi.Out.SealHdrAppend(dst[:0], hdr[:], payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 func BenchmarkSealAppendGCM256_1400(b *testing.B) { benchSealAppend(b, keymat.SuiteAESGCM256) }
 func BenchmarkSealAppendChaCha1400(b *testing.B) {
 	benchSealAppend(b, keymat.SuiteChaCha20Poly1305)

@@ -25,7 +25,9 @@
 // destination buffer they perform zero heap allocations per packet: the
 // transforms key their state once at SA setup and own their scratch, and
 // the plaintext is framed where its ciphertext lands and sealed in
-// place. Seal and Open remain as thin allocating wrappers for callers
+// place. SealHdrAppend frames it there from two pieces, an inner header
+// and a payload, so no caller joins them first; SealAppend is it with no
+// header. Seal and Open remain as thin allocating wrappers for callers
 // that want a fresh buffer.
 //
 // Buffer ownership: SealAppend/OpenAppend never alias SA-internal state
@@ -218,6 +220,14 @@ func ensure(b []byte, n int) (grown, region []byte) {
 // capacity already fits the packet it allocates nothing. payload and dst
 // must not overlap.
 func (sa *OutboundSA) SealAppend(dst, payload []byte) ([]byte, error) {
+	return sa.SealHdrAppend(dst, nil, payload)
+}
+
+// SealHdrAppend is SealAppend of the payload hdr||payload, framed straight
+// from its two pieces: a driver seals its inner header and a lent payload
+// view without first joining them in a scratch. Neither hdr nor payload
+// may overlap dst.
+func (sa *OutboundSA) SealHdrAppend(dst, hdr, payload []byte) ([]byte, error) {
 	// The saturation refusal is what makes implicit-IV AEAD safe even if
 	// a rekey stalls: the final sequence number 2^32-1 is used at most
 	// once and the counter never wraps, so a (key, nonce) pair can never
@@ -227,8 +237,9 @@ func (sa *OutboundSA) SealAppend(dst, payload []byte) ([]byte, error) {
 		return nil, ErrSeqExhausted
 	}
 	sa.seq++
-	pad := sa.padLen(len(payload))
-	dst, pkt := ensure(dst, sa.SealedLen(len(payload)))
+	size := len(hdr) + len(payload)
+	pad := sa.padLen(size)
+	dst, pkt := ensure(dst, sa.SealedLen(size))
 	binary.BigEndian.PutUint32(pkt[0:], sa.SPI)
 	binary.BigEndian.PutUint32(pkt[4:], sa.seq)
 	binary.BigEndian.PutUint32(sa.nonce[8:], sa.seq)
@@ -236,7 +247,8 @@ func (sa *OutboundSA) SealAppend(dst, payload []byte) ([]byte, error) {
 	// explicit IV the transform writes — and seal it in place: ciphertext
 	// overwrites it and the tag fills the ICV slot.
 	pt := pkt[HeaderLen+sa.ivLen : len(pkt)-ICVLen]
-	n := copy(pt, payload)
+	n := copy(pt, hdr)
+	n += copy(pt[n:], payload)
 	for i := 0; i < pad; i++ {
 		pt[n+i] = byte(i + 1) // RFC 4303 monotonic padding
 	}
@@ -244,7 +256,7 @@ func (sa *OutboundSA) SealAppend(dst, payload []byte) ([]byte, error) {
 	pt[len(pt)-1] = nextHeader
 	sa.tf.Seal(pkt[HeaderLen:HeaderLen], &sa.nonce, pt, pkt[:HeaderLen])
 	sa.Packets++
-	sa.Bytes += uint64(len(payload))
+	sa.Bytes += uint64(size)
 	return dst, nil
 }
 

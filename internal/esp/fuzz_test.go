@@ -78,16 +78,18 @@ func FuzzOpen(f *testing.F) {
 }
 
 // FuzzSealOpenRoundTrip drives the append-style APIs with arbitrary
-// payloads and dst prefixes on every suite: SealAppend followed by
-// OpenAppend must return the exact payload, never panic, and never
+// payloads, dst prefixes and header/payload splits on every suite:
+// SealHdrAppend of the payload cut at an input-chosen point, followed by
+// OpenAppend, must return the exact payload, never panic, and never
 // disturb bytes already in the destination buffers.
 func FuzzSealOpenRoundTrip(f *testing.F) {
-	f.Add([]byte(""), uint8(0))
-	f.Add([]byte("x"), uint8(1))
-	f.Add(bytes.Repeat([]byte{0xAB}, 15), uint8(2))
-	f.Add(bytes.Repeat([]byte{0xCD}, 16), uint8(0))
-	f.Add(bytes.Repeat([]byte{0xEF}, 1400), uint8(7))
-	f.Fuzz(func(t *testing.T, payload []byte, prefixLen uint8) {
+	f.Add([]byte(""), uint8(0), uint16(0))
+	f.Add([]byte("x"), uint8(1), uint16(1))
+	f.Add(bytes.Repeat([]byte{0xAB}, 15), uint8(2), uint16(7))
+	f.Add(bytes.Repeat([]byte{0xCD}, 16), uint8(0), uint16(0))
+	f.Add(bytes.Repeat([]byte{0xEF}, 1400), uint8(7), uint16(19))
+	f.Fuzz(func(t *testing.T, payload []byte, prefixLen uint8, split uint16) {
+		cut := int(split) % (len(payload) + 1)
 		for _, s := range []keymat.Suite{
 			keymat.SuiteAESCTRSHA256, keymat.SuiteAESCBCSHA256, keymat.SuiteNullSHA256,
 			keymat.SuiteAESGCM128, keymat.SuiteAESGCM256, keymat.SuiteChaCha20Poly1305,
@@ -103,12 +105,12 @@ func FuzzSealOpenRoundTrip(f *testing.F) {
 			}
 			prefix := bytes.Repeat([]byte{0x55}, int(prefixLen))
 			dst := append([]byte(nil), prefix...)
-			dst, err = out.SealAppend(dst, payload)
+			dst, err = out.SealHdrAppend(dst, payload[:cut], payload[cut:])
 			if err != nil {
 				t.Fatalf("%v seal: %v", s, err)
 			}
 			if !bytes.Equal(dst[:len(prefix)], prefix) {
-				t.Fatalf("%v: SealAppend disturbed dst prefix", s)
+				t.Fatalf("%v: SealHdrAppend disturbed dst prefix", s)
 			}
 			pkt := dst[len(prefix):]
 			got := append([]byte(nil), prefix...)
@@ -120,7 +122,7 @@ func FuzzSealOpenRoundTrip(f *testing.F) {
 				t.Fatalf("%v: OpenAppend disturbed dst prefix", s)
 			}
 			if !bytes.Equal(got[len(prefix):], payload) {
-				t.Fatalf("%v: round-trip payload mismatch (len=%d)", s, len(payload))
+				t.Fatalf("%v: round-trip payload mismatch (len=%d, cut at %d)", s, len(payload), cut)
 			}
 		}
 	})

@@ -120,6 +120,13 @@ func (h *Host) SealData(peerHIT netip.Addr, payload []byte, byLSI bool) (pkt []b
 // capacity (esp.SealAppend semantics): with a caller-recycled dst it
 // performs no allocation on the data path.
 func (h *Host) SealDataAppend(dst []byte, peerHIT netip.Addr, payload []byte, byLSI bool) (pkt []byte, dstLoc netip.Addr, err error) {
+	return h.SealDataHdrAppend(dst, peerHIT, nil, payload, byLSI)
+}
+
+// SealDataHdrAppend is SealDataAppend of the payload hdr||payload, sealed
+// from its two pieces (esp.SealHdrAppend): a driver passes its inner
+// header and a lent payload view without joining them first.
+func (h *Host) SealDataHdrAppend(dst []byte, peerHIT netip.Addr, hdr, payload []byte, byLSI bool) (pkt []byte, dstLoc netip.Addr, err error) {
 	a, ok := h.assocs[peerHIT]
 	if !ok {
 		return nil, netip.Addr{}, ErrNoAssociation
@@ -127,15 +134,16 @@ func (h *Host) SealDataAppend(dst []byte, peerHIT netip.Addr, payload []byte, by
 	if a.state != Established && a.state != Closing {
 		return nil, netip.Addr{}, ErrNotEstablished
 	}
-	pkt, err = a.espPair.Out.SealAppend(dst, payload)
+	pkt, err = a.espPair.Out.SealHdrAppend(dst, hdr, payload)
 	if err != nil {
 		return nil, netip.Addr{}, err
 	}
-	h.cost += h.cfg.Costs.Symmetric(len(payload)) + h.cfg.Costs.ShimPerPacket
+	n := len(hdr) + len(payload)
+	h.cost += h.cfg.Costs.Symmetric(n) + h.cfg.Costs.ShimPerPacket
 	if byLSI {
 		h.cost += h.cfg.Costs.LSITranslation
 	}
-	a.DataSent += uint64(len(payload))
+	a.DataSent += uint64(n)
 	return pkt, a.PeerLocator, nil
 }
 

@@ -10,7 +10,8 @@
 // (absent from the generated amd64 table) are declared here. Everything the
 // kernel dereferences — iovecs, sockaddr storage, control messages, the
 // mmsghdr vector itself — lives in the engine structs, which the calling
-// goroutine keeps alive across the syscall.
+// goroutine keeps alive across the syscall. So do each syscall's count and
+// results (mmsgCall), so that a sendmmsg or recvmmsg allocates nothing.
 package hipudp
 
 import (
@@ -42,6 +43,56 @@ const (
 	udpGRO     = 104 // sockopt: deliver coalesced runs; cmsg: their int size
 )
 
+// mmsgCall is one engine's sendmmsg or recvmmsg, bound once as the RawConn
+// callback fn: a closure built per call would allocate. fn runs the syscall
+// over the n messages at msgs and leaves the messages done in done, a
+// failure in errno.
+type mmsgCall struct {
+	fn      func(fd uintptr) bool
+	trap    uintptr
+	msgs    *mmsghdr
+	n, done int
+	errno   syscall.Errno
+}
+
+func (m *mmsgCall) bind(trap uintptr, msgs *mmsghdr) {
+	m.trap, m.msgs = trap, msgs
+	m.fn = m.call
+}
+
+func (m *mmsgCall) call(fd uintptr) bool {
+	for {
+		r, _, errno := syscall.Syscall6(m.trap, fd, uintptr(unsafe.Pointer(m.msgs)), uintptr(m.n), 0, 0, 0)
+		switch errno {
+		case 0:
+			m.done = int(r)
+			return true
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false // wait until the socket is ready, then retry
+		default:
+			m.errno = errno
+			return true
+		}
+	}
+}
+
+// run makes the call over n messages through rc's Write (write) or Read and
+// returns the messages done and the failure, the syscall's first.
+func (m *mmsgCall) run(rc syscall.RawConn, write bool, n int) (done int, err error) {
+	m.n, m.done, m.errno = n, 0, 0
+	if write {
+		err = rc.Write(m.fn)
+	} else {
+		err = rc.Read(m.fn)
+	}
+	if m.errno != 0 {
+		err = m.errno
+	}
+	return m.done, err
+}
+
 // cmsgWords is one control message with up to 8 bytes of data, in the
 // uint64 words that keep it aligned for the kernel.
 const cmsgWords = (syscall.SizeofCmsghdr + 8) / 8
@@ -58,9 +109,14 @@ type txEngine struct {
 	// noGSO is set for good once the kernel refuses a UDP_SEGMENT message:
 	// from then on every frame is a message of its own.
 	noGSO bool
+	sys   mmsgCall
 }
 
-func newTxEngine() *txEngine { return &txEngine{} }
+func newTxEngine() *txEngine {
+	e := &txEngine{}
+	e.sys.bind(sysSENDMMSG, &e.msgs[0])
+	return e
+}
 
 // send transmits up to txBatchSize frames with one sendmmsg, each run of
 // equal-size frames to one endpoint as one UDP_SEGMENT message. It
@@ -82,29 +138,8 @@ func (e *txEngine) send(pc *net.UDPConn, rc syscall.RawConn, batch []txPacket) (
 		e.fill(nmsg, i, batch[i:i+k])
 		i += k
 	}
-	var nmsgSent int
-	werr := rc.Write(func(fd uintptr) bool {
-		for {
-			r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&e.msgs[0])), uintptr(nmsg), 0, 0, 0)
-			switch errno {
-			case 0:
-				nmsgSent = int(r)
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false // wait for writability, then retry
-			default:
-				err = errno
-				return true
-			}
-		}
-	})
+	nmsgSent, err := e.sys.run(rc, true, nmsg)
 	nsys = 1
-	if werr != nil && err == nil {
-		err = werr
-	}
 	for _, k := range e.runs[:nmsgSent] {
 		sent += k
 	}
@@ -167,6 +202,7 @@ type rxEngine struct {
 	iovs  [rxBatchMax]syscall.Iovec
 	names [rxBatchMax]syscall.RawSockaddrAny
 	cmsgs [rxBatchMax][cmsgWords]uint64
+	sys   mmsgCall
 }
 
 // newRxEngine turns UDP_GRO on for the socket behind rc (a kernel without
@@ -177,7 +213,9 @@ func newRxEngine(rc syscall.RawConn) *rxEngine {
 			syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1)
 		})
 	}
-	return &rxEngine{}
+	e := &rxEngine{}
+	e.sys.bind(sysRECVMMSG, &e.msgs[0])
+	return e
 }
 
 // read drains up to len(bufs) (at most rxBatchMax) datagrams with one
@@ -202,28 +240,8 @@ func (e *rxEngine) read(pc *net.UDPConn, rc syscall.RawConn, bufs [][]byte, size
 		h.SetControllen(len(e.cmsgs[i]) * 8)
 		e.msgs[i].Len = 0
 	}
-	rerr := rc.Read(func(fd uintptr) bool {
-		for {
-			r, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
-				uintptr(unsafe.Pointer(&e.msgs[0])), uintptr(n), 0, 0, 0)
-			switch errno {
-			case 0:
-				cnt = int(r)
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false // wait for readability, then retry
-			default:
-				err = errno
-				return true
-			}
-		}
-	})
+	cnt, err = e.sys.run(rc, false, n)
 	nsys = 1
-	if rerr != nil && err == nil {
-		err = rerr
-	}
 	for i := 0; i < cnt; i++ {
 		sizes[i] = int(e.msgs[i].Len)
 		segs[i] = 0

@@ -74,6 +74,7 @@ func TestGRODeliversTheRunWhole(t *testing.T) {
 	}
 	eng := newRxEngine(rc)
 	batch := segmentBatch(ep)
+	want := frameBytes(batch)
 	s.transmit(newTxEngine(), batch)
 	bufs := [][]byte{make([]byte, 64*1024)}
 	sizes, segs, eps := make([]int, 1), make([]int, 1), make([]netip.AddrPort, 1)
@@ -82,17 +83,17 @@ func TestGRODeliversTheRunWhole(t *testing.T) {
 	if err != nil || cnt != 1 {
 		t.Fatalf("read = %d datagrams, %v", cnt, err)
 	}
-	if segs[0] != len(batch[0].buf) || eps[0] != s.LocalAddr().AddrPort() {
+	if segs[0] != len(want[0]) || eps[0] != s.LocalAddr().AddrPort() {
 		t.Fatalf("datagram of %d bytes from %v: segment size %d, want %d from %v",
-			sizes[0], eps[0], segs[0], len(batch[0].buf), s.LocalAddr().AddrPort())
+			sizes[0], eps[0], segs[0], len(want[0]), s.LocalAddr().AddrPort())
 	}
 	frames, _ := appendSegments(nil, nil, bufs[0][:sizes[0]], segs[0], eps[0])
-	if len(frames) != len(batch) {
-		t.Fatalf("split into %d frames, want %d", len(frames), len(batch))
+	if len(frames) != len(want) {
+		t.Fatalf("split into %d frames, want %d", len(frames), len(want))
 	}
-	for i, p := range batch {
-		if !bytes.Equal(frames[i], p.buf) {
-			t.Fatalf("frame %d: %d bytes, want %d", i, len(frames[i]), len(p.buf))
+	for i, w := range want {
+		if !bytes.Equal(frames[i], w) {
+			t.Fatalf("frame %d: %d bytes, want %d", i, len(frames[i]), len(w))
 		}
 	}
 }

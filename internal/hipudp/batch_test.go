@@ -232,6 +232,17 @@ func segmentBatch(ep netip.AddrPort) []txPacket {
 	return batch
 }
 
+// frameBytes copies each frame of batch: transmit hands every frame it is
+// given back to the pool, which poisons it, so a test that compares what
+// arrived with what was sent keeps a copy from before the send.
+func frameBytes(batch []txPacket) [][]byte {
+	out := make([][]byte, len(batch))
+	for i, p := range batch {
+		out[i] = bytes.Clone(p.buf)
+	}
+	return out
+}
+
 // transmitTo sends batch from s through eng to sink and returns the
 // datagrams sink reads and the stack's counters after the send.
 func transmitTo(t *testing.T, s *Stack, eng *txEngine, sink *net.UDPConn, batch []txPacket) ([][]byte, Stats) {
@@ -258,16 +269,17 @@ func TestSegmentRunReachesPlainSocket(t *testing.T) {
 	s := newTestStack(t, idA)
 	sink, ep := newTestSocket(t)
 	batch := segmentBatch(ep)
+	want := frameBytes(batch)
 	got, st := transmitTo(t, s, newTxEngine(), sink, batch)
-	if len(got) != len(batch) {
-		t.Fatalf("sink read %d datagrams, want %d (one per frame)", len(got), len(batch))
+	if len(got) != len(want) {
+		t.Fatalf("sink read %d datagrams, want %d (one per frame)", len(got), len(want))
 	}
-	for i, p := range batch {
-		if !bytes.Equal(got[i], p.buf) {
-			t.Fatalf("datagram %d: %d bytes starting % x, want frame %d (%d bytes)", i, len(got[i]), got[i][:min(len(got[i]), 2)], i, len(p.buf))
+	for i, w := range want {
+		if !bytes.Equal(got[i], w) {
+			t.Fatalf("datagram %d: %d bytes starting % x, want frame %d (%d bytes)", i, len(got[i]), got[i][:min(len(got[i]), 2)], i, len(w))
 		}
 	}
-	if st.TxPackets != uint64(len(batch)) || st.TxErrors != 0 {
-		t.Fatalf("TxPackets %d TxErrors %d, want %d and 0", st.TxPackets, st.TxErrors, len(batch))
+	if st.TxPackets != uint64(len(want)) || st.TxErrors != 0 {
+		t.Fatalf("TxPackets %d TxErrors %d, want %d and 0", st.TxPackets, st.TxErrors, len(want))
 	}
 }

@@ -29,6 +29,7 @@ import (
 
 	"hipcloud/internal/esp"
 	"hipcloud/internal/hip"
+	"hipcloud/internal/netsim"
 	"hipcloud/internal/stream"
 )
 
@@ -105,13 +106,14 @@ type Stack struct {
 
 	closed bool
 
-	// plain and rxPlain are the scratches in which pumpLocked builds each
-	// segment's ESP plaintext and onFrames opens each packet's, and touched
-	// lists the conns one vector's segments reached; all reused under mu.
-	plain, rxPlain []byte
-	touched        []*Conn
+	// rxPlain is the scratch onFrames opens each packet's ESP plaintext
+	// into, and touched lists the conns one vector's segments reached; both
+	// reused under mu. The transmit path needs no scratch (pumpLocked).
+	rxPlain []byte
+	touched []*Conn
 
-	// Socket counters and the sender every frame leaves through.
+	// Socket counters and the sender every frame leaves through, which owns
+	// and returns the pooled frames it is handed.
 	stats   ioStats
 	txErrMu sync.Mutex
 	txErr   error
@@ -272,8 +274,9 @@ func (s *Stack) readLoop() {
 // Each conn a segment reached is pumped and woken once, after the whole
 // vector, so that the ACKs of a run of segments leave as one cumulative ACK.
 // ESP frames are opened straight out of frames, which may be arena memory
-// and is not retained; control frames are copied first, since hip.Host may
-// retain parsed parameters.
+// and is not retained; control frames are copied first, into a buffer of
+// their own and not a pooled one, since hip.Host may retain parsed
+// parameters.
 func (s *Stack) onFrames(frames [][]byte, from []netip.AddrPort) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -286,7 +289,9 @@ func (s *Stack) onFrames(frames [][]byte, from []netip.AddrPort) {
 		}
 		switch f[0] {
 		case frameHIP:
-			s.controlLocked(append([]byte(nil), f[1:]...), from[i])
+			ctl := make([]byte, len(f)-1)
+			copy(ctl, f[1:])
+			s.controlLocked(ctl, from[i])
 		case frameESP:
 			if c := s.segmentLocked(f[1:]); c != nil && !c.touched {
 				c.touched = true
@@ -396,9 +401,10 @@ func (s *Stack) endpointFor(hit, locator netip.Addr) (netip.AddrPort, bool) {
 	return ep, ok
 }
 
-// writeFrame queues a copy of data, behind its type byte, on the sender.
+// writeFrame queues a copy of data, behind its type byte, on the sender,
+// in a pooled buffer the sender returns.
 func (s *Stack) writeFrame(typ byte, ep netip.AddrPort, data []byte) {
-	buf := make([]byte, 1+len(data))
+	buf := netsim.GetBuf(1 + len(data))
 	buf[0] = typ
 	copy(buf[1:], data)
 	s.sender.enqueue(s, txPacket{buf: buf, ep: ep})
@@ -501,36 +507,39 @@ func (s *Stack) newConnLocked(key connKey) *Conn {
 
 // pumpLocked flushes a conn's outgoing segments through ESP and forgets
 // the conn once it is closed on both sides. Of a run of pure ACKs only
-// those the peer needs leave (stream.CoalesceACKs). Each segment is
-// marshaled once into the plaintext scratch and sealed straight into the
-// frame the sender sends. Callers hold s.mu.
+// those the peer needs leave (stream.CoalesceACKs). Each segment's mux and
+// stream headers are built in a stack array and sealed, with the lent
+// payload view behind them, straight into a pooled frame that the sender
+// returns to the pool: one copy of each payload byte, no allocation.
+// Callers hold s.mu.
 func (s *Stack) pumpLocked(c *Conn) {
 	if s.closed {
 		return
 	}
 	segs, deadline := c.inner.Poll(s.now())
 	c.deadline = deadline
+	var hdr [muxHeader + stream.HeaderSize]byte
+	hdr[0] = innerStream
+	binary.BigEndian.PutUint16(hdr[1:], c.key.localPort)
+	binary.BigEndian.PutUint16(hdr[3:], c.key.remotePort)
 	for _, seg := range stream.CoalesceACKs(segs) {
-		n := muxHeader + stream.HeaderSize + len(seg.Payload)
-		if cap(s.plain) < n {
-			s.plain = make([]byte, n)
-		}
-		plain := s.plain[:n]
-		plain[0] = innerStream
-		binary.BigEndian.PutUint16(plain[1:], c.key.localPort)
-		binary.BigEndian.PutUint16(plain[3:], c.key.remotePort)
-		seg.MarshalInto(plain[muxHeader:])
-		frame := make([]byte, 1, 1+n+esp.MaxOverhead)
-		frame[0] = frameESP
-		frame, dst, err := s.host.SealDataAppend(frame, c.key.peer, plain, false)
+		payload := seg.Payload
+		seg.Payload = nil
+		seg.MarshalInto(hdr[muxHeader:])
+		buf := netsim.GetBuf(1 + len(hdr) + len(payload) + esp.MaxOverhead)
+		buf[0] = frameESP
+		frame, dst, err := s.host.SealDataHdrAppend(buf[:1], c.key.peer, hdr[:], payload, false)
 		s.host.TakeCost()
 		if err != nil {
+			netsim.PutBuf(buf)
 			c.inner.Abort()
 			c.cond.Broadcast()
 			break
 		}
 		if ep, ok := s.endpointFor(c.key.peer, dst); ok {
 			s.sender.enqueue(s, txPacket{buf: frame, ep: ep})
+		} else {
+			netsim.PutBuf(frame)
 		}
 	}
 	if st := c.inner.State(); c.closedByUser && (st == stream.StateClosed || st == stream.StateReset) {

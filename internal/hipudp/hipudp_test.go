@@ -20,7 +20,7 @@ var (
 )
 
 // pair brings up two stacks on localhost and cross-registers them.
-func pair(t *testing.T) (*Stack, *Stack) {
+func pair(t testing.TB) (*Stack, *Stack) {
 	t.Helper()
 	a, b := newTestStack(t, idA), newTestStack(t, idB)
 	epA := netip.MustParseAddrPort(fmt.Sprintf("127.0.0.1:%d", a.LocalAddr().Port))

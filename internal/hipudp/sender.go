@@ -3,11 +3,14 @@ package hipudp
 import (
 	"net/netip"
 	"sync"
+
+	"hipcloud/internal/netsim"
 )
 
 // txPacket is one frame awaiting transmission: one datagram on the wire,
 // though the Linux engine may hand a run of them to the kernel as one GSO
-// message.
+// message. Its buf is a netsim.GetBuf buffer that the sender owns from
+// enqueue on and returns with netsim.PutBuf.
 type txPacket struct {
 	buf []byte
 	ep  netip.AddrPort
@@ -34,12 +37,14 @@ type sender struct {
 	done   chan struct{}
 }
 
-// enqueue queues a frame, dropping on overflow.
+// enqueue queues a frame, dropping (and returning to the pool) on
+// overflow.
 func (sd *sender) enqueue(s *Stack, p txPacket) {
 	sd.mu.Lock()
 	if sd.closed || len(sd.queue) >= txQueueCap {
 		sd.mu.Unlock()
 		s.stats.txDrops.Add(1)
+		netsim.PutBuf(p.buf)
 		return
 	}
 	sd.queue = append(sd.queue, p)
@@ -85,13 +90,15 @@ func (s *Stack) senderLoop() {
 }
 
 // transmit pushes one batch through the platform engine, retrying
-// partial progress and folding results into the stats.
+// partial progress and folding results into the stats. Each frame goes
+// back to the pool once it is sent or counted as the failed head.
 func (s *Stack) transmit(eng *txEngine, batch []txPacket) {
 	for len(batch) > 0 {
 		sent, nsys, err := eng.send(s.pc, s.rc, batch)
 		var n uint64
 		for _, p := range batch[:sent] {
 			n += uint64(len(p.buf))
+			netsim.PutBuf(p.buf)
 		}
 		s.stats.txSyscalls.Add(uint64(nsys))
 		s.stats.txBatches.Add(1)
@@ -104,6 +111,7 @@ func (s *Stack) transmit(eng *txEngine, batch []txPacket) {
 			// error must not silently discard the tail of the batch.
 			s.noteTxErr(err)
 			if len(batch) > 0 {
+				netsim.PutBuf(batch[0].buf)
 				batch = batch[1:]
 			}
 		}
