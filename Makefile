@@ -104,8 +104,10 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=5 -timeout 120s ./internal/hipudp
 
-# Fast allocation smoke: the Seal/Record benches report B/op and allocs/op;
-# the AllocsPerRun guard tests (run by `test`) enforce the 0-alloc contract.
+# Fast allocation smoke: the Seal/OpenAppend/Record benches report B/op and
+# allocs/op, so each suite's open side (CTR, GCM, ChaCha) shows next to its
+# seal side; the AllocsPerRun guard tests (run by `test`) enforce the
+# 0-alloc contract.
 # The scheduler microbenches ride along so a regression in the
 # run-to-completion core (event dispatch, timer churn, process hand-off)
 # shows up in B/op before it shows up in the sim_rubis workload; CPUUse is
@@ -118,7 +120,7 @@ race:
 # sendmmsg, recvmmsg and onFrames to Conn.Read: about 0 B/op once warm, so
 # a transmit- or receive-path allocation shows here without running bench/.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Seal|Record|EventThroughput|TimerResetFire|ProcSleepWake|ProcContextSwitch|CPUUse|LockstepBulk|PumpBulk' \
+	$(GO) test -run=NONE -bench='Seal|OpenAppend|Record|EventThroughput|TimerResetFire|ProcSleepWake|ProcContextSwitch|CPUUse|LockstepBulk|PumpBulk' \
 		-benchtime=10x -benchmem \
 		./internal/esp ./internal/tlslite ./internal/keymat ./internal/netsim ./internal/stream ./internal/hipudp
 

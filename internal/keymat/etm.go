@@ -18,9 +18,12 @@ package keymat
 // rejects a packet whose explicit prefix differs.
 
 import (
+	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
+	"encoding/binary"
 	"hash"
 )
 
@@ -179,11 +182,16 @@ func (c *nullHMAC) Open(dst []byte, _ *[NonceLen]byte, sealed, aad []byte) ([]by
 	return append(dst, body...), nil
 }
 
-// ctrHMAC is SuiteAESCTRSHA256. ctr and ks are the counter and keystream
-// blocks ctrXor works in.
+// ctrChunk is how many counter blocks ctrXor builds, encrypts and XORs
+// at a time.
+const ctrChunk = 64
+
+// ctrHMAC is SuiteAESCTRSHA256. ks is the keystream chunk ctrXor works
+// in: it crosses the cipher.Block interface, so it lives here like the
+// IV scratch.
 type ctrHMAC struct {
 	etm
-	ctr, ks [16]byte
+	ks [ctrChunk * aes.BlockSize]byte
 }
 
 func (c *ctrHMAC) Seal(dst []byte, _ *[NonceLen]byte, plaintext, aad []byte) []byte {
@@ -206,34 +214,40 @@ func (c *ctrHMAC) Open(dst []byte, _ *[NonceLen]byte, sealed, aad []byte) ([]byt
 // ctrXor applies the AES-CTR keystream that starts at c.iv to src,
 // writing len(src) bytes into dst (dst and src overlap entirely or not
 // at all). Unlike cipher.NewCTR it allocates no stream state, so
-// per-packet encryption stays on the zero-allocation fast path; the
-// counter is the big-endian increment of the IV, matching
-// cipher.NewCTR's layout.
+// per-packet encryption stays on the zero-allocation fast path. The
+// counter is the IV as a 128-bit big-endian integer, incremented per
+// block as cipher.NewCTR does. Each chunk of up to ctrChunk blocks takes
+// three passes over c.ks: write the counter blocks, encrypt them in
+// place, XOR the chunk into dst.
 func (c *ctrHMAC) ctrXor(dst, src []byte) {
-	c.ctr = c.iv
-	for len(src) > 0 {
-		c.block.Encrypt(c.ks[:], c.ctr[:])
-		n := len(src)
-		if n > 16 {
-			n = 16
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = src[i] ^ c.ks[i]
-		}
-		for i := 15; i >= 0; i-- {
-			c.ctr[i]++
-			if c.ctr[i] != 0 {
-				break
+	dst = dst[:len(src)]
+	hi := binary.BigEndian.Uint64(c.iv[:8])
+	lo := binary.BigEndian.Uint64(c.iv[8:])
+	for off := 0; off < len(src); off += len(c.ks) {
+		rem := len(src) - off
+		b := c.ks[:]
+		for m := 0; m < rem && len(b) >= aes.BlockSize; m += aes.BlockSize {
+			binary.BigEndian.PutUint64(b[:8], hi)
+			binary.BigEndian.PutUint64(b[8:aes.BlockSize], lo)
+			lo++
+			if lo == 0 {
+				hi++
 			}
+			b = b[aes.BlockSize:]
 		}
-		dst, src = dst[n:], src[n:]
+		b = c.ks[:]
+		for m := 0; m < rem && len(b) >= aes.BlockSize; m += aes.BlockSize {
+			c.block.Encrypt(b[:aes.BlockSize], b[:aes.BlockSize])
+			b = b[aes.BlockSize:]
+		}
+		subtle.XORBytes(dst[off:], src[off:], c.ks[:])
 	}
 }
 
-// Zeroize also wipes the counter and the last keystream block.
+// Zeroize also wipes the keystream chunk.
 func (c *ctrHMAC) Zeroize() {
 	c.etm.Zeroize()
-	c.ctr, c.ks = [16]byte{}, [16]byte{}
+	c.ks = [len(c.ks)]byte{}
 }
 
 // cbcMode is a stdlib CBC mode that can be re-IV'd per packet instead of

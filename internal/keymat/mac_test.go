@@ -6,6 +6,8 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding/binary"
+	"math/rand"
 	"testing"
 )
 
@@ -54,29 +56,51 @@ func TestMACZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// ctrXor must produce cipher.NewCTR's keystream at every length around
+// the chunk and block edges, from IVs whose low 64-bit limb carries into
+// the high one mid-run and whose whole 128 bits wrap, in place and into
+// a disjoint buffer.
 func TestCTRXorMatchesStdlib(t *testing.T) {
-	key := []byte("0123456789abcdef")
-	block, err := aes.NewCipher(key)
+	block, err := aes.NewCipher([]byte("0123456789abcdef"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv := [16]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe}
-	for _, n := range []int{0, 1, 15, 16, 17, 64, 1400, 1441} {
-		src := bytes.Repeat([]byte{0xA5}, n)
-		want := make([]byte, n)
-		cipher.NewCTR(block, iv[:]).XORKeyStream(want, src)
-		c := &ctrHMAC{etm: etm{block: block, iv: iv}}
-		got := make([]byte, n)
-		c.ctrXor(got, src)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("ctrXor mismatch at len %d (counter carry case)", n)
-		}
-		// In-place operation must give the same result, and the IV the
-		// keystream started from must survive the run.
-		inPlace := append([]byte(nil), src...)
-		c.ctrXor(inPlace, inPlace)
-		if !bytes.Equal(inPlace, want) || c.iv != iv {
-			t.Fatalf("in-place ctrXor mismatch at len %d", n)
+	chunk := ctrChunk * aes.BlockSize
+	random := make([]byte, aes.BlockSize)
+	rand.New(rand.NewSource(1)).Read(random)
+	carry := make([]byte, aes.BlockSize) // low limb 2⁶⁴−3: carries at block 3
+	binary.BigEndian.PutUint64(carry[8:], 1<<64-3)
+	carry[7] = 0x42
+	ivs := []struct {
+		name string
+		iv   []byte
+	}{
+		{"random", random},
+		{"low-limb carry", carry},
+		{"128-bit wrap", bytes.Repeat([]byte{0xff}, aes.BlockSize)},
+	}
+	lens := []int{0, 1, 15, 16, 17, chunk - 1, chunk, chunk + 1, 1400, 3*chunk + 17, 16<<10 + 5}
+	for _, tc := range ivs {
+		name, iv := tc.name, tc.iv
+		for _, n := range lens {
+			src := make([]byte, n)
+			for i := range src {
+				src[i] = byte(i*7 + 3)
+			}
+			want := make([]byte, n)
+			cipher.NewCTR(block, iv).XORKeyStream(want, src)
+			c := &ctrHMAC{etm: etm{block: block, iv: [16]byte(iv)}}
+			got := make([]byte, n)
+			c.ctrXor(got, src)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s IV, len %d: disjoint ctrXor differs from cipher.NewCTR", name, n)
+			}
+			// In place must give the same bytes, and the IV the
+			// keystream started from must survive the run.
+			c.ctrXor(src, src)
+			if !bytes.Equal(src, want) || c.iv != [16]byte(iv) {
+				t.Fatalf("%s IV, len %d: in-place ctrXor differs from cipher.NewCTR", name, n)
+			}
 		}
 	}
 }
