@@ -220,11 +220,13 @@ func (c *ctrHMAC) Open(dst []byte, _ *[NonceLen]byte, sealed, aad []byte) ([]byt
 // three passes over c.ks: write the counter blocks, encrypt them in
 // place, XOR the chunk into dst.
 func (c *ctrHMAC) ctrXor(dst, src []byte) {
-	dst = dst[:len(src)]
 	hi := binary.BigEndian.Uint64(c.iv[:8])
 	lo := binary.BigEndian.Uint64(c.iv[8:])
 	for off := 0; off < len(src); off += len(c.ks) {
 		rem := len(src) - off
+		// The len(b) test ends a pass at the end of the chunk when more
+		// than a chunk remains, and lets the compiler drop the bounds
+		// checks on b.
 		b := c.ks[:]
 		for m := 0; m < rem && len(b) >= aes.BlockSize; m += aes.BlockSize {
 			binary.BigEndian.PutUint64(b[:8], hi)
