@@ -78,8 +78,9 @@ func TestCTRXorMatchesStdlib(t *testing.T) {
 		{"random", random},
 		{"low-limb carry", carry},
 		{"128-bit wrap", bytes.Repeat([]byte{0xff}, aes.BlockSize)},
+		{"128-bit wrap at block 2", append(bytes.Repeat([]byte{0xff}, aes.BlockSize-1), 0xfe)},
 	}
-	lens := []int{0, 1, 15, 16, 17, chunk - 1, chunk, chunk + 1, 1400, 3*chunk + 17, 16<<10 + 5}
+	lens := []int{0, 1, 15, 16, 17, 64, chunk - 1, chunk, chunk + 1, 1400, 1441, 3*chunk + 17, 16<<10 + 5}
 	for _, tc := range ivs {
 		name, iv := tc.name, tc.iv
 		for _, n := range lens {
