@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check lint lint-budget budget lint-fix-scan vet build cross bench-build test race bench-smoke fuzz-smoke chaos-smoke storm-smoke bench bench-full
+.PHONY: all check lint lint-budget budget lint-fix-scan vet build cross bench-build test race cover bench-smoke fuzz-smoke chaos-smoke storm-smoke bench bench-full
 
 all: check
 
@@ -103,6 +103,24 @@ RACE_PKGS = ./internal/netsim ./internal/simtcp ./internal/hipsim \
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=5 -timeout 120s ./internal/hipudp
+
+# Coverage report, not a gate (`check` does not run it): the tier-1 tests
+# with every internal/ package instrumented. Each test binary writes every
+# instrumented block, so a block appears once per binary; awk keeps its
+# largest count, then prints the statements no test runs, per package,
+# and the internal/ total.
+COVER_DIR = .bench_build/cover
+
+cover:
+	mkdir -p $(COVER_DIR)
+	$(GO) test -coverpkg=./internal/... -coverprofile=$(COVER_DIR)/profile.out ./... > $(COVER_DIR)/test.log
+	@awk '$$1 == "mode:" { next } \
+	{ n[$$1] = $$2; if (!($$1 in c) || $$3 > c[$$1]) c[$$1] = $$3 } \
+	END { \
+		for (b in n) { p = b; sub(/\/[^\/]*:.*/, "", p); tot[p] += n[b]; if (c[b] == 0) un[p] += n[b] } \
+		for (p in tot) { printf "%-36s %5d of %5d statements uncovered\n", p, un[p], tot[p] | "sort"; T += tot[p]; U += un[p] } \
+		close("sort"); printf "internal/ total: %d of %d statements uncovered\n", U, T \
+	}' $(COVER_DIR)/profile.out
 
 # Fast allocation smoke: the Seal/OpenAppend/Record benches report B/op and
 # allocs/op, so each suite's open side (CTR, GCM, ChaCha) shows next to its

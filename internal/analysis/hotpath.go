@@ -131,7 +131,7 @@ func (p *Program) HotSet() map[*types.Func]*HotInfo {
 		fi := p.fns[fn]
 		base := hot[fn].Via
 		// A body behind `if pkgVar != nil` runs only when a hook is wired
-		// up (DebugLog, netsim's test-binary pool ledger): what it calls
+		// up (netsim's test-binary pool ledger): what it calls
 		// stays out of the set, as coldBlocks keeps it out of the checks.
 		hooked := make(map[ast.Node]bool)
 		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
@@ -453,7 +453,7 @@ func (hw *hotWalker) convCheck(call *ast.CallExpr, dst types.Type) {
 // coldBlocks marks the error/panic branches of a function: an if-body
 // guarded by `err != nil` (or the else of `err == nil`), an if-body
 // guarded by a nil-check on a package-level variable (debug/trace hooks
-// like netsim.DebugLog default to nil; the guarded branch is
+// and test-binary ledgers default to nil; the guarded branch is
 // configuration-dependent, off in production and benchmarks), and any
 // block whose final statement panics or returns a non-nil error.
 // Allocations there run once per failure, not once per event, and are
@@ -523,7 +523,7 @@ func errNilGuard(info *types.Info, cond ast.Expr) guardKind {
 }
 
 // pkgVarNonNilGuard matches `v != nil` where v is a package-level
-// variable: the optional-hook pattern (DebugLog, trace writers) whose
+// variable: the optional-hook pattern (trace writers, test ledgers) whose
 // guarded branch is off unless explicitly wired up.
 func pkgVarNonNilGuard(info *types.Info, cond ast.Expr) bool {
 	b, ok := ast.Unparen(cond).(*ast.BinaryExpr)

@@ -74,3 +74,33 @@ func comparesViaBytesEqual(secret, other []byte) bool {
 func bytesEqual(a, b []byte) bool {
 	return bytes.Equal(a, b)
 }
+
+// --- secret struct fields ---
+
+// vault carries key material in fields whose names do not say so. The
+// stores below, one field assignment and one composite literal, mark the
+// classes "vault.pad" and "vault.seed" program-wide, so reading those
+// fields is secret in every other function, where neither the receiver
+// nor the field name gives it away.
+type vault struct {
+	seed  []byte
+	pad   [16]byte
+	label string
+}
+
+func newVault() *vault {
+	return &vault{seed: Draw(32), label: "v"}
+}
+
+func padVault(v *vault) {
+	v.pad = [16]byte(Draw(16))
+}
+
+func logsVaultFields(v *vault) {
+	fmt.Println(v.label) // the label holds no key material
+	fmt.Println(v.seed)  // want "key material .v.seed. flows into fmt.Println"
+}
+
+func comparesVaultPad(v *vault, other [16]byte) bool {
+	return v.pad == other // want "variable-time"
+}

@@ -201,20 +201,6 @@ func Overhead(s keymat.Suite) int {
 	return HeaderLen + ivLen + padBlock - 1 + 2 + ICVLen
 }
 
-// ensure grows b by n bytes, reallocating only when capacity is short,
-// and returns the grown slice plus the appended region.
-func ensure(b []byte, n int) (grown, region []byte) {
-	off := len(b)
-	if cap(b)-off < n {
-		nb := make([]byte, off+n, off+n+(off+n)/2)
-		copy(nb, b)
-		b = nb
-	} else {
-		b = b[:off+n]
-	}
-	return b, b[off : off+n]
-}
-
 // SealAppend encrypts and authenticates payload, appending the full ESP
 // packet to dst and returning the extended slice. With a dst whose
 // capacity already fits the packet it allocates nothing. payload and dst
@@ -239,7 +225,7 @@ func (sa *OutboundSA) SealHdrAppend(dst, hdr, payload []byte) ([]byte, error) {
 	sa.seq++
 	size := len(hdr) + len(payload)
 	pad := sa.padLen(size)
-	dst, pkt := ensure(dst, sa.SealedLen(size))
+	dst, pkt := keymat.Extend(dst, sa.SealedLen(size))
 	binary.BigEndian.PutUint32(pkt[0:], sa.SPI)
 	binary.BigEndian.PutUint32(pkt[4:], sa.seq)
 	binary.BigEndian.PutUint32(sa.nonce[8:], sa.seq)
@@ -288,7 +274,7 @@ func (sa *InboundSA) OpenAppend(dst, pkt []byte) ([]byte, error) {
 	// The tag covers header (as AAD) and body and is checked before any
 	// plaintext is accepted.
 	binary.BigEndian.PutUint32(sa.nonce[8:], seq)
-	dst, region := ensure(dst, len(pkt)-HeaderLen-ICVLen)
+	dst, region := keymat.Extend(dst, len(pkt)-HeaderLen-ICVLen)
 	pt, err := sa.tf.Open(region[:0], &sa.nonce, pkt[HeaderLen:], pkt[:HeaderLen])
 	if err == keymat.ErrAuthFailed {
 		sa.AuthFails++

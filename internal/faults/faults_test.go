@@ -195,3 +195,51 @@ func TestInjectorDownNodeAndStall(t *testing.T) {
 		}
 	}
 }
+
+// TestResetNATDropsOldMapping: a scheduled NAT reset flushes the mapping
+// table at its time and logs it, so the peer's reply to the old external
+// endpoint drops.
+func TestResetNATDropsOldMapping(t *testing.T) {
+	s := netsim.New(1)
+	n := netsim.NewNetwork(s)
+	inside := n.AddNode("inside", 1, 1)
+	natNode := n.AddNode("nat", 2, 10)
+	server := n.AddNode("server", 1, 1)
+	insideAddr, innerGW := netip.MustParseAddr("192.168.0.2"), netip.MustParseAddr("192.168.0.1")
+	outerGW, serverAddr := netip.MustParseAddr("203.0.113.1"), netip.MustParseAddr("198.51.100.1")
+	n.Connect(inside, insideAddr, natNode, innerGW, netsim.Link{Latency: time.Millisecond})
+	n.Connect(natNode, outerGW, server, serverAddr, netsim.Link{Latency: time.Millisecond})
+	inside.AddDefaultRoute(innerGW)
+	server.AddDefaultRoute(outerGW)
+	nat := natNode.EnableNAT(netsim.NATFullCone, innerGW)
+
+	inj := faults.New(s)
+	inj.ResetNAT(nat, "edge", 50*time.Millisecond)
+
+	ss := server.MustBindUDP(53)
+	s.Spawn("server", func(p *netsim.Proc) {
+		dg, err := ss.RecvFrom(p, time.Second)
+		if err != nil {
+			return
+		}
+		p.Sleep(100 * time.Millisecond) // past the reset
+		ss.SendTo(dg.Src, []byte("reply"))
+	})
+	cs := inside.MustBindUDP(4000)
+	var replyErr error
+	s.Spawn("client", func(p *netsim.Proc) {
+		cs.SendTo(netip.AddrPortFrom(serverAddr, 53), []byte("query"))
+		_, replyErr = cs.RecvFrom(p, 300*time.Millisecond)
+	})
+	s.Run(0)
+	if replyErr != netsim.ErrTimeout {
+		t.Fatalf("reply to the pre-reset mapping: err = %v, want ErrTimeout", replyErr)
+	}
+	if nat.Drops() != 1 {
+		t.Fatalf("nat drops = %d, want 1 (the reply)", nat.Drops())
+	}
+	log := inj.Log()
+	if len(log) != 1 || log[0].What != "nat reset: edge" || log[0].At != 50*time.Millisecond {
+		t.Fatalf("fault log = %v, want one nat reset at 50ms", log)
+	}
+}

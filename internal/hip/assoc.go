@@ -1,10 +1,12 @@
 package hip
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"time"
 
 	"hipcloud/internal/esp"
+	"hipcloud/internal/hipwire"
 	"hipcloud/internal/identity"
 	"hipcloud/internal/keymat"
 )
@@ -37,8 +39,6 @@ type Association struct {
 	// UPDATE machinery.
 	updateSeq     uint32 // our last sent update id
 	peerUpdateSeq uint32 // last peer update id we acked
-	pendingEcho   []byte // echo nonce we are waiting to have returned
-	pendingAddr   netip.Addr
 	// candidateAddr is a peer locator pending return-routability proof.
 	candidateAddr netip.Addr
 	echoSent      []byte // nonce we challenged the peer's new address with
@@ -82,10 +82,6 @@ func (a *Association) Suite() keymat.Suite { return a.suite }
 // SPIs returns (local inbound, remote inbound) SPIs.
 func (a *Association) SPIs() (local, remote uint32) { return a.localSPI, a.remoteSPI }
 
-func (a *Association) setState(h *Host, s State) {
-	a.state = s
-}
-
 // armRetrans stores pkt for retransmission until cancelRetrans.
 func (a *Association) armRetrans(h *Host, dst netip.Addr, pkt []byte, now time.Duration) {
 	a.retransPkt = pkt
@@ -99,6 +95,21 @@ func (a *Association) armRetrans(h *Host, dst netip.Addr, pkt []byte, now time.D
 	}
 	a.retransAt = now + first
 	a.retransDeadline = now + 16*h.cfg.RetransmitBase
+}
+
+// acked reports whether the ACK parameter body ackParam acknowledges a's
+// last sent update; a malformed body acknowledges nothing.
+func (a *Association) acked(ackParam []byte) bool {
+	acks, err := hipwire.ParseAck(ackParam)
+	if err != nil {
+		return false
+	}
+	for _, id := range acks {
+		if id == a.updateSeq {
+			return true
+		}
+	}
+	return false
 }
 
 func (a *Association) cancelRetrans() {
@@ -159,7 +170,7 @@ func (h *Host) OpenDataAppend(dst, pkt []byte, byLSI bool) (payload []byte, peer
 	if len(pkt) < esp.HeaderLen {
 		return nil, netip.Addr{}, esp.ErrShort
 	}
-	spi := uint32(pkt[0])<<24 | uint32(pkt[1])<<16 | uint32(pkt[2])<<8 | uint32(pkt[3])
+	spi := binary.BigEndian.Uint32(pkt)
 	a, ok := h.bySPI[spi]
 	if !ok {
 		h.PacketsDropped++

@@ -21,11 +21,7 @@ func (h *Host) Connect(peerHIT, peerLocator netip.Addr, now time.Duration) error
 		case Established, I1Sent, I2Sent:
 			return nil
 		}
-		a.retire()
-		h.delAssoc(peerHIT)
-		if a.localSPI != 0 {
-			delete(h.bySPI, a.localSPI)
-		}
+		h.forget(a)
 	}
 	a := &Association{
 		PeerHIT:     peerHIT,
@@ -81,8 +77,7 @@ func (h *Host) OnPacket(data []byte, src netip.Addr, now time.Duration) {
 			if n, err := hipwire.ParseNotification(p.Data); err == nil && n.Type == hipwire.NotifyBlockedByPolicy {
 				if a, ok := h.assocs[pkt.SenderHIT]; ok && a.state != Established {
 					a.cancelRetrans()
-					a.retire()
-					h.delAssoc(pkt.SenderHIT)
+					h.forget(a)
 					h.event(EventFailed, pkt.SenderHIT, src)
 				}
 			}
@@ -319,17 +314,10 @@ func (h *Host) acceptI2(pkt *hipwire.Packet, src netip.Addr, now time.Duration, 
 		h.notify(pkt.SenderHIT, src, hipwire.NotifyBlockedByPolicy)
 		return false
 	}
-	// Verify HMAC then signature (RFC order: cheap check first).
-	if !verifyPacketHMAC(pkt, keys.HIPMacIn) {
+	if !h.authentic(pkt, keys.HIPMacIn, peerID) {
 		h.notify(pkt.SenderHIT, src, hipwire.NotifyAuthenticationFailed)
 		return false
 	}
-	if err := verifyPacketSig(pkt, peerID); err != nil {
-		h.cost += h.cfg.Costs.Verify
-		h.notify(pkt.SenderHIT, src, hipwire.NotifyAuthenticationFailed)
-		return false
-	}
-	h.cost += h.cfg.Costs.Verify
 	espP, ok := pkt.Get(hipwire.ParamESPInfo)
 	if !ok {
 		h.PacketsDropped++
@@ -366,10 +354,7 @@ func (h *Host) acceptI2(pkt *hipwire.Packet, src netip.Addr, now time.Duration, 
 	a.espPair = pair
 	if old, ok := h.assocs[a.PeerHIT]; ok {
 		old.cancelRetrans()
-		old.retire()
-		if old.localSPI != 0 {
-			delete(h.bySPI, old.localSPI)
-		}
+		h.forget(old)
 	}
 	h.addAssoc(a)
 	h.bySPI[a.localSPI] = a
@@ -377,12 +362,8 @@ func (h *Host) acceptI2(pkt *hipwire.Packet, src netip.Addr, now time.Duration, 
 
 	r2 := &hipwire.Packet{Type: hipwire.R2, SenderHIT: h.HIT(), ReceiverHIT: pkt.SenderHIT}
 	r2.Add(hipwire.ParamESPInfo, hipwire.ESPInfo{NewSPI: a.localSPI}.Marshal())
-	h.finishPacket(r2, keys.HIPMacOut)
-	out := r2.Marshal()
 	// Keep R2 for duplicate-I2 retransmission (no timer: initiator drives).
-	a.retransPkt = out
-	a.retransDst = src
-	h.emit(src, out)
+	a.retransPkt, a.retransDst = h.send(a, r2, src, false, now), src
 	h.event(EventEstablished, a.PeerHIT, src)
 	return true
 }
@@ -517,11 +498,8 @@ func (h *Host) handleR1(pkt *hipwire.Packet, src netip.Addr, now time.Duration) 
 	} else {
 		i2.Add(hipwire.ParamHostID, hostIDBody)
 	}
-	h.finishPacket(i2, keys.HIPMacOut)
-	out := i2.Marshal()
 	a.state = I2Sent
-	h.emit(src, out)
-	a.armRetrans(h, src, out, now)
+	h.send(a, i2, src, true, now)
 }
 
 func (h *Host) handleR2(pkt *hipwire.Packet, src netip.Addr, now time.Duration) {
@@ -529,11 +507,7 @@ func (h *Host) handleR2(pkt *hipwire.Packet, src netip.Addr, now time.Duration) 
 	if !ok || a.state != I2Sent {
 		return
 	}
-	if !verifyPacketHMAC(pkt, a.keys.HIPMacIn) {
-		return
-	}
-	h.cost += h.cfg.Costs.Verify
-	if err := verifyPacketSig(pkt, a.peerID); err != nil {
+	if !h.authentic(pkt, a.keys.HIPMacIn, a.peerID) {
 		return
 	}
 	espP, ok := pkt.Get(hipwire.ParamESPInfo)
@@ -560,10 +534,12 @@ func (h *Host) handleR2(pkt *hipwire.Packet, src netip.Addr, now time.Duration) 
 
 // --- shared helpers ---
 
-// finishPacket appends HMAC and SIGNATURE parameters (in that order) and
-// charges the signing cost.
-func (h *Host) finishPacket(pkt *hipwire.Packet, macKey []byte) {
-	mac := hmac.New(sha256.New, macKey)
+// send signs pkt under a's control-plane keys (HMAC, then SIGNATURE,
+// charging the signature) and queues it for dst. With retransmit it also
+// arms pkt as a's one outstanding control packet, resent from OnTimer
+// until answered. It returns the wire bytes.
+func (h *Host) send(a *Association, pkt *hipwire.Packet, dst netip.Addr, retransmit bool, now time.Duration) []byte {
+	mac := hmac.New(sha256.New, a.keys.HIPMacOut)
 	mac.Write(pkt.MarshalForAuth(hipwire.ParamHMAC))
 	pkt.Add(hipwire.ParamHMAC, mac.Sum(nil))
 	sig, err := h.id.Sign(pkt.MarshalForAuth(hipwire.ParamSignature))
@@ -574,31 +550,34 @@ func (h *Host) finishPacket(pkt *hipwire.Packet, macKey []byte) {
 	pkt.Add(hipwire.ParamSignature, hipwire.Signature{
 		Algorithm: uint16(h.id.Algorithm()), Sig: sig,
 	}.Marshal())
+	out := pkt.Marshal()
+	h.emit(dst, out)
+	if retransmit {
+		a.armRetrans(h, dst, out, now)
+	}
+	return out
 }
 
-func verifyPacketHMAC(pkt *hipwire.Packet, macKey []byte) bool {
+// authentic checks pkt's HMAC under macKey and then peer's signature over
+// it (RFC order: the cheap check first), charging the verification once
+// the HMAC holds.
+func (h *Host) authentic(pkt *hipwire.Packet, macKey []byte, peer *identity.PublicID) bool {
 	p, ok := pkt.Get(hipwire.ParamHMAC)
 	if !ok {
 		return false
 	}
 	mac := hmac.New(sha256.New, macKey)
 	mac.Write(pkt.MarshalForAuth(hipwire.ParamHMAC))
-	return hmac.Equal(p.Data, mac.Sum(nil))
-}
-
-func verifyPacketSig(pkt *hipwire.Packet, peer *identity.PublicID) error {
-	p, ok := pkt.Get(hipwire.ParamSignature)
+	if !hmac.Equal(p.Data, mac.Sum(nil)) {
+		return false
+	}
+	h.cost += h.cfg.Costs.Verify
+	p, ok = pkt.Get(hipwire.ParamSignature)
 	if !ok {
-		return ErrAuthFailed
+		return false
 	}
 	sig, err := hipwire.ParseSignature(p.Data)
-	if err != nil {
-		return err
-	}
-	if err := peer.Verify(pkt.MarshalForAuth(hipwire.ParamSignature), sig.Sig); err != nil {
-		return ErrAuthFailed
-	}
-	return nil
+	return err == nil && peer.Verify(pkt.MarshalForAuth(hipwire.ParamSignature), sig.Sig) == nil
 }
 
 // notify sends a NOTIFY packet to the peer.

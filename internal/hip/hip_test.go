@@ -366,6 +366,55 @@ func TestGiveUpWipesKeys(t *testing.T) {
 	keysBalanced(t, start, b) // a holds nothing now: only b is shut down
 }
 
+// TestNewSPISkipsUnconfirmedSPIs: an initiator's SPI enters the SPI table
+// only at R2 and a proposed rekey SPI only at its confirm, so an allocator
+// that consults the table alone hands them out a second time. Two hosts
+// with the same default seed draw the same SPI sequence, which lets the
+// test list host 2's next draws on host 1 before host 1 draws.
+func TestNewSPISkipsUnconfirmedSPIs(t *testing.T) {
+	h1 := newHost(t, idA, locA)
+	h2 := newHost(t, idB, locB)
+	x, y := h2.newSPI(), h2.newSPI()
+	h1.addAssoc(&Association{PeerHIT: idB.HIT(), state: I2Sent, initiator: true, localSPI: x})
+	h1.addAssoc(&Association{PeerHIT: idC.HIT(), state: Established, rekeying: true, pendingRekey: y})
+	if got := h1.newSPI(); got == x || got == y {
+		t.Fatalf("newSPI = %#x, already held by a listed association (unconfirmed %#x, pending rekey %#x)", got, x, y)
+	}
+}
+
+// TestFailedBEXKeepsOtherRoute: a failing association must take only its
+// own SPI-table route with it, never another association's under the same
+// SPI.
+func TestFailedBEXKeepsOtherRoute(t *testing.T) {
+	w := newWire(t)
+	a := newHost(t, idA, locA)
+	b := newHost(t, idB, locB)
+	w.add(a, locA)
+	w.add(b, locB)
+	establish(t, w, a, b)
+	ab, _ := a.Association(b.HIT())
+	spi, _ := ab.SPIs()
+	doomed := &Association{PeerHIT: idC.HIT(), PeerLocator: locC, state: I2Sent, initiator: true, localSPI: spi}
+	a.addAssoc(doomed)
+	doomed.armRetrans(a, locC, []byte("I2 to nobody"), w.now)
+	for i := 0; i < 10; i++ {
+		w.advance(20 * time.Second)
+	}
+	if _, ok := a.Association(idC.HIT()); ok {
+		t.Fatal("doomed association still present after max retries")
+	}
+	if got := a.bySPI[spi]; got != ab {
+		t.Fatalf("SPI %#x routes to %p after the other association failed, want the live one %p", spi, got, ab)
+	}
+	pkt, _, err := b.SealData(a.HIT(), []byte("still here"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := a.OpenData(pkt, false); err != nil {
+		t.Fatalf("live association's inbound data: %v", err)
+	}
+}
+
 func TestResponderStatelessOnI1Flood(t *testing.T) {
 	w := newWire(t)
 	b := newHost(t, idB, locB)

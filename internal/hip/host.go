@@ -33,7 +33,6 @@ var (
 	ErrNoAssociation  = errors.New("hip: no association with peer")
 	ErrNotEstablished = errors.New("hip: association not established")
 	ErrHITMismatch    = errors.New("hip: host identity does not hash to sender HIT")
-	ErrAuthFailed     = errors.New("hip: packet authentication failed")
 	ErrPolicy         = errors.New("hip: peer rejected by policy")
 )
 
@@ -160,14 +159,6 @@ type Config struct {
 	// RetransmitBase is the initial control-packet retransmission
 	// timeout (default 500ms, doubling up to 4 retries).
 	RetransmitBase time.Duration
-	// Jitter, when non-nil, returns uniform [0,1) used to spread
-	// retransmission backoff by ±50%. Synchronized peers (a mass
-	// migration, a re-contact herd) otherwise retry in lockstep and
-	// re-amplify the very burst that made them retry. Drivers wire this
-	// to the simulation's seeded RNG (deterministic, shared across
-	// hosts so their draws de-correlate) or to crypto/rand for real
-	// transports. Nil disables jitter.
-	Jitter func() float64
 	// RekeyThreshold rekeys the ESP SAs after this many outbound
 	// packets (0 = DefaultRekeyThreshold). See Maintain.
 	RekeyThreshold uint32
@@ -215,8 +206,7 @@ type Host struct {
 	i1Load float64
 	lastI1 time.Duration
 
-	// jitter spreads retransmission backoff (see Config.Jitter; drivers
-	// may also wire it late via SetJitter).
+	// jitter spreads retransmission backoff (see SetJitter).
 	jitter func() float64
 	// backlog is the driver-reported admission-queue depth, added to the
 	// decayed I1 rate as input to the puzzle difficulty controller: when
@@ -289,7 +279,6 @@ func NewHost(cfg Config) (*Host, error) {
 		seed = int64(binary.BigEndian.Uint64(b[:]))
 	}
 	h.rng = rand.New(rand.NewSource(seed))
-	h.jitter = cfg.Jitter
 	h.r1Secret = make([]byte, 32)
 	h.rng.Read(h.r1Secret)
 	// Long-lived DH keypair (the "R1 pool" key). Charged as one keygen.
@@ -424,16 +413,35 @@ func (h *Host) event(k EventKind, peer netip.Addr, loc netip.Addr) {
 	h.events = append(h.events, Event{Kind: k, PeerHIT: peer, Locator: loc})
 }
 
-// newSPI allocates a fresh local SPI.
+// forget drops a for good: it wipes a's keys, unlists it and takes its
+// inbound SPI out of the SPI table when that entry routes to a (never
+// another association's route).
+func (h *Host) forget(a *Association) {
+	a.retire()
+	h.delAssoc(a.PeerHIT)
+	if h.bySPI[a.localSPI] == a {
+		delete(h.bySPI, a.localSPI)
+	}
+}
+
+// newSPI allocates a fresh local SPI, one no listed association holds as
+// its inbound SPI or as a proposed rekey SPI. An initiator's SPI enters the
+// SPI table only at R2 and a rekey's only at its confirm, so the table
+// alone does not say which SPIs are taken; every table entry routes to a
+// listed association's localSPI, so the scan covers it.
 func (h *Host) newSPI() uint32 {
+next:
 	for {
 		spi := h.rng.Uint32()
 		if spi == 0 {
 			continue
 		}
-		if _, used := h.bySPI[spi]; !used {
-			return spi
+		for _, a := range h.assocList {
+			if a.localSPI == spi || a.pendingRekey == spi {
+				continue next
+			}
 		}
+		return spi
 	}
 }
 
@@ -454,17 +462,17 @@ func (h *Host) noteI1(now time.Duration) int {
 // I1Load exposes the responder's current decayed I1 arrival estimate.
 func (h *Host) I1Load() float64 { return h.i1Load }
 
-// SetJitter installs a backoff-jitter source if none was configured.
-// Drivers call it after construction (hipsim wires the shared simulation
-// RNG here); an explicitly configured Config.Jitter wins. Note that the
-// per-host rng would be the WRONG source: simulation hosts all default to
-// seed 1, so per-host draws are identical across peers and the herd stays
-// in lockstep. De-correlation requires a source shared across hosts.
-func (h *Host) SetJitter(fn func() float64) {
-	if h.jitter == nil {
-		h.jitter = fn
-	}
-}
+// SetJitter installs fn, a source of uniform [0,1) draws, to spread
+// control-packet retransmission backoff by ±50%. Synchronized peers (a
+// mass migration, a re-contact herd) otherwise retry in lockstep and
+// re-amplify the very burst that made them retry. Until it is called
+// (and with a nil fn) retransmits run unjittered: hipsim wires the shared
+// simulation RNG here after construction, while hipudp never calls it.
+// The per-host rng would be the WRONG source: simulation hosts all
+// default to seed 1, so per-host draws are identical across peers and the
+// herd stays in lockstep. De-correlation requires a source shared across
+// hosts.
+func (h *Host) SetJitter(fn func() float64) { h.jitter = fn }
 
 // SetBacklog reports the driver's admission-queue depth (see Host.backlog).
 func (h *Host) SetBacklog(n int) { h.backlog = n }
@@ -509,13 +517,9 @@ func (h *Host) OnTimer(now time.Duration) {
 		}
 		if a.retransTries >= 4 || (a.retransDeadline != 0 && now >= a.retransDeadline) {
 			a.retransAt = 0
-			a.setState(h, Failed)
+			a.state = Failed
 			h.event(EventFailed, a.PeerHIT, a.PeerLocator)
-			a.retire()
-			h.delAssoc(a.PeerHIT)
-			if a.localSPI != 0 {
-				delete(h.bySPI, a.localSPI)
-			}
+			h.forget(a)
 			continue
 		}
 		a.retransTries++

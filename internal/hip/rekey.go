@@ -97,10 +97,7 @@ func (h *Host) startRekey(a *Association, now time.Duration) {
 		NewSPI:      a.pendingRekey,
 	}.Marshal())
 	u.Add(hipwire.ParamSeq, hipwire.MarshalSeq(a.updateSeq))
-	h.finishPacket(u, a.keys.HIPMacOut)
-	out := u.Marshal()
-	h.emit(a.PeerLocator, out)
-	a.armRetrans(h, a.PeerLocator, out, now)
+	h.send(a, u, a.PeerLocator, true, now)
 }
 
 // handleRekeyRequest processes the peer's UPDATE{ESP_INFO, SEQ}: derive
@@ -167,10 +164,7 @@ func (h *Host) handleRekeyRequest(a *Association, pkt *hipwire.Packet, src netip
 	}.Marshal())
 	u.Add(hipwire.ParamSeq, hipwire.MarshalSeq(a.updateSeq))
 	u.Add(hipwire.ParamAck, hipwire.MarshalAck([]uint32{peerSeq}))
-	h.finishPacket(u, a.keys.HIPMacOut)
-	out := u.Marshal()
-	h.emit(src, out)
-	a.armRetrans(h, src, out, now)
+	h.send(a, u, src, true, now)
 	return true
 }
 
@@ -180,20 +174,7 @@ func (h *Host) handleRekeyConfirm(a *Association, pkt *hipwire.Packet, src netip
 	espP, hasESP := pkt.Get(hipwire.ParamESPInfo)
 	seqP, hasSeq := pkt.Get(hipwire.ParamSeq)
 	ackP, hasAck := pkt.Get(hipwire.ParamAck)
-	if !hasESP || !hasSeq || !hasAck || !a.rekeying {
-		return false
-	}
-	acks, err := hipwire.ParseAck(ackP.Data)
-	if err != nil {
-		return true
-	}
-	acked := false
-	for _, id := range acks {
-		if id == a.updateSeq {
-			acked = true
-		}
-	}
-	if !acked {
+	if !hasESP || !hasSeq || !hasAck || !a.rekeying || !a.acked(ackP.Data) {
 		return false
 	}
 	ei, err := hipwire.ParseESPInfo(espP.Data)
@@ -214,8 +195,7 @@ func (h *Host) handleRekeyConfirm(a *Association, pkt *hipwire.Packet, src netip
 	if peerSeq, err := hipwire.ParseSeq(seqP.Data); err == nil {
 		u := &hipwire.Packet{Type: hipwire.UPDATE, SenderHIT: h.HIT(), ReceiverHIT: a.PeerHIT}
 		u.Add(hipwire.ParamAck, hipwire.MarshalAck([]uint32{peerSeq}))
-		h.finishPacket(u, a.keys.HIPMacOut)
-		h.emit(src, u.Marshal())
+		h.send(a, u, src, false, now)
 	}
 	return true
 }

@@ -24,10 +24,7 @@ func (h *Host) MoveTo(newLocator netip.Addr, now time.Duration) {
 			{Preferred: true, Lifetime: 120, Addr: newLocator},
 		}))
 		u.Add(hipwire.ParamSeq, hipwire.MarshalSeq(a.updateSeq))
-		h.finishPacket(u, a.keys.HIPMacOut)
-		out := u.Marshal()
-		h.emit(a.PeerLocator, out)
-		a.armRetrans(h, a.PeerLocator, out, now)
+		h.send(a, u, a.PeerLocator, true, now)
 	}
 }
 
@@ -36,11 +33,7 @@ func (h *Host) handleUpdate(pkt *hipwire.Packet, src netip.Addr, now time.Durati
 	if !ok || (a.state != Established && a.state != Closing) {
 		return
 	}
-	if !verifyPacketHMAC(pkt, a.keys.HIPMacIn) {
-		return
-	}
-	h.cost += h.cfg.Costs.Verify
-	if err := verifyPacketSig(pkt, a.peerID); err != nil {
+	if !h.authentic(pkt, a.keys.HIPMacIn, a.peerID) {
 		return
 	}
 
@@ -61,12 +54,8 @@ func (h *Host) handleUpdate(pkt *hipwire.Packet, src netip.Addr, now time.Durati
 	// A bare ACK closes an exchange (e.g. the tail of a rekey): cancel
 	// the matching retransmission.
 	if hasAck && !hasSeq && !hasEchoReq && !hasEchoResp && !hasLoc {
-		if acks, err := hipwire.ParseAck(ackP.Data); err == nil {
-			for _, id := range acks {
-				if id == a.updateSeq {
-					a.cancelRetrans()
-				}
-			}
+		if a.acked(ackP.Data) {
+			a.cancelRetrans()
 		}
 		return
 	}
@@ -98,26 +87,17 @@ func (h *Host) handleUpdate(pkt *hipwire.Packet, src netip.Addr, now time.Durati
 		u.Add(hipwire.ParamSeq, hipwire.MarshalSeq(a.updateSeq))
 		u.Add(hipwire.ParamAck, hipwire.MarshalAck([]uint32{peerSeq}))
 		u.Add(hipwire.ParamEchoRequestSigned, nonce)
-		h.finishPacket(u, a.keys.HIPMacOut)
-		out := u.Marshal()
 		// Challenge goes to the *claimed* new address: reaching the peer
 		// there proves return routability.
-		h.emit(newAddr, out)
-		a.armRetrans(h, newAddr, out, now)
+		h.send(a, u, newAddr, true, now)
 		return
 	}
 
 	// Case 2: our announcement was acked and we are challenged: echo the
 	// nonce back from the new address.
 	if hasAck && hasEchoReq {
-		acks, err := hipwire.ParseAck(ackP.Data)
-		if err != nil {
-			return
-		}
-		for _, id := range acks {
-			if id == a.updateSeq {
-				a.cancelRetrans()
-			}
+		if a.acked(ackP.Data) {
+			a.cancelRetrans()
 		}
 		var peerSeq uint32
 		if hasSeq {
@@ -128,23 +108,14 @@ func (h *Host) handleUpdate(pkt *hipwire.Packet, src netip.Addr, now time.Durati
 			u.Add(hipwire.ParamAck, hipwire.MarshalAck([]uint32{peerSeq}))
 		}
 		u.Add(hipwire.ParamEchoResponseSigned, echoReqP.Data)
-		h.finishPacket(u, a.keys.HIPMacOut)
-		h.emit(src, u.Marshal())
+		h.send(a, u, src, false, now)
 		return
 	}
 
 	// Case 3: echo response: the peer's new address is verified.
 	if hasEchoResp {
-		if hasAck {
-			acks, err := hipwire.ParseAck(ackP.Data)
-			if err != nil {
-				return
-			}
-			for _, id := range acks {
-				if id == a.updateSeq {
-					a.cancelRetrans()
-				}
-			}
+		if hasAck && a.acked(ackP.Data) {
+			a.cancelRetrans()
 		}
 		// hmac.Equal, not bytes.Equal: the echo response is peer-supplied,
 		// and a variable-time compare would let an off-path attacker grind
@@ -173,44 +144,26 @@ func (h *Host) Close(peerHIT netip.Addr, now time.Duration) error {
 	nonce := make([]byte, 16)
 	h.rng.Read(nonce)
 	c.Add(hipwire.ParamEchoRequestSigned, nonce)
-	h.finishPacket(c, a.keys.HIPMacOut)
-	out := c.Marshal()
-	h.emit(a.PeerLocator, out)
-	a.armRetrans(h, a.PeerLocator, out, now)
+	h.send(a, c, a.PeerLocator, true, now)
 	return nil
 }
 
 func (h *Host) handleClose(pkt *hipwire.Packet, src netip.Addr, now time.Duration) {
 	a, ok := h.assocs[pkt.SenderHIT]
-	if !ok {
-		return
-	}
-	if !verifyPacketHMAC(pkt, a.keys.HIPMacIn) {
-		return
-	}
-	h.cost += h.cfg.Costs.Verify
-	if err := verifyPacketSig(pkt, a.peerID); err != nil {
+	if !ok || !h.authentic(pkt, a.keys.HIPMacIn, a.peerID) {
 		return
 	}
 	ack := &hipwire.Packet{Type: hipwire.CLOSEACK, SenderHIT: h.HIT(), ReceiverHIT: a.PeerHIT}
 	if echo, ok := pkt.Get(hipwire.ParamEchoRequestSigned); ok {
 		ack.Add(hipwire.ParamEchoResponseSigned, echo.Data)
 	}
-	h.finishPacket(ack, a.keys.HIPMacOut)
-	h.emit(src, ack.Marshal())
+	h.send(a, ack, src, false, now)
 	h.teardown(a)
 }
 
 func (h *Host) handleCloseAck(pkt *hipwire.Packet, src netip.Addr, now time.Duration) {
 	a, ok := h.assocs[pkt.SenderHIT]
-	if !ok || a.state != Closing {
-		return
-	}
-	if !verifyPacketHMAC(pkt, a.keys.HIPMacIn) {
-		return
-	}
-	h.cost += h.cfg.Costs.Verify
-	if err := verifyPacketSig(pkt, a.peerID); err != nil {
+	if !ok || a.state != Closing || !h.authentic(pkt, a.keys.HIPMacIn, a.peerID) {
 		return
 	}
 	a.cancelRetrans()
@@ -219,18 +172,9 @@ func (h *Host) handleCloseAck(pkt *hipwire.Packet, src netip.Addr, now time.Dura
 
 // teardown forgets an association whose CLOSE exchange has run.
 func (h *Host) teardown(a *Association) {
-	h.closeAssoc(a)
-	h.delAssoc(a.PeerHIT)
-	h.event(EventClosed, a.PeerHIT, a.PeerLocator)
-}
-
-// closeAssoc wipes a's keys and takes its SAs out of the SPI table.
-func (h *Host) closeAssoc(a *Association) {
 	a.state = Closed
-	a.retire()
-	if a.localSPI != 0 {
-		delete(h.bySPI, a.localSPI)
-	}
+	h.forget(a)
+	h.event(EventClosed, a.PeerHIT, a.PeerLocator)
 }
 
 // Shutdown closes every association at once without telling the peers,
@@ -241,6 +185,8 @@ func (h *Host) closeAssoc(a *Association) {
 func (h *Host) Shutdown() {
 	for _, a := range h.assocList {
 		a.cancelRetrans()
-		h.closeAssoc(a)
+		a.state = Closed
+		a.retire()
 	}
+	clear(h.bySPI)
 }

@@ -113,7 +113,9 @@ func TestRetryOnLoss(t *testing.T) {
 	n := netsim.NewNetwork(s)
 	a := n.AddNode("ns", 2, 2)
 	b := n.AddNode("cli", 2, 2)
-	n.Connect(a, srvAddr, b, cliAddr, netsim.Link{Latency: 2 * time.Millisecond, LossProb: 0.4})
+	n.Connect(a, srvAddr, b, cliAddr, netsim.Link{Latency: 2 * time.Millisecond, Fault: func(*netsim.Packet) netsim.FaultDecision {
+		return netsim.FaultDecision{Drop: s.Rand().Float64() < 0.4}
+	}})
 	srv := NewServer(a)
 	res := NewResolver(b, srvAddr)
 	srv.Set("x.cloud", Record{Type: TypeA, TTL: time.Minute, Addr: netip.MustParseAddr("10.0.0.9")})

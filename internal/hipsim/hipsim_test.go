@@ -383,7 +383,7 @@ func TestDialSurfacesGiveUpUnderTotalLoss(t *testing.T) {
 	n := netsim.NewNetwork(s)
 	a := n.AddNode("a", 2, 1)
 	b := n.AddNode("b", 2, 1)
-	n.Connect(a, addrA, b, addrB, netsim.Link{Latency: time.Millisecond, LossProb: 1})
+	n.Connect(a, addrA, b, addrB, netsim.Link{Latency: time.Millisecond, Down: true})
 	reg := NewRegistry()
 	ha, _ := hip.NewHost(hip.Config{Identity: idA, Locator: addrA, RetransmitBase: 20 * time.Millisecond})
 	hb, _ := hip.NewHost(hip.Config{Identity: idB, Locator: addrB})
@@ -423,7 +423,7 @@ func TestDialGiveUpBeatsBEXTimeoutWithDefaults(t *testing.T) {
 	n := netsim.NewNetwork(s)
 	a := n.AddNode("a", 2, 1)
 	b := n.AddNode("b", 2, 1)
-	n.Connect(a, addrA, b, addrB, netsim.Link{Latency: time.Millisecond, LossProb: 1})
+	n.Connect(a, addrA, b, addrB, netsim.Link{Latency: time.Millisecond, Down: true})
 	reg := NewRegistry()
 	ha, _ := hip.NewHost(hip.Config{Identity: idA, Locator: addrA})
 	hb, _ := hip.NewHost(hip.Config{Identity: idB, Locator: addrB})
@@ -693,7 +693,7 @@ func TestConcurrentEstablishSharesOneQueue(t *testing.T) {
 	a, b, c := n.AddNode("a", 2, 1), n.AddNode("b", 2, 1), n.AddNode("c", 2, 1)
 	addrC := netip.MustParseAddr("10.0.1.2")
 	n.Connect(a, addrA, b, addrB, netsim.Link{Latency: time.Millisecond})
-	n.Connect(a, netip.MustParseAddr("10.0.1.1"), c, addrC, netsim.Link{Latency: time.Millisecond, LossProb: 1})
+	n.Connect(a, netip.MustParseAddr("10.0.1.1"), c, addrC, netsim.Link{Latency: time.Millisecond, Down: true})
 	reg := NewRegistry()
 	idC := identity.MustGenerate(identity.AlgECDSA)
 	ha, _ := hip.NewHost(hip.Config{Identity: idA, Locator: addrA, RetransmitBase: 20 * time.Millisecond})

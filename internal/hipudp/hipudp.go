@@ -140,7 +140,9 @@ func cryptoSeed() int64 {
 
 // NewStack binds a UDP socket at listen (e.g. "127.0.0.1:10500") for the
 // given HIP host. The host's configured locator should match the bound
-// address.
+// address. The host should carry the zero hip.CostModel: a real stack
+// pays real CPU, so it never drains the host's virtual cost (TakeCost),
+// which a non-zero model would only accumulate.
 func NewStack(host *hip.Host, listen string) (*Stack, error) {
 	addr, err := net.ResolveUDPAddr("udp", listen)
 	if err != nil {
@@ -312,7 +314,6 @@ func (s *Stack) onFrames(frames [][]byte, from []netip.AddrPort) {
 // back to from. Callers hold s.mu.
 func (s *Stack) controlLocked(data []byte, from netip.AddrPort) {
 	s.host.OnPacket(data, from.Addr(), s.now())
-	s.host.TakeCost() // real CPU already paid
 	s.flushLocked(from)
 }
 
@@ -322,7 +323,6 @@ func (s *Stack) controlLocked(data []byte, from netip.AddrPort) {
 // packet reached none. Callers hold s.mu and pump the conn.
 func (s *Stack) segmentLocked(pkt []byte) *Conn {
 	payload, peerHIT, err := s.host.OpenDataAppend(s.rxPlain[:0], pkt, false)
-	s.host.TakeCost()
 	if err != nil || len(payload) < muxHeader || payload[0] != innerStream {
 		return nil
 	}
@@ -423,11 +423,9 @@ func (s *Stack) timerLoop() {
 		now := s.now()
 		if dl := s.host.NextDeadline(); dl != 0 && now >= dl {
 			s.host.OnTimer(now)
-			s.host.TakeCost()
 			s.flushLocked(netip.AddrPort{})
 		}
 		s.host.Maintain(now)
-		s.host.TakeCost()
 		s.flushLocked(netip.AddrPort{})
 		for _, c := range s.conns {
 			if c.deadline != 0 && now >= c.deadline {
@@ -485,7 +483,6 @@ func (s *Stack) establishLocked(peerHIT netip.Addr, x *expiry) error {
 				return ErrUnknownPeer
 			}
 			s.host.Connect(peerHIT, ep.Addr(), s.now())
-			s.host.TakeCost()
 			s.flushLocked(netip.AddrPort{})
 			started = true
 		case !ok:
@@ -529,7 +526,6 @@ func (s *Stack) pumpLocked(c *Conn) {
 		buf := netsim.GetBuf(1 + len(hdr) + len(payload) + esp.MaxOverhead)
 		buf[0] = frameESP
 		frame, dst, err := s.host.SealDataHdrAppend(buf[:1], c.key.peer, hdr[:], payload, false)
-		s.host.TakeCost()
 		if err != nil {
 			netsim.PutBuf(buf)
 			c.inner.Abort()

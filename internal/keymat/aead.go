@@ -110,15 +110,18 @@ func (a *gcmAEAD) Zeroize() {
 	a.g = nil
 }
 
-// sliceForAppend extends in by n bytes, reusing capacity when it can,
-// and returns the full slice plus the appended region.
-func sliceForAppend(in []byte, n int) (head, tail []byte) {
-	if total := len(in) + n; cap(in) >= total {
-		head = in[:total]
+// Extend grows b by n bytes and returns the grown slice plus the
+// appended region. It reallocates only when capacity is short, and then
+// with half again as much headroom, so a buffer reused across calls stops
+// growing. The append APIs of keymat, esp and tlslite share it; stdlib
+// slices.Grow would cost each hot caller an extra escape and bounds check.
+func Extend(b []byte, n int) (grown, region []byte) {
+	total := len(b) + n
+	if cap(b) >= total {
+		grown = b[:total]
 	} else {
-		head = make([]byte, total)
-		copy(head, in)
+		grown = make([]byte, total, total+total/2)
+		copy(grown, b)
 	}
-	tail = head[len(in):]
-	return
+	return grown, grown[len(b):]
 }

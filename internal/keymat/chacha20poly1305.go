@@ -43,7 +43,7 @@ func (c *ChaChaPoly) Zeroize() {
 // Seal appends ciphertext||tag to dst. In-place operation (dst =
 // region[:0] aliasing plaintext) is supported.
 func (c *ChaChaPoly) Seal(dst []byte, nonce *[NonceLen]byte, plaintext, aad []byte) []byte {
-	ret, out := sliceForAppend(dst, len(plaintext)+TagLen)
+	ret, out := Extend(dst, len(plaintext)+TagLen)
 	ct := out[:len(plaintext)]
 	c.xorKeyStream(ct, plaintext, nonce)
 	var tag [TagLen]byte
@@ -65,7 +65,7 @@ func (c *ChaChaPoly) Open(dst []byte, nonce *[NonceLen]byte, ciphertext, aad []b
 	if subtle.ConstantTimeCompare(want[:], ciphertext[len(ct):]) != 1 {
 		return nil, ErrAuthFailed
 	}
-	ret, out := sliceForAppend(dst, len(ct))
+	ret, out := Extend(dst, len(ct))
 	c.xorKeyStream(out, ct, nonce)
 	return ret, nil
 }

@@ -103,7 +103,7 @@ func (e *etm) deriveIV(aad []byte) {
 // begin sizes the sealed output on dst, derives the IV and writes its
 // explicit prefix; the caller encrypts into out[ivLen:] and calls tag.
 func (e *etm) begin(dst []byte, n int, aad []byte) (ret, out []byte) {
-	ret, out = sliceForAppend(dst, e.ivLen+n+TagLen)
+	ret, out = Extend(dst, e.ivLen+n+TagLen)
 	e.deriveIV(aad)
 	copy(out, e.iv[:e.ivLen])
 	return ret, out
@@ -168,7 +168,7 @@ func (e *etm) Zeroize() {
 type nullHMAC struct{ etm }
 
 func (c *nullHMAC) Seal(dst []byte, _ *[NonceLen]byte, plaintext, aad []byte) []byte {
-	ret, out := sliceForAppend(dst, len(plaintext)+TagLen)
+	ret, out := Extend(dst, len(plaintext)+TagLen)
 	copy(out, plaintext)
 	c.tag(out, aad)
 	return ret
@@ -206,7 +206,7 @@ func (c *ctrHMAC) Open(dst []byte, _ *[NonceLen]byte, sealed, aad []byte) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	ret, out := sliceForAppend(dst, len(ct))
+	ret, out := Extend(dst, len(ct))
 	c.ctrXor(out, ct)
 	return ret, nil
 }
@@ -290,7 +290,7 @@ func (c *cbcHMAC) Open(dst []byte, _ *[NonceLen]byte, sealed, aad []byte) ([]byt
 	if len(ct)%c.dec.BlockSize() != 0 {
 		return nil, ErrMalformed
 	}
-	ret, out := sliceForAppend(dst, len(ct))
+	ret, out := Extend(dst, len(ct))
 	c.dec.SetIV(c.iv[:])
 	c.dec.CryptBlocks(out, ct)
 	return ret, nil

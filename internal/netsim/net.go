@@ -76,9 +76,6 @@ type Node struct {
 	routes  []route
 	forward bool
 	cpu     *CPU
-	// perPacketCPU is charged per packet sent or delivered locally; it
-	// models kernel/NIC processing on the host.
-	perPacketCPU time.Duration
 
 	udp      map[uint16]*UDPSocket
 	nextPort uint16
@@ -137,9 +134,7 @@ func (i *Iface) Addr() netip.Addr { return i.addr }
 // independent per-direction serialization.
 type Link struct {
 	Latency   time.Duration
-	Bandwidth float64 // bytes per second; <=0 means infinite
-	LossProb  float64
-	DupProb   float64
+	Bandwidth float64       // bytes per second; <=0 means infinite
 	Jitter    time.Duration // uniform [0,Jitter) extra latency per packet
 	// QueueLimit bounds the backlog of serialization delay; packets that
 	// would wait longer are dropped (tail drop). Zero means unlimited.
@@ -150,10 +145,12 @@ type Link struct {
 	// schedules (internal/faults.FlapLink).
 	Down bool
 
-	// Fault, when non-nil, is consulted per packet after the LossProb
-	// draw and can drop, corrupt, duplicate or delay it (see
-	// FaultDecision). Installed by internal/faults impairment windows;
-	// nil costs nothing on the hot path.
+	// Fault, when non-nil, is consulted per packet once the link is up
+	// and can drop, corrupt, duplicate or delay it (see FaultDecision).
+	// It is the link's one random-impairment path: internal/faults
+	// impairment windows install it, and a test that wants random loss
+	// draws from the Sim's RNG inside it. Nil costs nothing on the hot
+	// path.
 	Fault func(pkt *Packet) FaultDecision
 
 	a, b  *Iface
@@ -170,8 +167,7 @@ type FaultDecision struct {
 	// the sender may still retain the original (HIP retransmission
 	// buffers); the original is abandoned in transit (see DESIGN.md §5).
 	Corrupt bool
-	// Duplicate delivers a second copy shortly after the first
-	// (independent of Link.DupProb).
+	// Duplicate delivers a second, pooled copy 1 µs after the first.
 	Duplicate bool
 	// Delay adds extra one-way latency for this packet only; delaying
 	// some packets past their successors reorders the flow.
@@ -214,12 +210,6 @@ func (nd *Node) CPU() *CPU { return nd.cpu }
 
 // Net returns the network the node belongs to.
 func (nd *Node) Net() *Network { return nd.net }
-
-// SetPerPacketCPU sets the per-packet host processing charge.
-func (nd *Node) SetPerPacketCPU(d time.Duration) { nd.perPacketCPU = d }
-
-// PerPacketCPU returns the per-packet host processing charge.
-func (nd *Node) PerPacketCPU() time.Duration { return nd.perPacketCPU }
 
 // Addr returns the node's first address; it panics if the node has none.
 func (nd *Node) Addr() netip.Addr {
@@ -374,11 +364,6 @@ func (nd *Node) transmit(via *Iface, pkt *Packet) {
 		nd.net.trace(TraceDrop, nd, pkt, "link down")
 		return
 	}
-	if l.LossProb > 0 && s.rng.Float64() < l.LossProb {
-		l.drops++
-		nd.net.trace(TraceDrop, nd, pkt, "loss")
-		return
-	}
 	var fd FaultDecision
 	if l.Fault != nil {
 		fd = l.Fault(pkt)
@@ -423,7 +408,7 @@ func (nd *Node) transmit(via *Iface, pkt *Packet) {
 	// Typed delivery event: the per-packet hot path schedules a recycled
 	// event node, never a closure.
 	s.scheduleDeliver(arrival, peer, pkt)
-	if fd.Duplicate || (l.DupProb > 0 && s.rng.Float64() < l.DupProb) {
+	if fd.Duplicate {
 		dup := *pkt
 		// The duplicate needs its own payload: receivers may recycle a
 		// packet's body into the buffer pool after consuming it, and two

@@ -146,7 +146,7 @@ func TestPingRTT(t *testing.T) {
 
 func TestPingTimeoutOnLoss(t *testing.T) {
 	s := New(1)
-	_, a, _ := twoHosts(s, Link{Latency: time.Millisecond, LossProb: 1.0})
+	_, a, _ := twoHosts(s, Link{Latency: time.Millisecond, Down: true})
 	var err error
 	s.Spawn("ping", func(p *Proc) {
 		_, err = a.Ping(p, mustAddr("10.0.0.2"), 64, 50*time.Millisecond)
@@ -159,7 +159,9 @@ func TestPingTimeoutOnLoss(t *testing.T) {
 
 func TestLinkLossDropsPackets(t *testing.T) {
 	s := New(2)
-	_, a, b := twoHosts(s, Link{LossProb: 0.5})
+	_, a, b := twoHosts(s, Link{Fault: func(*Packet) FaultDecision {
+		return FaultDecision{Drop: s.Rand().Float64() < 0.5}
+	}})
 	bs := b.MustBindUDP(7)
 	received := 0
 	s.Spawn("rx", func(p *Proc) {
@@ -254,6 +256,61 @@ func TestNATOutboundInbound(t *testing.T) {
 	}
 }
 
+// TestNATMappingExpires: a binding idle past the NAT's 2 min timeout is
+// gone. The peer's late reply drops, the mapping leaves the table, and the
+// next outbound packet is translated to a fresh external port.
+func TestNATMappingExpires(t *testing.T) {
+	s := New(1)
+	n := NewNetwork(s)
+	inside := n.AddNode("inside", 1, 1)
+	natNode := n.AddNode("nat", 2, 10)
+	server := n.AddNode("server", 1, 1)
+	n.Connect(inside, mustAddr("192.168.0.2"), natNode, mustAddr("192.168.0.1"), Link{Latency: time.Millisecond})
+	n.Connect(natNode, mustAddr("203.0.113.1"), server, mustAddr("198.51.100.1"), Link{Latency: time.Millisecond})
+	inside.AddDefaultRoute(mustAddr("192.168.0.1"))
+	server.AddDefaultRoute(mustAddr("203.0.113.1"))
+	nat := natNode.EnableNAT(NATFullCone, mustAddr("192.168.0.1"))
+
+	ss := server.MustBindUDP(53)
+	var ext []netip.AddrPort
+	s.Spawn("server", func(p *Proc) {
+		for {
+			dg, err := ss.RecvFrom(p, 5*time.Minute)
+			if err != nil {
+				return
+			}
+			ext = append(ext, dg.Src)
+			if len(ext) == 1 {
+				p.Sleep(2*time.Minute + time.Second)
+				ss.SendTo(dg.Src, []byte("late reply"))
+			}
+		}
+	})
+	cs := inside.MustBindUDP(4000)
+	dst := netip.AddrPortFrom(mustAddr("198.51.100.1"), 53)
+	var replyErr error
+	mappings := -1
+	s.Spawn("client", func(p *Proc) {
+		cs.SendTo(dst, []byte("a"))
+		_, replyErr = cs.RecvFrom(p, 2*time.Minute+10*time.Second)
+		mappings = nat.Mappings()
+		cs.SendTo(dst, []byte("b"))
+	})
+	s.Run(0)
+	if replyErr != ErrTimeout {
+		t.Fatalf("reply through the expired mapping: err = %v, want ErrTimeout", replyErr)
+	}
+	if nat.Drops() != 1 {
+		t.Fatalf("nat drops = %d, want 1 (the late reply)", nat.Drops())
+	}
+	if mappings != 0 {
+		t.Fatalf("mappings after expiry = %d, want 0", mappings)
+	}
+	if len(ext) != 2 || ext[0] == ext[1] {
+		t.Fatalf("external endpoints %v, want two different ones", ext)
+	}
+}
+
 func TestNATFiltersUnsolicited(t *testing.T) {
 	s := New(1)
 	n := NewNetwork(s)
@@ -329,7 +386,9 @@ func TestNATSymmetricPerDestination(t *testing.T) {
 
 func TestLinkDuplication(t *testing.T) {
 	s := New(5)
-	_, a, b := twoHosts(s, Link{DupProb: 1.0})
+	_, a, b := twoHosts(s, Link{Fault: func(*Packet) FaultDecision {
+		return FaultDecision{Duplicate: true}
+	}})
 	bs := b.MustBindUDP(7)
 	got := 0
 	s.Spawn("rx", func(p *Proc) {
@@ -347,7 +406,7 @@ func TestLinkDuplication(t *testing.T) {
 	s.Run(time.Second)
 	s.Shutdown()
 	if got != 2 {
-		t.Fatalf("received %d copies, want 2 at DupProb=1", got)
+		t.Fatalf("received %d copies, want 2 when every packet is duplicated", got)
 	}
 }
 

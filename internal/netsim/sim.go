@@ -20,8 +20,6 @@
 package netsim
 
 import (
-	"fmt"
-	"io"
 	"math/bits"
 	"math/rand"
 	"time"
@@ -352,26 +350,12 @@ func (s *Sim) Run(horizon VTime) VTime {
 // fire dispatches one event. The node is recycled before dispatch: the
 // handler only ever sees the freelist, never ev, so a reschedule inside
 // the handler may legitimately reuse the node.
-// DebugLog, when non-nil, receives one line per fired event (time, kind,
-// seq, packet metadata). Diffing the logs of two same-seed runs pinpoints
-// the first divergent event when chasing a determinism bug — far more
-// precise than comparing rounded experiment tables.
-var DebugLog io.Writer
-
 func (s *Sim) fire(ev *event) {
 	kind, gen := ev.kind, ev.gen
 	fn, p, w, tm := ev.fn, ev.p, ev.w, ev.tm
 	dst, pkt := ev.dst, ev.pkt
-	seq := ev.seq
 	s.recycle(ev)
 	s.eventsFired++
-	if DebugLog != nil {
-		if pkt != nil {
-			fmt.Fprintf(DebugLog, "%d k%d s%d %s->%s p%d sz%d pl%d\n", s.now, kind, seq, pkt.Src, pkt.Dst, pkt.Proto, pkt.Size, len(pkt.Payload))
-		} else {
-			fmt.Fprintf(DebugLog, "%d k%d s%d\n", s.now, kind, seq)
-		}
-	}
 	switch kind {
 	case evFunc:
 		fn()

@@ -163,7 +163,7 @@ func (s *Stack) deliver(peer netip.Addr, data []byte, cost time.Duration) {
 	remotePort := binary.BigEndian.Uint16(data[0:])
 	localPort := binary.BigEndian.Uint16(data[2:])
 	key := connKey{peer: peer, localPort: localPort, remotePort: remotePort}
-	s.debt += cost + s.node.PerPacketCPU()
+	s.debt += cost
 	s.pending = append(s.pending, inSeg{key: key, data: data})
 	s.kick()
 }
@@ -358,7 +358,7 @@ func (s *Stack) flush(c *Conn) {
 			c.inner.Abort()
 			break
 		}
-		cost += sc + s.node.PerPacketCPU()
+		cost += sc
 	}
 	s.debt += cost
 	if deadline > 0 {

@@ -2,6 +2,7 @@ package simtcp
 
 import (
 	"bytes"
+	"math/rand"
 	"net/netip"
 	"strings"
 	"testing"
@@ -146,7 +147,12 @@ func TestBulkTransferReturnsEveryBuffer(t *testing.T) {
 }
 
 func TestTransferIntegrityUnderLoss(t *testing.T) {
-	s, sa, sb := env(t, netsim.Link{Latency: time.Millisecond, LossProb: 0.03})
+	// 3% random loss, drawn from the Sim's RNG once env has made it.
+	var rng *rand.Rand
+	s, sa, sb := env(t, netsim.Link{Latency: time.Millisecond, Fault: func(*netsim.Packet) netsim.FaultDecision {
+		return netsim.FaultDecision{Drop: rng.Float64() < 0.03}
+	}})
+	rng = s.Rand()
 	const total = 200 << 10
 	data := make([]byte, total)
 	for i := range data {
@@ -369,9 +375,10 @@ func TestPerPacketCPUChargesNode(t *testing.T) {
 	a := n.AddNode("a", 1, 1)
 	b := n.AddNode("b", 1, 1)
 	n.Connect(a, addrA, b, addrB, netsim.Link{Latency: time.Millisecond})
-	b.SetPerPacketCPU(100 * time.Microsecond)
+	fb := NewPlainFabric(b)
+	fb.PerPacketCost = 100 * time.Microsecond
 	sa := NewStack(a, NewPlainFabric(a))
-	sb := NewStack(b, NewPlainFabric(b))
+	sb := NewStack(b, fb)
 	l := sb.MustListen(80)
 	s.Spawn("server", func(p *netsim.Proc) {
 		c, err := l.Accept(p, 0)

@@ -20,6 +20,7 @@
 package stream
 
 import (
+	"encoding/binary"
 	"errors"
 	"time"
 )
@@ -84,10 +85,9 @@ var (
 
 // Config tunes a connection.
 type Config struct {
-	MSS        int
-	Window     int // receive window advertised to the peer
-	SendBuf    int // local send buffer bound
-	InitialRTO time.Duration
+	MSS     int
+	Window  int // receive window advertised to the peer
+	SendBuf int // local send buffer bound
 }
 
 func (c *Config) fill() {
@@ -99,9 +99,6 @@ func (c *Config) fill() {
 	}
 	if c.SendBuf <= 0 {
 		c.SendBuf = DefaultSendBuf
-	}
-	if c.InitialRTO <= 0 {
-		c.InitialRTO = DefaultInitialRTO
 	}
 }
 
@@ -201,9 +198,9 @@ func (s Segment) Marshal() []byte {
 func (s Segment) MarshalInto(b []byte) {
 	b[0] = s.Flags
 	b[1] = 0
-	be32(b[2:], s.Seq)
-	be32(b[6:], s.Ack)
-	be32(b[10:], s.Window)
+	binary.BigEndian.PutUint32(b[2:], s.Seq)
+	binary.BigEndian.PutUint32(b[6:], s.Ack)
+	binary.BigEndian.PutUint32(b[10:], s.Window)
 	copy(b[HeaderSize:], s.Payload)
 }
 
@@ -214,18 +211,11 @@ func ParseSegment(b []byte) (Segment, error) {
 	}
 	return Segment{
 		Flags:   b[0],
-		Seq:     rd32(b[2:]),
-		Ack:     rd32(b[6:]),
-		Window:  rd32(b[10:]),
+		Seq:     binary.BigEndian.Uint32(b[2:]),
+		Ack:     binary.BigEndian.Uint32(b[6:]),
+		Window:  binary.BigEndian.Uint32(b[10:]),
 		Payload: b[HeaderSize:],
 	}, nil
-}
-
-func be32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-}
-func rd32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
 // seqLT reports a < b in sequence space.
@@ -245,7 +235,7 @@ func New(cfg Config, iss uint32) *Conn {
 		sndUna:   iss,
 		sndNxt:   iss,
 		peerWnd:  uint32(cfg.Window),
-		rto:      cfg.InitialRTO,
+		rto:      DefaultInitialRTO,
 		cwnd:     10 * cfg.MSS, // RFC 6928 initial window
 		ssthresh: cfg.Window,
 	}

@@ -700,18 +700,6 @@ func newConn(s Stream, cfg Config, suite keymat.Suite, cliEnc, cliAuth, srvEnc, 
 const macLen = 16
 const _ = uint(macLen-keymat.TagLen) + uint(keymat.TagLen-macLen)
 
-// ensure grows b by n bytes, reallocating only when capacity is short,
-// and returns the grown slice.
-func ensure(b []byte, n int) []byte {
-	off := len(b)
-	if cap(b)-off < n {
-		nb := make([]byte, off+n, off+n+(off+n)/2)
-		copy(nb, b)
-		return nb
-	}
-	return b[:off+n]
-}
-
 // sealRecordAppend protects one application record, appending
 // ciphertext||tag to dst and returning the extended slice. The sequence
 // number is the AAD and, behind the salt, the AEAD nonce. With a dst
@@ -720,9 +708,8 @@ func (c *Conn) sealRecordAppend(dst, plain []byte) []byte {
 	c.outSeq++
 	binary.BigEndian.PutUint64(c.outSeqB[:], c.outSeq)
 	binary.BigEndian.PutUint64(c.outNonce[keymat.SaltLen:], c.outSeq)
-	off := len(dst)
-	dst = ensure(dst, len(plain)+macLen)
-	c.out.Seal(dst[off:off], &c.outNonce, plain, c.outSeqB[:])
+	dst, rec := keymat.Extend(dst, len(plain)+macLen)
+	c.out.Seal(rec[:0], &c.outNonce, plain, c.outSeqB[:])
 	c.cfg.charge(c.cfg.Costs.symmetric(len(plain)))
 	return dst
 }
