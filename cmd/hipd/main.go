@@ -43,17 +43,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("generating identity: %v", err)
 	}
-	hostAddr, err := netip.ParseAddrPort(*listen)
+	stack, err := hipudp.NewStack(hip.Config{Identity: id}, *listen)
 	if err != nil {
-		log.Fatalf("parsing -listen: %v", err)
-	}
-	host, err := hip.NewHost(hip.Config{Identity: id, Locator: hostAddr.Addr()})
-	if err != nil {
-		log.Fatalf("creating HIP host: %v", err)
-	}
-	stack, err := hipudp.NewStack(host, *listen)
-	if err != nil {
-		log.Fatalf("binding: %v", err)
+		log.Fatalf("starting HIP stack: %v", err)
 	}
 	defer stack.Close()
 	fmt.Printf("hipd: HIT %v listening on %v (%v identity)\n", id.HIT(), stack.LocalAddr(), a)

@@ -106,12 +106,7 @@ func forward(stack *hipudp.Stack, b *backend, req *microhttp.Request) *microhttp
 
 func newStack(name, listen string) *hipudp.Stack {
 	id := identity.MustGenerate(identity.AlgECDSA)
-	ap := netip.MustParseAddrPort(listen)
-	host, err := hip.NewHost(hip.Config{Identity: id, Locator: ap.Addr(), DomainID: name})
-	if err != nil {
-		log.Fatalf("%s: %v", name, err)
-	}
-	stack, err := hipudp.NewStack(host, listen)
+	stack, err := hipudp.NewStack(hip.Config{Identity: id, DomainID: name}, listen)
 	if err != nil {
 		log.Fatalf("%s: bind %s: %v", name, listen, err)
 	}

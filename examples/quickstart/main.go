@@ -25,14 +25,7 @@ func main() {
 
 	// 2. Bring up two HIP stacks over UDP on localhost.
 	mk := func(id *identity.HostIdentity, addr string) *hipudp.Stack {
-		host, err := hip.NewHost(hip.Config{
-			Identity: id,
-			Locator:  netip.MustParseAddrPort(addr).Addr(),
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		stack, err := hipudp.NewStack(host, addr)
+		stack, err := hipudp.NewStack(hip.Config{Identity: id}, addr)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -2,6 +2,9 @@ package hip
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"math"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -253,6 +256,33 @@ func TestBEXRetransmissionRecoversLoss(t *testing.T) {
 	}
 }
 
+// TestRandSeedsEveryDraw: a host seeded from Config.Rand draws from all 32
+// bytes it reads. math/rand's own source keeps only seed mod 2^31-1, so two
+// seeds congruent modulo that gave two hosts one DH key and one puzzle
+// secret.
+func TestRandSeedsEveryDraw(t *testing.T) {
+	seeded := func(v uint64) io.Reader {
+		b := bytes.Repeat([]byte{0x5a}, 32)
+		binary.BigEndian.PutUint64(b, v)
+		return bytes.NewReader(b)
+	}
+	const v = 0x123456789abcdef0
+	a, err := NewHost(Config{Identity: idA, Locator: locA, Rand: seeded(v)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewHost(Config{Identity: idB, Locator: locB, Rand: seeded(v + math.MaxInt32)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(a.dhPriv.PublicKey().Bytes(), b.dhPriv.PublicKey().Bytes()) {
+		t.Fatal("hosts seeded with different bytes hold the same DH key")
+	}
+	if bytes.Equal(a.r1Secret, b.r1Secret) {
+		t.Fatal("hosts seeded with different bytes hold the same puzzle secret")
+	}
+}
+
 // TestReEstablishAfterSilentPeerLoss: an initiator that lost its state
 // without a CLOSE reaching the responder (crash, or teardown on a dead
 // path after the peer migrated) must be able to run a fresh base
@@ -275,7 +305,7 @@ func TestReEstablishAfterSilentPeerLoss(t *testing.T) {
 	// replay the original exchange byte for byte, which IS a duplicate).
 	a2h, err := NewHost(Config{
 		Identity: idA, Locator: locA,
-		Rand: bytes.NewReader([]byte("restart-entropy-1")),
+		Rand: bytes.NewReader([]byte("restart-entropy-1/32-byte-seed..")),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,6 @@
 package hipudp
 
-import (
-	"io"
-	"net"
-	"net/netip"
-)
+import "net/netip"
 
 // VectoredIO reports whether this build carries the sendmmsg/recvmmsg
 // fast path (Linux amd64/arm64). Elsewhere batching still amortizes
@@ -62,35 +58,4 @@ func appendSegments(frames [][]byte, eps []netip.AddrPort, dgram []byte, seg int
 		dgram = dgram[n:]
 	}
 	return frames, eps
-}
-
-// sendLoop is the engine-independent fallback: one write syscall per
-// frame. It stops at the first failure so the caller can attribute the
-// error to the exact frame.
-func sendLoop(pc *net.UDPConn, batch []txPacket) (sent, nsys int, err error) {
-	for _, p := range batch {
-		nsys++
-		n, werr := pc.WriteToUDPAddrPort(p.buf, p.ep)
-		if werr != nil {
-			return sent, nsys, werr
-		}
-		if n != len(p.buf) {
-			return sent, nsys, io.ErrShortWrite
-		}
-		sent++
-	}
-	return sent, nsys, nil
-}
-
-// readOne is the engine-independent fallback: a single blocking
-// ReadFromUDPAddrPort into the first buffer, never coalesced.
-func readOne(pc *net.UDPConn, bufs [][]byte, sizes, segs []int, eps []netip.AddrPort) (cnt, nsys int, err error) {
-	n, ep, rerr := pc.ReadFromUDPAddrPort(bufs[0])
-	if rerr != nil {
-		return 0, 1, rerr
-	}
-	sizes[0] = n
-	segs[0] = 0
-	eps[0] = ep
-	return 1, 1, nil
 }

@@ -122,12 +122,8 @@ func newTxEngine() *txEngine {
 // equal-size frames to one endpoint as one UDP_SEGMENT message. It
 // returns the frames sent, in order. A message the kernel refuses to
 // segment turns GSO off and returns with no error, so that the caller
-// sends the rest again; any other failure is the first unsent frame's. A
-// nil RawConn (SyscallConn failed at startup) falls back to the loop.
+// sends the rest again; any other failure is the first unsent frame's.
 func (e *txEngine) send(pc *net.UDPConn, rc syscall.RawConn, batch []txPacket) (sent, nsys int, err error) {
-	if rc == nil {
-		return sendLoop(pc, batch)
-	}
 	batch = batch[:min(len(batch), txBatchSize)]
 	nmsg := 0
 	for i := 0; i < len(batch); nmsg++ {
@@ -208,11 +204,9 @@ type rxEngine struct {
 // newRxEngine turns UDP_GRO on for the socket behind rc (a kernel without
 // it just delivers every datagram alone).
 func newRxEngine(rc syscall.RawConn) *rxEngine {
-	if rc != nil {
-		rc.Control(func(fd uintptr) {
-			syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1)
-		})
-	}
+	rc.Control(func(fd uintptr) {
+		syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1)
+	})
 	e := &rxEngine{}
 	e.sys.bind(sysRECVMMSG, &e.msgs[0])
 	return e
@@ -220,11 +214,8 @@ func newRxEngine(rc syscall.RawConn) *rxEngine {
 
 // read drains up to len(bufs) (at most rxBatchMax) datagrams with one
 // recvmmsg, filling sizes, UDP_GRO segment sizes (0: not coalesced) and
-// source endpoints per message. A nil RawConn falls back to a single read.
+// source endpoints per message.
 func (e *rxEngine) read(pc *net.UDPConn, rc syscall.RawConn, bufs [][]byte, sizes, segs []int, eps []netip.AddrPort) (cnt, nsys int, err error) {
-	if rc == nil {
-		return readOne(pc, bufs, sizes, segs, eps)
-	}
 	n := len(bufs)
 	for i := 0; i < n; i++ {
 		e.iovs[i].Base = &bufs[i][0]

@@ -69,11 +69,7 @@ func echoBytes(t *testing.T, a, b *Stack, total int) {
 // TestBatchedWriteErrorSurfaces verifies the sender counts socket
 // failures instead of swallowing them.
 func TestBatchedWriteErrorSurfaces(t *testing.T) {
-	h, err := hip.NewHost(hip.Config{Identity: idA, Locator: netip.MustParseAddr("127.0.0.1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewStack(h, "127.0.0.1:0")
+	s, err := NewStack(hip.Config{Identity: idA}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,11 +220,7 @@ func TestMultiplePeersShareOneIP(t *testing.T) {
 	}
 	var stacks []*Stack
 	for _, id := range ids {
-		h, err := hip.NewHost(hip.Config{Identity: id, Locator: netip.MustParseAddr("127.0.0.1")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewStack(h, "127.0.0.1:0")
+		s, err := NewStack(hip.Config{Identity: id}, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,5 +355,85 @@ func TestResponderLearnsInitiatorFromBEX(t *testing.T) {
 	b.mu.Unlock()
 	if ep != a.LocalAddr().AddrPort() {
 		t.Fatalf("responder learned %v for the initiator, want %v", ep, a.LocalAddr().AddrPort())
+	}
+}
+
+// TestStacksDrawTheirOwnRandomness: two stacks built from an identity alone,
+// as hipd, hipproxy and quickstart build them, each run a base exchange with
+// a third. Hosts that all drew from one fixed seed would hand the responder
+// one SPI from both.
+func TestStacksDrawTheirOwnRandomness(t *testing.T) {
+	idC := identity.MustGenerate(identity.AlgECDSA)
+	a, b, c := newTestStack(t, idA), newTestStack(t, idB), newTestStack(t, idC)
+	for _, s := range []*Stack{a, b} {
+		s.AddPeer(idC.HIT(), c.LocalAddr().AddrPort())
+		if err := s.Establish(idC.HIT(), 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ca, okA := c.host.Association(idA.HIT())
+	cb, okB := c.host.Association(idB.HIT())
+	if !okA || !okB {
+		t.Fatal("responder lost an association")
+	}
+	_, spiA := ca.SPIs()
+	_, spiB := cb.SPIs()
+	if spiA == spiB {
+		t.Fatalf("both initiators chose inbound SPI %#x", spiA)
+	}
+}
+
+// TestRetransmitsAreJittered: a stack hands its host a jitter source, so an
+// I1's first retransmission is not due exactly RetransmitBase after Connect,
+// the instant at which every initiator that lost the same packet would
+// otherwise retry.
+func TestRetransmitsAreJittered(t *testing.T) {
+	const base = 500 * time.Millisecond
+	s, err := NewStack(hip.Config{Identity: idA, RetransmitBase: base}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := s.now()
+	if err := s.host.Connect(idB.HIT(), netip.MustParseAddr("127.0.0.1"), now); err != nil {
+		t.Fatal(err)
+	}
+	if d := s.host.NextDeadline() - now; d == base || d < base/2 || d >= base*3/2 {
+		t.Fatalf("first retransmit due %v after Connect, want a draw in [%v, %v) other than %v", d, base/2, base*3/2, base)
+	}
+}
+
+// TestNewStackRejectsWhatItCannotHonour: the host's locator is the bound
+// address, so a listen address that names none and a Locator that names
+// another are errors, and so is a virtual cost model, which a real stack
+// never drains.
+func TestNewStackRejectsWhatItCannotHonour(t *testing.T) {
+	for _, tc := range []struct {
+		name, listen string
+		cfg          hip.Config
+	}{
+		{"unspecified IPv4", "0.0.0.0:0", hip.Config{Identity: idA}},
+		{"unspecified IPv6", "[::]:0", hip.Config{Identity: idA}},
+		{"no address", ":0", hip.Config{Identity: idA}},
+		{"conflicting locator", "127.0.0.1:0", hip.Config{Identity: idA, Locator: netip.MustParseAddr("10.0.0.1")}},
+		{"virtual costs", "127.0.0.1:0", hip.Config{Identity: idA, Costs: hip.CostModel{Sign: time.Millisecond}}},
+	} {
+		if s, err := NewStack(tc.cfg, tc.listen); err == nil {
+			s.Close()
+			t.Errorf("%s: NewStack(%q) succeeded", tc.name, tc.listen)
+		}
+	}
+	loc := netip.MustParseAddr("127.0.0.1")
+	s, err := NewStack(hip.Config{Identity: idA, Locator: loc}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("the bound address as Locator: %v", err)
+	}
+	defer s.Close()
+	if got := s.Host().Locator(); got != loc {
+		t.Fatalf("host locator %v, want %v", got, loc)
 	}
 }

@@ -16,11 +16,7 @@ import (
 // newTestStack binds a stack for id on a free localhost port.
 func newTestStack(t testing.TB, id *identity.HostIdentity) *Stack {
 	t.Helper()
-	h, err := hip.NewHost(hip.Config{Identity: id, Locator: netip.MustParseAddr("127.0.0.1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewStack(h, "127.0.0.1:0")
+	s, err := NewStack(hip.Config{Identity: id}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,32 +8,22 @@ import (
 // NATType selects the translation/filtering behaviour of a NAT middlebox.
 type NATType int
 
-// NAT behaviours per the classic STUN taxonomy.
+// NAT behaviours of the classic STUN taxonomy that the simulations use.
+// Both keep one external mapping per internal endpoint.
 const (
-	// NATFullCone: one external mapping per internal endpoint; any
-	// external host may send to the mapped port.
+	// NATFullCone: any external host may send to the mapped port.
 	NATFullCone NATType = iota
-	// NATRestrictedCone: as full cone, but inbound packets are accepted
-	// only from addresses the internal host has sent to.
-	NATRestrictedCone
 	// NATPortRestricted: inbound must match an (address,port) previously
 	// contacted.
 	NATPortRestricted
-	// NATSymmetric: a distinct external mapping per destination;
-	// inbound only from that exact destination.
-	NATSymmetric
 )
 
 func (t NATType) String() string {
 	switch t {
 	case NATFullCone:
 		return "full-cone"
-	case NATRestrictedCone:
-		return "restricted-cone"
 	case NATPortRestricted:
 		return "port-restricted"
-	case NATSymmetric:
-		return "symmetric"
 	}
 	return "nat(?)"
 }
@@ -41,8 +31,6 @@ func (t NATType) String() string {
 type natKey struct {
 	proto Proto
 	in    netip.AddrPort
-	// dst is only set for symmetric NATs.
-	dst netip.AddrPort
 }
 
 type natMapping struct {
@@ -50,11 +38,8 @@ type natMapping struct {
 	external netip.AddrPort
 	lastUsed VTime
 	// peers records destinations contacted through this mapping, for
-	// port-restricted filtering; peerAddrs is the address-only view the
-	// restricted-cone check consults, so the per-inbound-packet filter is
-	// a single lookup rather than a scan over every contacted endpoint.
-	peers     map[netip.AddrPort]bool
-	peerAddrs map[netip.Addr]bool
+	// port-restricted filtering.
+	peers map[netip.AddrPort]bool
 }
 
 // NAT is network address/port translation state attached to a middlebox
@@ -104,9 +89,6 @@ func (nd *Node) EnableNAT(typ NATType, insideAddr netip.Addr) *NAT {
 	return nat
 }
 
-// Type returns the NAT behaviour.
-func (n *NAT) Type() NATType { return n.typ }
-
 // Drops reports inbound packets rejected by filtering.
 func (n *NAT) Drops() uint64 { return n.drops }
 
@@ -129,9 +111,6 @@ func (n *NAT) process(in *Iface, pkt *Packet) *Packet {
 	if in.inside {
 		// Outbound: allocate or refresh a mapping and rewrite source.
 		key := natKey{proto: pkt.Proto, in: pkt.Src}
-		if n.typ == NATSymmetric {
-			key.dst = pkt.Dst
-		}
 		m := n.byKey[key]
 		if m != nil && now-m.lastUsed > n.timeout {
 			n.expire(m)
@@ -139,17 +118,15 @@ func (n *NAT) process(in *Iface, pkt *Packet) *Packet {
 		}
 		if m == nil {
 			m = &natMapping{
-				key:       key,
-				external:  netip.AddrPortFrom(n.external, n.allocPort()),
-				peers:     make(map[netip.AddrPort]bool),
-				peerAddrs: make(map[netip.Addr]bool),
+				key:      key,
+				external: netip.AddrPortFrom(n.external, n.allocPort()),
+				peers:    make(map[netip.AddrPort]bool),
 			}
 			n.byKey[key] = m
 			n.byExt[m.external.Port()] = m
 		}
 		m.lastUsed = now
 		m.peers[pkt.Dst] = true
-		m.peerAddrs[pkt.Dst.Addr()] = true
 		out := *pkt
 		out.Src = m.external
 		return &out
@@ -167,7 +144,7 @@ func (n *NAT) process(in *Iface, pkt *Packet) *Packet {
 		n.node.net.trace(TraceDrop, n.node, pkt, "nat: no mapping")
 		return nil
 	}
-	if !n.inboundAllowed(m, pkt.Src) {
+	if n.typ == NATPortRestricted && !m.peers[pkt.Src] {
 		n.drops++
 		n.node.net.trace(TraceDrop, n.node, pkt, "nat: filtered")
 		return nil
@@ -176,20 +153,6 @@ func (n *NAT) process(in *Iface, pkt *Packet) *Packet {
 	out := *pkt
 	out.Dst = m.key.in
 	return &out
-}
-
-func (n *NAT) inboundAllowed(m *natMapping, src netip.AddrPort) bool {
-	switch n.typ {
-	case NATFullCone:
-		return true
-	case NATRestrictedCone:
-		return m.peerAddrs[src.Addr()]
-	case NATPortRestricted:
-		return m.peers[src]
-	case NATSymmetric:
-		return m.key.dst == src
-	}
-	return false
 }
 
 func (n *NAT) allocPort() uint16 {

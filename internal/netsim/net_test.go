@@ -336,54 +336,6 @@ func TestNATFiltersUnsolicited(t *testing.T) {
 	}
 }
 
-func TestNATSymmetricPerDestination(t *testing.T) {
-	s := New(1)
-	n := NewNetwork(s)
-	inside := n.AddNode("inside", 1, 1)
-	nat := n.AddNode("nat", 2, 10)
-	r := n.AddRouter("r")
-	s1 := n.AddNode("s1", 1, 1)
-	s2 := n.AddNode("s2", 1, 1)
-	n.Connect(inside, mustAddr("192.168.0.2"), nat, mustAddr("192.168.0.1"), Link{})
-	n.Connect(nat, mustAddr("203.0.113.1"), r, mustAddr("203.0.113.254"), Link{})
-	n.Connect(r, mustAddr("198.51.100.254"), s1, mustAddr("198.51.100.1"), Link{})
-	n.Connect(r, mustAddr("198.51.101.254"), s2, mustAddr("198.51.101.1"), Link{})
-	inside.AddDefaultRoute(mustAddr("192.168.0.1"))
-	nat.AddDefaultRoute(mustAddr("203.0.113.254"))
-	s1.AddDefaultRoute(mustAddr("198.51.100.254"))
-	s2.AddDefaultRoute(mustAddr("198.51.101.254"))
-	r.AddRoute(netip.MustParsePrefix("203.0.113.0/24"), mustAddr("203.0.113.1"))
-	nat.EnableNAT(NATSymmetric, mustAddr("192.168.0.1"))
-
-	var src1, src2 netip.AddrPort
-	sock1 := s1.MustBindUDP(53)
-	sock2 := s2.MustBindUDP(53)
-	s.Spawn("s1", func(p *Proc) {
-		dg, err := sock1.RecvFrom(p, 0)
-		if err == nil {
-			src1 = dg.Src
-		}
-	})
-	s.Spawn("s2", func(p *Proc) {
-		dg, err := sock2.RecvFrom(p, 0)
-		if err == nil {
-			src2 = dg.Src
-		}
-	})
-	cs := inside.MustBindUDP(4000)
-	s.Spawn("client", func(p *Proc) {
-		cs.SendTo(netip.AddrPortFrom(mustAddr("198.51.100.1"), 53), []byte("a"))
-		cs.SendTo(netip.AddrPortFrom(mustAddr("198.51.101.1"), 53), []byte("b"))
-	})
-	s.Run(0)
-	if !src1.IsValid() || !src2.IsValid() {
-		t.Fatal("packets not delivered")
-	}
-	if src1.Port() == src2.Port() {
-		t.Fatalf("symmetric NAT reused port %d for both destinations", src1.Port())
-	}
-}
-
 func TestLinkDuplication(t *testing.T) {
 	s := New(5)
 	_, a, b := twoHosts(s, Link{Fault: func(*Packet) FaultDecision {
