@@ -98,8 +98,12 @@ func main() {
 	}
 	if want("dos") {
 		ran = true
+		dosDur := 20 * time.Second
+		if *short {
+			dosDur = 12 * time.Second
+		}
 		fmt.Println("running DoS flood comparison (fixed vs adaptive puzzles)...")
-		_, tbl, err := experiments.RunDoSTable(*seed)
+		_, tbl, err := experiments.RunDoSTable(*seed, dosDur)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dos:", err)
 			os.Exit(1)

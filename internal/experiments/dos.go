@@ -133,14 +133,15 @@ func RunDoS(cfg DoSConfig) (DoSResult, error) {
 	return res, nil
 }
 
-// RunDoSTable compares fixed vs adaptive puzzles under the same attack.
-func RunDoSTable(seed int64) ([]DoSResult, *metrics.Table, error) {
+// RunDoSTable compares fixed vs adaptive puzzles under the same attack,
+// each run lasting dur of virtual time (zero: RunDoS's 20 s default).
+func RunDoSTable(seed int64, dur time.Duration) ([]DoSResult, *metrics.Table, error) {
 	tbl := metrics.NewTable(
 		"§IV-B — I1/BEX flood: fixed vs load-adaptive puzzle difficulty",
 		"puzzles", "hostile BEX", "legit BEX ok", "legit mean latency", "responder CPU", "final K")
 	var out []DoSResult
 	for _, adaptive := range []bool{false, true} {
-		r, err := RunDoS(DoSConfig{Adaptive: adaptive, Seed: seed})
+		r, err := RunDoS(DoSConfig{Adaptive: adaptive, Duration: dur, Seed: seed})
 		if err != nil {
 			return out, tbl, err
 		}

@@ -44,6 +44,17 @@ func TestChaosGoldenShortSeed1(t *testing.T) {
 	checkGolden(t, "chaos_short_seed1.golden", tbl.String())
 }
 
+// TestDoSGoldenShortSeed1 pins the table `benchcloud -run dos -short
+// -seed 1` prints: the 12 s flood TestDoSAdaptivePuzzlesThrottleAttack
+// runs, fixed and adaptive puzzles.
+func TestDoSGoldenShortSeed1(t *testing.T) {
+	_, tbl, err := RunDoSTable(1, 12*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "dos_short_seed1.golden", tbl.String())
+}
+
 // TestRTTGoldenShortSeed1 pins the table `benchcloud -run rtt -short
 // -seed 1` prints.
 func TestRTTGoldenShortSeed1(t *testing.T) {
