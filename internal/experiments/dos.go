@@ -26,7 +26,9 @@ type DoSResult struct {
 	LegitOK, LegitTried int
 	// ResponderBusy is responder CPU consumed during the run.
 	ResponderBusy time.Duration
-	// FinalK is the puzzle difficulty the responder ended at.
+	// FinalK is the highest puzzle difficulty the responder put in an R1.
+	// Difficulty is chosen per initiator, so no single K is the one the
+	// responder ended at.
 	FinalK uint8
 }
 
@@ -65,7 +67,7 @@ func RunDoS(cfg DoSConfig) (DoSResult, error) {
 
 	diff := puzzle.Difficulty{BaseK: 1, MaxK: 1, LowWater: 1, HighWater: 2}
 	if cfg.Adaptive {
-		diff = puzzle.Difficulty{BaseK: 1, MaxK: 20, LowWater: 4, HighWater: 60}
+		diff = puzzle.Difficulty{BaseK: 1, MaxK: 20, LowWater: 2, HighWater: 6}
 	}
 	reg := hipsim.NewRegistry()
 	victimID := identity.MustGenerateDeterministic(identity.AlgECDSA, fmt.Sprintf("dos/%d/victim", cfg.Seed))
@@ -128,7 +130,7 @@ func RunDoS(cfg DoSConfig) (DoSResult, error) {
 	s.Run(cfg.Duration + 20*time.Second)
 	res.LegitLatency = lat.Mean()
 	res.ResponderBusy = victim.Node.CPU().BusyTime()
-	res.FinalK = diff.K(int(victimHost.I1Load()))
+	res.FinalK = victimHost.PeakPuzzleK
 	s.Shutdown()
 	return res, nil
 }
@@ -138,7 +140,7 @@ func RunDoS(cfg DoSConfig) (DoSResult, error) {
 func RunDoSTable(seed int64, dur time.Duration) ([]DoSResult, *metrics.Table, error) {
 	tbl := metrics.NewTable(
 		"§IV-B — I1/BEX flood: fixed vs load-adaptive puzzle difficulty",
-		"puzzles", "hostile BEX", "legit BEX ok", "legit mean latency", "responder CPU", "final K")
+		"puzzles", "hostile BEX", "legit BEX ok", "legit mean latency", "responder CPU", "max K issued")
 	var out []DoSResult
 	for _, adaptive := range []bool{false, true} {
 		r, err := RunDoS(DoSConfig{Adaptive: adaptive, Duration: dur, Seed: seed})

@@ -160,10 +160,11 @@ func (h *Host) handleI1(pkt *hipwire.Packet, src netip.Addr, now time.Duration) 
 		}
 	}
 	h.BEXResponded++
-	// Load for the difficulty controller is arrival rate plus the
-	// driver-reported admission backlog: a service loop that has fallen
-	// behind hardens puzzles even between arrival bursts.
-	k := h.cfg.Puzzle.K(h.noteI1(now) + h.backlog)
+	// Load for the difficulty controller is this initiator's I1 rate plus
+	// the driver-reported backlog: a HIT that keeps coming back pays, and
+	// a service loop that has fallen behind hardens every puzzle.
+	k := h.cfg.Puzzle.K(h.noteI1(pkt.SenderHIT, now) + h.backlog)
+	h.PeakPuzzleK = max(h.PeakPuzzleK, k)
 	tmpl := h.r1TemplateFor(k)
 	r1 := &hipwire.Packet{
 		Type:        hipwire.R1,

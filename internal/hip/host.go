@@ -144,8 +144,9 @@ type Config struct {
 	Locator netip.Addr
 	// Costs is the virtual CPU cost model (zero = free).
 	Costs CostModel
-	// Puzzle controls responder difficulty; zero value uses
-	// puzzle.DefaultDifficulty.
+	// Puzzle controls responder difficulty: its water marks are one
+	// initiator's I1s per second plus the control backlog the driver
+	// reports (SetBacklog). The zero value uses puzzle.DefaultDifficulty.
 	Puzzle puzzle.Difficulty
 	// Rand seeds the host's randomness: DH keys, the puzzle secret, puzzle
 	// start values, SPIs and nonces. NewHost reads 32 bytes from it into a
@@ -202,17 +203,19 @@ type Host struct {
 
 	rng      *rand.Rand
 	r1Secret []byte // stateless puzzle-I derivation secret
-	// i1Load is an exponentially decayed I1 arrival counter (1 s time
-	// constant): the responder's load signal for puzzle difficulty.
-	i1Load float64
-	lastI1 time.Duration
+	// initiators holds each recent initiator's I1 count, decayed with a
+	// 1 s time constant: the per-initiator half of the puzzle difficulty
+	// input (see noteI1). A fixed array, so an I1 allocates nothing and a
+	// flood of fresh HITs cannot grow it.
+	initiators [initiatorSlots]initiatorLoad
 
 	// jitter spreads retransmission backoff (see SetJitter).
 	jitter func() float64
-	// backlog is the driver-reported admission-queue depth, added to the
-	// decayed I1 rate as input to the puzzle difficulty controller: when
-	// the service loop falls behind, puzzles harden even if the
-	// instantaneous arrival rate looks tame.
+	// backlog is the driver-reported count of control packets queued
+	// behind the one being handled, added to the sending initiator's
+	// decayed I1 count as the puzzle difficulty input: when the service
+	// loop falls behind, every initiator's puzzle hardens, fresh HITs
+	// included, even if no one initiator sends often.
 	backlog int
 
 	// Stats visible to experiments.
@@ -221,6 +224,28 @@ type Host struct {
 	// Retransmits counts control-packet retransmissions — the herd
 	// amplification signal the storm experiment reports.
 	Retransmits uint64
+	// PeakPuzzleK is the highest puzzle difficulty any R1 of this host
+	// has carried.
+	PeakPuzzleK uint8
+}
+
+// initiatorSlots is the size of Host.initiators. A loop of a few bots
+// fits many times over; a churn of fresh HITs evicts its own kind first.
+const initiatorSlots = 64
+
+// initiatorLoad is one initiator's I1 count, decayed to its last I1.
+type initiatorLoad struct {
+	hit  netip.Addr
+	load float64
+	last time.Duration
+}
+
+// at is e's load decayed to now (1 s time constant).
+func (e *initiatorLoad) at(now time.Duration) float64 {
+	if dt := now - e.last; dt > 0 {
+		return e.load * math.Exp(-float64(dt)/float64(time.Second))
+	}
+	return e.load
 }
 
 // r1Template is a pre-signed R1 for a given difficulty K (puzzle I and
@@ -455,22 +480,33 @@ next:
 	}
 }
 
-// noteI1 updates the decayed I1 arrival counter and returns the load the
-// difficulty controller should see.
-func (h *Host) noteI1(now time.Duration) int {
-	if h.lastI1 != 0 {
-		dt := now - h.lastI1
-		if dt > 0 {
-			h.i1Load *= math.Exp(-float64(dt) / float64(time.Second))
+// noteI1 counts one I1 from hit and returns hit's decayed I1 count, the
+// per-initiator load the difficulty controller sees (RFC 5201 §4.1.2 lets a
+// responder choose K per initiator). A HIT not in the table takes the slot
+// of the entry with the lowest decayed load, so a churn of one-shot HITs
+// evicts one another before it evicts an initiator that keeps coming back.
+// The limit: fresh HITs are cheap, so an attacker that rotates them meets
+// only the backlog half of the input.
+func (h *Host) noteI1(hit netip.Addr, now time.Duration) int {
+	var e *initiatorLoad
+	low := math.Inf(1)
+	for i := range h.initiators {
+		c := &h.initiators[i]
+		if c.hit == hit {
+			e = c
+			break
+		}
+		if l := c.at(now); l < low {
+			e, low = c, l
 		}
 	}
-	h.lastI1 = now
-	h.i1Load++
-	return int(h.i1Load)
+	if e.hit != hit {
+		*e = initiatorLoad{hit: hit, last: now}
+	}
+	e.load = e.at(now) + 1
+	e.last = now
+	return int(e.load)
 }
-
-// I1Load exposes the responder's current decayed I1 arrival estimate.
-func (h *Host) I1Load() float64 { return h.i1Load }
 
 // SetJitter installs fn, a source of uniform [0,1) draws, to spread
 // control-packet retransmission backoff by ±50%. Synchronized peers (a
@@ -484,7 +520,8 @@ func (h *Host) I1Load() float64 { return h.i1Load }
 // hosts.
 func (h *Host) SetJitter(fn func() float64) { h.jitter = fn }
 
-// SetBacklog reports the driver's admission-queue depth (see Host.backlog).
+// SetBacklog reports how many control packets the driver holds queued
+// behind the one it hands the host next (see Host.backlog).
 func (h *Host) SetBacklog(n int) { h.backlog = n }
 
 // statelessPuzzleI derives the puzzle I for an initiator and difficulty k

@@ -291,7 +291,9 @@ func (s *Stack) readLoop() {
 
 // onFrames runs one received vector to completion under one hold of s.mu.
 // Frames are handled in order: a control frame (from[i] sent it) goes to the
-// host and is answered at once, an ESP frame's segment goes to its conn.
+// host and is answered at once, after the host learns how many control
+// frames wait behind it in the vector (its puzzle backlog, as hipsim reports
+// its queue's); an ESP frame's segment goes to its conn.
 // Each conn a segment reached is pumped and woken once, after the whole
 // vector, so that the ACKs of a run of segments leave as one cumulative ACK.
 // ESP frames are opened straight out of frames, which may be arena memory
@@ -304,12 +306,20 @@ func (s *Stack) onFrames(frames [][]byte, from []netip.AddrPort) {
 	if s.closed {
 		return
 	}
+	queued := 0
+	for _, f := range frames {
+		if len(f) > 0 && f[0] == frameHIP {
+			queued++
+		}
+	}
 	for i, f := range frames {
 		if len(f) < 1 {
 			continue
 		}
 		switch f[0] {
 		case frameHIP:
+			queued--
+			s.host.SetBacklog(queued)
 			ctl := make([]byte, len(f)-1)
 			copy(ctl, f[1:])
 			s.controlLocked(ctl, from[i])

@@ -12,6 +12,7 @@ import (
 	"hipcloud/internal/hip"
 	"hipcloud/internal/hipwire"
 	"hipcloud/internal/identity"
+	"hipcloud/internal/puzzle"
 )
 
 var (
@@ -435,5 +436,51 @@ func TestNewStackRejectsWhatItCannotHonour(t *testing.T) {
 	defer s.Close()
 	if got := s.Host().Locator(); got != loc {
 		t.Fatalf("host locator %v, want %v", got, loc)
+	}
+}
+
+// TestVectorBacklogHardensPuzzles: three I1s from three fresh HITs arrive in
+// one receive vector. Each initiator's own I1 rate is one, so only the
+// control frames queued behind each I1 in the vector can raise its K: the
+// first waits on two and gets MaxK, the second on one, the last on none.
+func TestVectorBacklogHardensPuzzles(t *testing.T) {
+	diff := puzzle.Difficulty{BaseK: 1, MaxK: 9, LowWater: 1, HighWater: 3}
+	b, err := NewStack(hip.Config{Identity: idB, Puzzle: diff}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	sink, ep := newTestSocket(t)
+	var frames [][]byte
+	var from []netip.AddrPort
+	want := map[netip.Addr]uint8{}
+	for i := range 3 {
+		hit := netip.AddrFrom16([16]byte{0x20, 0x01, 0x00, 0x2f, 15: byte(i + 1)})
+		i1 := (&hipwire.Packet{Type: hipwire.I1, SenderHIT: hit, ReceiverHIT: idB.HIT()}).Marshal()
+		frames = append(frames, append([]byte{frameHIP}, i1...))
+		from = append(from, ep)
+		want[hit] = diff.K(1 + 2 - i)
+	}
+	b.onFrames(frames, from)
+	buf := make([]byte, 64*1024)
+	sink.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for range frames {
+		n, err := sink.Read(buf)
+		if err != nil {
+			t.Fatalf("R1s: %v", err)
+		}
+		pkt, err := hipwire.Parse(buf[1:n])
+		if err != nil || buf[0] != frameHIP || pkt.Type != hipwire.R1 {
+			t.Fatalf("want an R1 frame, got %x (%v)", buf[:n], err)
+		}
+		p, _ := pkt.Get(hipwire.ParamPuzzle)
+		pz, err := hipwire.ParsePuzzle(p.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k, ok := want[pkt.ReceiverHIT]; !ok || pz.K != k {
+			t.Errorf("R1 to %v carries K=%d, want %d", pkt.ReceiverHIT, pz.K, k)
+		}
+		delete(want, pkt.ReceiverHIT)
 	}
 }

@@ -85,23 +85,28 @@ func Verify(i uint64, k uint8, hitI, hitR netip.Addr, j uint64) bool {
 
 // Difficulty is a load-adaptive controller for K: the responder raises
 // difficulty as its handshake load grows, per the DoS design the paper
-// inherits from HIP. hip.Host measures that load as its I1 arrival rate
-// (a count decayed with a 1 s time constant) plus the driver-reported
-// admission backlog, so a responder serving legitimate connects one after
-// another also sees its K rise with their rate.
+// inherits from HIP. hip.Host measures that load per initiator, as RFC
+// 5201 §4.1.2 allows: the I1s the sending HIT has sent (a count decayed
+// with a 1 s time constant, so about its I1s per second) plus the
+// driver-reported count of control packets queued behind this one. An
+// initiator that keeps coming back pays; a thousand that each connect once
+// do not, unless they arrive faster than the responder serves them.
 type Difficulty struct {
 	// BaseK is the difficulty at or below LowWater load.
 	BaseK uint8
 	// MaxK caps the difficulty at HighWater load and above.
 	MaxK uint8
-	// LowWater / HighWater are load values (decayed I1 arrivals plus
-	// admission backlog) between which K interpolates linearly.
+	// LowWater / HighWater are load values (one initiator's I1s per
+	// second plus the control backlog) between which K interpolates
+	// linearly.
 	LowWater, HighWater int
 }
 
-// DefaultDifficulty mirrors common HIPL defaults: trivial puzzles when
-// idle, up to 2^16 work under attack.
-var DefaultDifficulty = Difficulty{BaseK: 1, MaxK: 16, LowWater: 8, HighWater: 256}
+// DefaultDifficulty asks trivial puzzles of an initiator that sends about
+// two I1s a second or fewer, and up to 2^16 work of one that sends eight a
+// second, or of any initiator whose I1 has seven control packets queued
+// behind it.
+var DefaultDifficulty = Difficulty{BaseK: 1, MaxK: 16, LowWater: 2, HighWater: 8}
 
 // K returns the difficulty for the given load.
 func (d Difficulty) K(load int) uint8 {
