@@ -2,7 +2,8 @@
 // it builds two revisions of the repository, runs one workload on each in
 // alternating pairs, and prints one JSON document with both sides'
 // medians and quartiles, pairs won, the change/base ratio, the failed-op
-// share per side and a verdict per metric.
+// share per side and a verdict per metric, and beside the verdict the
+// median per-pair log(head/base) with its 95 % sign-test interval.
 //
 //	go run ./cmd/benchab -base HEAD -workload udp_bulk_ctr -pairs 10 -seeds 31,32,33
 //
@@ -81,6 +82,9 @@ type metricResult struct {
 	Lost    int     `json:"lost"`
 	Ratio   float64 `json:"ratio"`
 	Verdict string  `json:"verdict"`
+	// Paired is the per-pair log(head/base) effect with its 95 % sign-test
+	// interval, reported beside the verdict; the verdict does not read it.
+	Paired *paired `json:"paired,omitempty"`
 }
 
 type document struct {
@@ -228,6 +232,7 @@ func judge(m metricSpec, base, head []float64) metricResult {
 		r.Ratio = r.Head.Median / r.Base.Median
 	}
 	r.Verdict = verdict(m.Better, m.Bound, m.Name == "setup_s", r.Base, r.Head, r.Won, len(base))
+	r.Paired = pairedEffect(base, head)
 	return r
 }
 

@@ -114,3 +114,55 @@ func verdict(dir string, bound float64, spreadExempt bool, base, head side, won,
 	}
 	return neutral
 }
+
+// paired is one metric's paired effect: the median of the per-pair
+// log(head/base), and a distribution-free interval for it from the order
+// statistics of the sign test, [d(k), d(n-k+1)] of the n sorted log
+// ratios, with k the largest that keeps the coverage at 95 % or more.
+// Coverage is what that k achieves: below 0.95 when there are too few
+// pairs for any k (fewer than six), and then the interval is the range.
+// Pairing cancels the drift between pairs that comparing each side's
+// median carries. A pair with a value at or below zero has no log ratio
+// and is left out of Pairs.
+type paired struct {
+	LogRatio float64 `json:"log_ratio"`
+	Lo       float64 `json:"lo"`
+	Hi       float64 `json:"hi"`
+	Coverage float64 `json:"coverage"`
+	Pairs    int     `json:"pairs"`
+}
+
+// pairedEffect computes the paired effect of base[i] -> head[i], nil when
+// no pair has a log ratio.
+func pairedEffect(base, head []float64) *paired {
+	var d []float64
+	for i := range base {
+		if base[i] > 0 && head[i] > 0 {
+			d = append(d, math.Log(head[i]/base[i]))
+		}
+	}
+	n := len(d)
+	if n == 0 {
+		return nil
+	}
+	sort.Float64s(d)
+	k, coverage := 1, 1-2*binomTail(n, 0)
+	for k+1 <= n/2 {
+		c := 1 - 2*binomTail(n, k)
+		if c < 0.95 {
+			break
+		}
+		k, coverage = k+1, c
+	}
+	return &paired{LogRatio: median(d), Lo: d[k-1], Hi: d[n-k], Coverage: coverage, Pairs: n}
+}
+
+// binomTail is P(B <= j) for B ~ Binomial(n, 1/2).
+func binomTail(n, j int) float64 {
+	lf := func(x int) float64 { v, _ := math.Lgamma(float64(x + 1)); return v }
+	p := 0.0
+	for i := 0; i <= j; i++ {
+		p += math.Exp(lf(n) - lf(i) - lf(n-i) - float64(n)*math.Ln2)
+	}
+	return p
+}

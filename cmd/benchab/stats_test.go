@@ -107,3 +107,56 @@ func TestParseSeedsCycles(t *testing.T) {
 		t.Errorf("default seeds %v, want 1 2 3", got)
 	}
 }
+
+// The sign-test interval on ten pairs is [d(2), d(9)] of the sorted log
+// ratios, at coverage 1 - 2·P(B <= 1) = 1 - 22/1024.
+func TestPairedIntervalKnownShift(t *testing.T) {
+	base := []float64{95, 96, 98, 99, 100, 100, 101, 102, 103, 105}
+	// log ratios: 0.1 plus a spread of -0.04..+0.05 (median 0.005), in
+	// shuffled order.
+	noise := []float64{0.03, -0.04, 0.01, 0.05, -0.02, 0, 0.02, -0.01, 0.04, -0.03}
+	head := make([]float64, len(base))
+	for i := range base {
+		head[i] = base[i] * math.Exp(0.1+noise[i])
+	}
+	p := pairedEffect(base, head)
+	const eps = 1e-9
+	if p == nil || p.Pairs != 10 {
+		t.Fatalf("paired = %+v, want ten pairs", p)
+	}
+	if math.Abs(p.LogRatio-0.105) > eps || math.Abs(p.Lo-0.07) > eps || math.Abs(p.Hi-0.14) > eps {
+		t.Errorf("log ratio %v in [%v, %v], want 0.105 in [0.07, 0.14]", p.LogRatio, p.Lo, p.Hi)
+	}
+	if want := 1 - 22.0/1024; math.Abs(p.Coverage-want) > eps {
+		t.Errorf("coverage %v, want %v", p.Coverage, want)
+	}
+}
+
+// With no shift the interval straddles zero.
+func TestPairedIntervalNoShift(t *testing.T) {
+	base := []float64{95, 96, 98, 99, 100, 100, 101, 102, 103, 105}
+	noise := []float64{0.03, -0.04, 0.01, 0.05, -0.02, 0, 0.02, -0.01, 0.04, -0.03}
+	head := make([]float64, len(base))
+	for i := range base {
+		head[i] = base[i] * math.Exp(noise[i])
+	}
+	p := pairedEffect(base, head)
+	if p == nil || math.Abs(p.LogRatio-0.005) > 1e-9 || math.Abs(p.Lo+0.03) > 1e-9 || math.Abs(p.Hi-0.04) > 1e-9 {
+		t.Fatalf("paired = %+v, want log ratio 0.005 in [-0.03, 0.04]", p)
+	}
+}
+
+// Below six pairs no order statistic reaches 95 %: the interval is the
+// range and says what it covers. Pairs with no log ratio drop out.
+func TestPairedIntervalFewPairs(t *testing.T) {
+	p := pairedEffect([]float64{1, 1, 1, 1, 1, 0}, []float64{2, 3, 1, 4, 5, 7})
+	if p == nil || p.Pairs != 5 || p.Lo != 0 || math.Abs(p.Hi-math.Log(5)) > 1e-9 {
+		t.Fatalf("paired = %+v, want five pairs spanning [0, log 5]", p)
+	}
+	if want := 1 - 2.0/32; math.Abs(p.Coverage-want) > 1e-12 {
+		t.Errorf("coverage %v, want %v", p.Coverage, want)
+	}
+	if p := pairedEffect([]float64{0}, []float64{1}); p != nil {
+		t.Errorf("paired = %+v for a pair with no log ratio, want nil", p)
+	}
+}
