@@ -124,6 +124,11 @@ type Stack struct {
 	txErrMu sync.Mutex
 	txErr   error
 	sender  sender
+	// rxArena is readLoop's receive arena, one 64 KiB buffer per vector
+	// slot, taken from the pool before readLoop starts; readDone is closed
+	// once readLoop has returned it, and Close waits for that.
+	rxArena  [rxBatchMax][]byte
+	readDone chan struct{}
 }
 
 type connKey struct {
@@ -187,10 +192,14 @@ func start(host *hip.Host, addr *net.UDPAddr) (*Stack, error) {
 		listeners: make(map[uint16]*Listener),
 		nextPort:  ephemeralBase,
 		sender:    sender{done: make(chan struct{})},
+		readDone:  make(chan struct{}),
 	}
 	s.cond.L = &s.mu
 	s.sender.cond.L = &s.sender.mu
 	host.SetJitter(rand.Float64)
+	for i := range s.rxArena {
+		s.rxArena[i] = netsim.GetBuf(64 * 1024)
+	}
 	go s.readLoop()
 	go s.timerLoop()
 	go s.senderLoop()
@@ -246,23 +255,30 @@ func (s *Stack) Close() error {
 	// Drain the sender before tearing the socket down so already queued
 	// frames still reach the wire.
 	s.sender.close()
-	return s.pc.Close()
+	err := s.pc.Close()
+	<-s.readDone
+	return err
 }
 
 // readLoop drains inbound datagrams in recvmmsg-sized vectors, splits each
 // coalesced datagram at its UDP_GRO segment size into the frames it carries,
-// and hands the vector's frames to onFrames whole.
+// and hands the vector's frames to onFrames whole. It returns the receive
+// arena to the pool when the socket closes, so a stack's open and close do
+// not allocate one.
 func (s *Stack) readLoop() {
+	defer close(s.readDone)
+	bufs := &s.rxArena
+	defer func() {
+		for _, b := range bufs {
+			netsim.PutBuf(b)
+		}
+	}()
 	eng := newRxEngine(s.rc)
 	var (
-		bufs  [rxBatchMax][]byte
 		sizes [rxBatchMax]int
 		segs  [rxBatchMax]int
 		eps   [rxBatchMax]netip.AddrPort
 	)
-	for i := range bufs {
-		bufs[i] = make([]byte, 64*1024)
-	}
 	frames := make([][]byte, 0, rxBatchMax)
 	from := make([]netip.AddrPort, 0, rxBatchMax)
 	for {

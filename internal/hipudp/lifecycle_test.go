@@ -200,6 +200,26 @@ func TestStackCloseWipesKeys(t *testing.T) {
 	}
 }
 
+// TestReceiveArenaIsPooled: each stack's receive arena, one 64 KiB buffer
+// per vector slot, is out of the pool while the stack runs and back in it
+// once Close returns.
+func TestReceiveArenaIsPooled(t *testing.T) {
+	bufs := netsim.PoolOutstanding()
+	a, b := pair(t)
+	// Both read loops have run: each has handed the host a control frame.
+	if err := a.Establish(idB.HIT(), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := netsim.PoolOutstanding() - bufs; n < 2*rxBatchMax {
+		t.Fatalf("%d pooled buffers outstanding with two stacks open, want at least their two arenas of %d", n, rxBatchMax)
+	}
+	a.Close()
+	b.Close()
+	if n := netsim.PoolOutstanding() - bufs; n != 0 {
+		t.Errorf("%d pooled buffers outstanding after Close", n)
+	}
+}
+
 // TestQueueOverflowReturnsTheFrame: a frame dropped at txQueueCap goes
 // back to the pool at once, and the queued ones stay out until sent.
 func TestQueueOverflowReturnsTheFrame(t *testing.T) {
