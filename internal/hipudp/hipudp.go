@@ -267,9 +267,8 @@ func (s *Stack) Close() error {
 // not allocate one.
 func (s *Stack) readLoop() {
 	defer close(s.readDone)
-	bufs := &s.rxArena
 	defer func() {
-		for _, b := range bufs {
+		for _, b := range s.rxArena {
 			netsim.PutBuf(b)
 		}
 	}()
@@ -282,13 +281,13 @@ func (s *Stack) readLoop() {
 	frames := make([][]byte, 0, rxBatchMax)
 	from := make([]netip.AddrPort, 0, rxBatchMax)
 	for {
-		cnt, nsys, err := eng.read(s.pc, s.rc, bufs[:], sizes[:], segs[:], eps[:])
+		cnt, nsys, err := eng.read(s.pc, s.rc, s.rxArena[:], sizes[:], segs[:], eps[:])
 		s.stats.rxSyscalls.Add(uint64(nsys))
 		if cnt > 0 {
 			frames, from = frames[:0], from[:0]
 			var n uint64
 			for i := range cnt {
-				frames, from = appendSegments(frames, from, bufs[i][:sizes[i]], segs[i], eps[i])
+				frames, from = appendSegments(frames, from, s.rxArena[i][:sizes[i]], segs[i], eps[i])
 				n += uint64(sizes[i])
 			}
 			s.stats.rxBatches.Add(1)
