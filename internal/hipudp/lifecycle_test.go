@@ -182,11 +182,15 @@ func TestCloseIsNotCountedAsLoss(t *testing.T) {
 // every association's keys on the heap: after a base exchange, a bulk echo
 // and Close on both stacks, keymat's key ledger is back where it started.
 // So is netsim's pool ledger: every frame a stack sends is a pooled buffer
-// that its sender returns once the frame is on the wire.
+// that its sender returns once the frame is on the wire, and each stack's
+// receive arena is out of the pool until Close returns.
 func TestStackCloseWipesKeys(t *testing.T) {
 	keys, bufs := len(keymat.KeysOutstanding()), netsim.PoolOutstanding()
 	a, b := pair(t)
 	echoBytes(t, a, b, 256<<10)
+	if n := netsim.PoolOutstanding() - bufs; n < 2*rxBatchMax {
+		t.Errorf("%d pooled buffers outstanding with two stacks open, want at least their two receive arenas of %d", n, rxBatchMax)
+	}
 	a.Close()
 	b.Close()
 	if left := keymat.KeysOutstanding(); len(left) != keys {
@@ -197,26 +201,6 @@ func TestStackCloseWipesKeys(t *testing.T) {
 	}
 	if sa, sb := a.Stats(), b.Stats(); sa.TxPackets < 200 || sb.TxPackets < 200 {
 		t.Fatalf("sent %d and %d frames, want a few hundred each way", sa.TxPackets, sb.TxPackets)
-	}
-}
-
-// TestReceiveArenaIsPooled: each stack's receive arena, one 64 KiB buffer
-// per vector slot, is out of the pool while the stack runs and back in it
-// once Close returns.
-func TestReceiveArenaIsPooled(t *testing.T) {
-	bufs := netsim.PoolOutstanding()
-	a, b := pair(t)
-	// Both read loops have run: each has handed the host a control frame.
-	if err := a.Establish(idB.HIT(), 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if n := netsim.PoolOutstanding() - bufs; n < 2*rxBatchMax {
-		t.Fatalf("%d pooled buffers outstanding with two stacks open, want at least their two arenas of %d", n, rxBatchMax)
-	}
-	a.Close()
-	b.Close()
-	if n := netsim.PoolOutstanding() - bufs; n != 0 {
-		t.Errorf("%d pooled buffers outstanding after Close", n)
 	}
 }
 
