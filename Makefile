@@ -155,23 +155,25 @@ bench-smoke:
 # the thirteenth, stream.FuzzTransfer, runs two stream conns through
 # input-chosen loss, duplication, reordering and ACK coalescing
 # (stream.CoalesceACKs, as hipudp sends) and checks exactly-once,
-# in-order delivery and the lend invariant.
+# in-order delivery and the lend invariant. Each new interesting input is
+# minimized for at most 1 s (the default is 60 s), so the 30 s go to
+# fuzzing rather than to shrinking the first finds.
 FUZZTIME ?= 30s
 
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzOpen$$ -fuzztime=$(FUZZTIME) ./internal/esp
-	$(GO) test -run=NONE -fuzz=FuzzSealOpenRoundTrip$$ -fuzztime=$(FUZZTIME) ./internal/esp
-	$(GO) test -run=NONE -fuzz=FuzzCipherOpen$$ -fuzztime=$(FUZZTIME) ./internal/keymat
-	$(GO) test -run=NONE -fuzz=FuzzOpenRecord$$ -fuzztime=$(FUZZTIME) ./internal/tlslite
-	$(GO) test -run=NONE -fuzz=FuzzHandshake$$ -fuzztime=$(FUZZTIME) ./internal/tlslite
-	$(GO) test -run=NONE -fuzz=FuzzReadRequest$$ -fuzztime=$(FUZZTIME) ./internal/microhttp
-	$(GO) test -run=NONE -fuzz=FuzzReadResponse$$ -fuzztime=$(FUZZTIME) ./internal/microhttp
-	$(GO) test -run=NONE -fuzz=FuzzParseMessage$$ -fuzztime=$(FUZZTIME) ./internal/hipdns
-	$(GO) test -run=NONE -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/hipwire
-	$(GO) test -run=NONE -fuzz=FuzzParseSegment$$ -fuzztime=$(FUZZTIME) ./internal/stream
-	$(GO) test -run=NONE -fuzz=FuzzTransfer$$ -fuzztime=$(FUZZTIME) ./internal/stream
-	$(GO) test -run=NONE -fuzz=FuzzDecodeData$$ -fuzztime=$(FUZZTIME) ./internal/teredo
-	$(GO) test -run=NONE -fuzz=FuzzFrameDemux$$ -fuzztime=$(FUZZTIME) ./internal/hipudp
+	$(GO) test -run=NONE -fuzz=FuzzOpen$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/esp
+	$(GO) test -run=NONE -fuzz=FuzzSealOpenRoundTrip$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/esp
+	$(GO) test -run=NONE -fuzz=FuzzCipherOpen$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/keymat
+	$(GO) test -run=NONE -fuzz=FuzzOpenRecord$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/tlslite
+	$(GO) test -run=NONE -fuzz=FuzzHandshake$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/tlslite
+	$(GO) test -run=NONE -fuzz=FuzzReadRequest$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/microhttp
+	$(GO) test -run=NONE -fuzz=FuzzReadResponse$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/microhttp
+	$(GO) test -run=NONE -fuzz=FuzzParseMessage$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/hipdns
+	$(GO) test -run=NONE -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/hipwire
+	$(GO) test -run=NONE -fuzz=FuzzParseSegment$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/stream
+	$(GO) test -run=NONE -fuzz=FuzzTransfer$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/stream
+	$(GO) test -run=NONE -fuzz=FuzzDecodeData$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/teredo
+	$(GO) test -run=NONE -fuzz=FuzzFrameDemux$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/hipudp
 
 # Short-seed chaos run: drives the RUBiS tiers through the fault
 # schedule (internal/faults) for all three scenarios and diffs the

