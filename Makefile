@@ -137,10 +137,14 @@ cover:
 # seal (esp's SealHdrAppend bench is its crypto half) into pooled frames,
 # sendmmsg, recvmmsg and onFrames to Conn.Read: about 0 B/op once warm, so
 # a transmit- or receive-path allocation shows here without running bench/.
+# Fig2Request is one Figure 2 request per scenario on a warm simulated
+# deployment, client to proxy to web tier to database and back: about a
+# dozen allocs/op (the route's and the query's strings), so page, body,
+# header or packet garbage on the request path shows here.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Seal|OpenAppend|Record|EventThroughput|TimerResetFire|ProcSleepWake|ProcContextSwitch|CPUUse|LockstepBulk|PumpBulk' \
+	$(GO) test -run=NONE -bench='Seal|OpenAppend|Record|EventThroughput|TimerResetFire|ProcSleepWake|ProcContextSwitch|CPUUse|LockstepBulk|PumpBulk|Fig2Request' \
 		-benchtime=10x -benchmem \
-		./internal/esp ./internal/tlslite ./internal/keymat ./internal/netsim ./internal/stream ./internal/hipudp
+		./internal/esp ./internal/tlslite ./internal/keymat ./internal/netsim ./internal/stream ./internal/hipudp ./internal/experiments
 
 # Short fuzz pass over every fuzz target (go test allows one
 # -fuzz pattern per invocation, hence one line per target), so the

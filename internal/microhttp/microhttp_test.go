@@ -3,6 +3,7 @@ package microhttp
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -165,4 +166,51 @@ func itoa(v uint32) string {
 		v /= 10
 	}
 	return string(b)
+}
+
+// TestWarmMessagesAllocateNothing: reading a response into a Response
+// whose body array is large enough allocates no body, and nothing else
+// when the header names and values repeat; the same holds for a request,
+// and for writing either again. A body read into a warm message lands in
+// the array it held before.
+func TestWarmMessagesAllocateNothing(t *testing.T) {
+	var rawResp, rawReq bytes.Buffer
+	WriteResponse(&rawResp, &Response{Status: 200, Headers: map[string]string{"Content-Type": "text/html"}, Body: make([]byte, 20<<10)})
+	WriteRequest(&rawReq, &Request{Method: "GET", Path: "/item/7", Headers: map[string]string{"Host": "rubis"}})
+	rd := bytes.NewReader(nil)
+	br := bufio.NewReader(rd)
+	var resp Response
+	var req Request
+	read := func() {
+		rd.Reset(rawResp.Bytes())
+		br.Reset(rd)
+		if err := ReadResponseInto(br, &resp); err != nil {
+			t.Fatal(err)
+		}
+		rd.Reset(rawReq.Bytes())
+		br.Reset(rd)
+		if err := ReadRequestInto(br, &req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read()
+	body := &resp.Body[0]
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Errorf("reading into warm messages allocated %.1f times, want 0", allocs)
+	}
+	if &resp.Body[0] != body || len(resp.Body) != 20<<10 || req.Path != "/item/7" || resp.Header("content-type") != "text/html" {
+		t.Fatalf("warm read: body moved %v, %d B, path %q, headers %v", &resp.Body[0] != body, len(resp.Body), req.Path, resp.Headers)
+	}
+	write := func() {
+		if err := WriteResponse(io.Discard, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteRequest(io.Discard, &req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write()
+	if allocs := testing.AllocsPerRun(100, write); allocs != 0 {
+		t.Errorf("writing warm messages allocated %.1f times, want 0", allocs)
+	}
 }

@@ -104,9 +104,9 @@ func (n *NAT) Reset() {
 	n.byExt = make(map[uint16]*natMapping)
 }
 
-// process translates pkt arriving on iface in. It returns the (possibly
-// rewritten) packet to continue routing, or nil if the packet is dropped.
-func (n *NAT) process(in *Iface, pkt *Packet) *Packet {
+// process translates pkt arriving on iface in, in place. It returns why
+// the packet is dropped, or "" to continue routing it.
+func (n *NAT) process(in *Iface, pkt *Packet) string {
 	now := n.node.net.sim.now
 	if in.inside {
 		// Outbound: allocate or refresh a mapping and rewrite source.
@@ -127,32 +127,26 @@ func (n *NAT) process(in *Iface, pkt *Packet) *Packet {
 		}
 		m.lastUsed = now
 		m.peers[pkt.Dst] = true
-		out := *pkt
-		out.Src = m.external
-		return &out
+		pkt.Src = m.external
+		return ""
 	}
 	// Inbound: must match a mapping on the external address.
 	if pkt.Dst.Addr() != n.external {
-		return pkt // transit traffic not addressed to the NAT
+		return "" // transit traffic not addressed to the NAT
 	}
 	m := n.byExt[pkt.Dst.Port()]
 	if m == nil || now-m.lastUsed > n.timeout {
 		if m != nil {
 			n.expire(m)
 		}
-		n.drops++
-		n.node.net.trace(TraceDrop, n.node, pkt, "nat: no mapping")
-		return nil
+		return "nat: no mapping"
 	}
 	if n.typ == NATPortRestricted && !m.peers[pkt.Src] {
-		n.drops++
-		n.node.net.trace(TraceDrop, n.node, pkt, "nat: filtered")
-		return nil
+		return "nat: filtered"
 	}
 	m.lastUsed = now
-	out := *pkt
-	out.Dst = m.key.in
-	return &out
+	pkt.Dst = m.key.in
+	return ""
 }
 
 func (n *NAT) allocPort() uint16 {

@@ -22,8 +22,11 @@
 package netsim
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
+	"os"
+	"runtime/debug"
 	"time"
 )
 
@@ -154,6 +157,8 @@ type Sim struct {
 	free        []*event  // recycled event nodes
 	waiterFree  []*waiter // recycled WaitQueue waiters
 	procFree    []*Proc   // recycled processes (coroutine kept suspended)
+	pktFree     []*Packet // recycled packets (see newPacket)
+	pktOut      int       // packets handed out and not yet freed
 	eventsFired uint64
 
 	rng     *rand.Rand
@@ -395,9 +400,12 @@ func (s *Sim) Shutdown() {
 		s.transferTo(p)
 	}
 	for ev := s.next(); ev != nil; ev = s.next() {
-		if ev.kind == evSpawn {
+		switch ev.kind {
+		case evSpawn:
 			ev.p.aborted = true
 			s.transferTo(ev.p)
+		case evDeliver:
+			s.freePacket(ev.pkt)
 		}
 	}
 	for _, p := range s.procFree {
@@ -464,11 +472,14 @@ func (p *Proc) loop(yield func(struct{}) bool) {
 
 // runBody runs the spawned function, recovering the shutdown-abort panic.
 // Any other panic ends the coroutine and resumes in the caller of
-// transferTo, so Sim.Run panics with the body's value.
+// transferTo, so Sim.Run panics with the body's value. That re-panic's
+// traceback starts at transferTo, without the body's frames, so they are
+// written to stderr here first.
 func (p *Proc) runBody() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(simAbort); !ok {
+				fmt.Fprintf(os.Stderr, "netsim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 				panic(r)
 			}
 		}

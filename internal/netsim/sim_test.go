@@ -1,7 +1,11 @@
 package netsim
 
 import (
+	"flag"
+	"os"
+	"os/exec"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -239,6 +243,34 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 		t.Fatalf("Run recovered %v, want the body's boom{7}", got)
 	}
 }
+
+// TestProcPanicPrintsTheBodysFrames: the re-panic in Run's caller starts a
+// fresh traceback, so a body's panic prints the body's own frames first.
+// The test runs its own binary on a body that panics in a helper and
+// looks for the helper in what the child wrote.
+func TestProcPanicPrintsTheBodysFrames(t *testing.T) {
+	if flag.Arg(0) == "panic-in-body" {
+		s := New(1)
+		s.Spawn("bomb", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			panicInHelper()
+		})
+		s.Run(0)
+		return
+	}
+	out, err := exec.Command(os.Args[0], "-test.run=^TestProcPanicPrintsTheBodysFrames$", "panic-in-body").CombinedOutput()
+	if err == nil {
+		t.Fatalf("the child's body did not panic:\n%s", out)
+	}
+	for _, want := range []string{`netsim: process "bomb" panicked: boom in helper`, "netsim.panicInHelper("} {
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("the child's output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+//go:noinline
+func panicInHelper() { panic("boom in helper") }
 
 // TestShutdownEndsEveryCoroutine: after Shutdown no goroutine of the
 // simulation is left, whether its process was parked, idle in the pool,

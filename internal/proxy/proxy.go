@@ -92,7 +92,7 @@ func (x *Proxy) AddBackend(name string, addr netip.Addr, port uint16) *Backend {
 
 // pick chooses a healthy backend per policy.
 func (x *Proxy) pick() (*Backend, error) {
-	healthy := make([]*Backend, 0, len(x.Backends))
+	healthy := make([]*Backend, 0, 8) // on the stack for up to 8 backends
 	for _, b := range x.Backends {
 		if b.healthy {
 			healthy = append(healthy, b)
@@ -144,14 +144,14 @@ func (x *Proxy) Run(p *netsim.Proc) {
 			defer c.Close()
 			br := bufio.NewReader(c)
 			node := x.Front.Stack.Node()
+			var ex exchange
 			for {
-				req, err := microhttp.ReadRequest(br)
-				if err != nil {
+				if err := microhttp.ReadRequestInto(br, &ex.req); err != nil {
 					return
 				}
 				start := hp.Now()
 				node.CPU().Use(hp, x.PerRequestCPU)
-				resp := x.forward(hp, req)
+				resp := x.forward(hp, &ex)
 				if resp.Status >= 500 {
 					x.Errors++
 				}
@@ -160,12 +160,20 @@ func (x *Proxy) Run(p *netsim.Proc) {
 				}
 				x.Served++
 				x.Latency.Add(hp.Now() - start)
-				if req.WantsClose() {
+				if ex.req.WantsClose() {
 					return
 				}
 			}
 		})
 	}
+}
+
+// exchange is one client connection's messages, reused across its
+// requests: the request read from the client, its forwarded copy and the
+// backend's response. Each is valid until the connection's next request.
+type exchange struct {
+	req, fwd microhttp.Request
+	resp     microhttp.Response
 }
 
 // forward relays one request to a backend. A connection-level failure
@@ -174,48 +182,56 @@ func (x *Proxy) Run(p *netsim.Proc) {
 // always when the request never reached the old one, and for idempotent
 // GETs even when it might have (RFC 7231 §4.2.2 — a replayed GET is
 // safe; anything else surfaces the 502 to the client).
-func (x *Proxy) forward(p *netsim.Proc, req *microhttp.Request) *microhttp.Response {
+func (x *Proxy) forward(p *netsim.Proc, ex *exchange) *microhttp.Response {
 	var lastErr error
 	for try := 0; try <= len(x.Backends); try++ {
 		b, err := x.pick()
 		if err != nil {
 			return &microhttp.Response{Status: 503, Body: []byte(err.Error())}
 		}
-		resp, sent, err := x.forwardTo(p, b, req)
+		sent, err := x.forwardTo(p, b, ex)
 		if err == nil {
-			return resp
+			return &ex.resp
 		}
 		lastErr = err
 		b.healthy = false
-		if sent && req.Method != "GET" {
+		if sent && ex.req.Method != "GET" {
 			break
 		}
 	}
 	return &microhttp.Response{Status: 502, Body: []byte(lastErr.Error())}
 }
 
-// forwardTo relays req to one backend. sent reports whether the request
-// may have reached the backend when err != nil (it governs replay safety).
-func (x *Proxy) forwardTo(p *netsim.Proc, b *Backend, req *microhttp.Request) (resp *microhttp.Response, sent bool, err error) {
+// forwardTo relays ex.req to one backend and reads its answer into
+// ex.resp. sent reports whether the request may have reached the backend
+// when err != nil (it governs replay safety).
+func (x *Proxy) forwardTo(p *netsim.Proc, b *Backend, ex *exchange) (sent bool, err error) {
 	b.active++
 	defer func() { b.active-- }()
 	bc, err := b.pool.Acquire(p)
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
-	fwd := *req
-	fwd.Headers = map[string]string{"X-Forwarded-By": x.Name}
-	for k, v := range req.Headers {
+	fwd := &ex.fwd
+	fwd.Method, fwd.Path, fwd.Body = ex.req.Method, ex.req.Path, ex.req.Body
+	if fwd.Headers == nil {
+		fwd.Headers = make(map[string]string, len(ex.req.Headers)+1)
+	}
+	clear(fwd.Headers)
+	fwd.Headers["X-Forwarded-By"] = x.Name
+	for k, v := range ex.req.Headers {
 		fwd.Headers[k] = v
 	}
-	resp, err = microhttp.RoundTrip(bc, bc.R, &fwd)
-	b.pool.Release(bc, err != nil || resp.WantsClose())
+	if err = microhttp.WriteRequest(bc, fwd); err == nil {
+		err = microhttp.ReadResponseInto(bc.R, &ex.resp)
+	}
+	b.pool.Release(bc, err != nil || ex.resp.WantsClose())
 	if err != nil {
-		return nil, true, err
+		return true, err
 	}
 	b.Served++
 	b.healthy = true
-	return resp, true, nil
+	return true, nil
 }
 
 // healthLoop probes each backend with a cheap request.

@@ -10,9 +10,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 )
 
 // Schema sizes for the populated dataset.
@@ -163,73 +165,81 @@ func (db *Database) NumUsers() int { return len(db.users) }
 //	sell <seller> <cat> <price>
 //	register <nick>
 func (db *Database) Execute(q string) (result []byte, cost time.Duration, err error) {
+	return db.ExecuteAppend(nil, q)
+}
+
+// ExecuteAppend is Execute appending the result to dst. On error it
+// returns dst unchanged.
+func (db *Database) ExecuteAppend(dst []byte, q string) (result []byte, cost time.Duration, err error) {
 	db.Queries++
-	fields := strings.Fields(q)
+	var arr [4]string
+	fields := appendFields(arr[:0], q)
 	if len(fields) == 0 {
-		return nil, db.Costs.PerQuery, ErrBadQuery
+		return dst, db.Costs.PerQuery, ErrBadQuery
 	}
 	write := fields[0] == "bid" || fields[0] == "sell" || fields[0] == "register"
 	if db.CacheEnabled && !write {
 		cost += db.Costs.CacheLookup
 		if cached, ok := db.cache[q]; ok {
 			db.CacheHits++
-			return cached, cost, nil
+			return append(dst, cached...), cost, nil
 		}
 		db.CacheMisses++
 	}
 	var rows int
 	cost += db.Costs.PerQuery
+	out := dst
 	switch fields[0] {
 	case "home":
-		result, rows = db.qHome()
+		out, rows = db.qHome(dst)
 	case "browse", "search":
 		if len(fields) != 3 {
-			return nil, cost, ErrBadQuery
+			return dst, cost, ErrBadQuery
 		}
 		cat, e1 := strconv.Atoi(fields[1])
 		page, e2 := strconv.Atoi(fields[2])
 		if e1 != nil || e2 != nil {
-			return nil, cost, ErrBadQuery
+			return dst, cost, ErrBadQuery
 		}
 		deep := fields[0] == "search" // search scans the whole category
-		result, rows, err = db.qBrowse(cat, page, deep)
+		out, rows, err = db.qBrowse(dst, cat, page, deep)
 	case "item":
-		result, rows, err = db.qOneArg(fields, db.qItem)
+		out, rows, err = db.qOneArg(dst, fields, db.qItem)
 	case "bids":
-		result, rows, err = db.qOneArg(fields, db.qBids)
+		out, rows, err = db.qOneArg(dst, fields, db.qBids)
 	case "user":
-		result, rows, err = db.qOneArg(fields, db.qUser)
+		out, rows, err = db.qOneArg(dst, fields, db.qUser)
 	case "about":
-		result, rows, err = db.qOneArg(fields, db.qAbout)
+		out, rows, err = db.qOneArg(dst, fields, db.qAbout)
 	case "bid":
 		if len(fields) != 4 {
-			return nil, cost, ErrBadQuery
+			return dst, cost, ErrBadQuery
 		}
 		item, e1 := strconv.Atoi(fields[1])
 		user, e2 := strconv.Atoi(fields[2])
 		amount, e3 := strconv.Atoi(fields[3])
 		if e1 != nil || e2 != nil || e3 != nil {
-			return nil, cost, ErrBadQuery
+			return dst, cost, ErrBadQuery
 		}
-		result, rows, err = db.qPlaceBid(item, user, amount)
+		out, rows, err = db.qPlaceBid(dst, item, user, amount)
 	case "sell":
 		if len(fields) != 4 {
-			return nil, cost, ErrBadQuery
+			return dst, cost, ErrBadQuery
 		}
 		seller, e1 := strconv.Atoi(fields[1])
 		cat, e2 := strconv.Atoi(fields[2])
 		price, e3 := strconv.Atoi(fields[3])
 		if e1 != nil || e2 != nil || e3 != nil {
-			return nil, cost, ErrBadQuery
+			return dst, cost, ErrBadQuery
 		}
-		result, rows, err = db.qSell(seller, cat, price)
+		out, rows, err = db.qSell(dst, seller, cat, price)
 	case "register":
 		if len(fields) != 2 {
-			return nil, cost, ErrBadQuery
+			return dst, cost, ErrBadQuery
 		}
-		result, rows = db.qRegister(fields[1])
+		out, rows = db.qRegister(dst, fields[1])
 	default:
-		return nil, cost, ErrBadQuery
+		return dst, cost, ErrBadQuery
 	}
 	if write {
 		db.Writes++
@@ -242,38 +252,59 @@ func (db *Database) Execute(q string) (result []byte, cost time.Duration, err er
 	}
 	cost += time.Duration(rows) * db.Costs.PerRow
 	if err != nil {
-		return nil, cost, err
+		return dst, cost, err
 	}
 	if db.CacheEnabled && !write {
-		db.cache[q] = result
+		db.cache[q] = slices.Clone(out[len(dst):])
 	}
-	return result, cost, nil
+	return out, cost, nil
 }
 
-func (db *Database) qOneArg(fields []string, fn func(int) ([]byte, int, error)) ([]byte, int, error) {
+// appendFields is strings.Fields appending to dst.
+func appendFields(dst []string, s string) []string {
+	for {
+		s = strings.TrimLeftFunc(s, unicode.IsSpace)
+		if s == "" {
+			return dst
+		}
+		i := strings.IndexFunc(s, unicode.IsSpace)
+		if i < 0 {
+			return append(dst, s)
+		}
+		dst, s = append(dst, s[:i]), s[i:]
+	}
+}
+
+func (db *Database) qOneArg(dst []byte, fields []string, fn func([]byte, int) ([]byte, int, error)) ([]byte, int, error) {
 	if len(fields) != 2 {
-		return nil, 0, ErrBadQuery
+		return dst, 0, ErrBadQuery
 	}
 	id, err := strconv.Atoi(fields[1])
 	if err != nil {
-		return nil, 0, ErrBadQuery
+		return dst, 0, ErrBadQuery
 	}
-	return fn(id)
+	return fn(dst, id)
 }
 
-func (db *Database) qHome() ([]byte, int) {
-	var b strings.Builder
+// appendInt is strconv.AppendInt for an int.
+func appendInt(b []byte, n int) []byte { return strconv.AppendInt(b, int64(n), 10) }
+
+func (db *Database) qHome(b []byte) ([]byte, int) {
 	for c := 0; c < NumCategories; c++ {
-		fmt.Fprintf(&b, "category %d: %d items\n", c, len(db.byCat[c]))
+		b = append(b, "category "...)
+		b = appendInt(b, c)
+		b = append(b, ": "...)
+		b = appendInt(b, len(db.byCat[c]))
+		b = append(b, " items\n"...)
 	}
-	return []byte(b.String()), NumCategories
+	return b, NumCategories
 }
 
 const pageSize = 20
 
-func (db *Database) qBrowse(cat, page int, deep bool) ([]byte, int, error) {
+func (db *Database) qBrowse(b []byte, cat, page int, deep bool) ([]byte, int, error) {
 	if cat < 0 || cat >= NumCategories || page < 0 {
-		return nil, 0, ErrNotFound
+		return b, 0, ErrNotFound
 	}
 	ids := db.byCat[cat]
 	start := page * pageSize
@@ -284,83 +315,121 @@ func (db *Database) qBrowse(cat, page int, deep bool) ([]byte, int, error) {
 	if end > len(ids) {
 		end = len(ids)
 	}
-	var b strings.Builder
 	for _, id := range ids[start:end] {
-		it := db.items[id]
-		fmt.Fprintf(&b, "%d|%s|%d|%d|%s\n", it.ID, it.Name, it.Price, it.NumBids, it.Description)
+		it := &db.items[id]
+		b = appendInt(b, it.ID)
+		b = append(b, '|')
+		b = append(b, it.Name...)
+		b = append(b, '|')
+		b = appendInt(b, it.Price)
+		b = append(b, '|')
+		b = appendInt(b, it.NumBids)
+		b = append(b, '|')
+		b = append(b, it.Description...)
+		b = append(b, '\n')
 	}
 	rows := end - start
 	if deep {
 		rows = len(ids) // full scan for search (no index on keywords)
 	}
-	return []byte(b.String()), rows, nil
+	return b, rows, nil
 }
 
-func (db *Database) qItem(id int) ([]byte, int, error) {
+func (db *Database) qItem(b []byte, id int) ([]byte, int, error) {
 	if id < 0 || id >= len(db.items) {
-		return nil, 1, ErrNotFound
+		return b, 1, ErrNotFound
 	}
-	it := db.items[id]
-	seller := db.users[it.Seller]
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%s|%d|%d\n%s\nseller: %s (rating %d)\n",
-		it.ID, it.Name, it.Price, it.NumBids, it.Description, seller.Nick, seller.Rating)
-	return []byte(b.String()), 2 + it.NumBids, nil
+	it := &db.items[id]
+	seller := &db.users[it.Seller]
+	b = appendInt(b, it.ID)
+	b = append(b, '|')
+	b = append(b, it.Name...)
+	b = append(b, '|')
+	b = appendInt(b, it.Price)
+	b = append(b, '|')
+	b = appendInt(b, it.NumBids)
+	b = append(b, '\n')
+	b = append(b, it.Description...)
+	b = append(b, "\nseller: "...)
+	b = append(b, seller.Nick...)
+	b = append(b, " (rating "...)
+	b = appendInt(b, seller.Rating)
+	b = append(b, ")\n"...)
+	return b, 2 + it.NumBids, nil
 }
 
-func (db *Database) qBids(id int) ([]byte, int, error) {
+func (db *Database) qBids(b []byte, id int) ([]byte, int, error) {
 	if id < 0 || id >= len(db.items) {
-		return nil, 1, ErrNotFound
+		return b, 1, ErrNotFound
 	}
 	bids := db.bids[id]
-	var b strings.Builder
 	for _, bd := range bids {
-		fmt.Fprintf(&b, "%d|%s|%d\n", bd.ID, db.users[bd.User].Nick, bd.Amount)
+		b = appendInt(b, bd.ID)
+		b = append(b, '|')
+		b = append(b, db.users[bd.User].Nick...)
+		b = append(b, '|')
+		b = appendInt(b, bd.Amount)
+		b = append(b, '\n')
 	}
-	return []byte(b.String()), 1 + len(bids), nil
+	return b, 1 + len(bids), nil
 }
 
-func (db *Database) qUser(id int) ([]byte, int, error) {
+func (db *Database) qUser(b []byte, id int) ([]byte, int, error) {
 	if id < 0 || id >= len(db.users) {
-		return nil, 1, ErrNotFound
+		return b, 1, ErrNotFound
 	}
-	u := db.users[id]
+	u := &db.users[id]
 	cs := db.comments[id]
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|rating %d|%d comments\n", u.Nick, u.Rating, len(cs))
+	b = append(b, u.Nick...)
+	b = append(b, "|rating "...)
+	b = appendInt(b, u.Rating)
+	b = append(b, '|')
+	b = appendInt(b, len(cs))
+	b = append(b, " comments\n"...)
 	for _, c := range cs {
-		fmt.Fprintf(&b, "from %d: %s\n", c.From, c.Text)
+		b = append(b, "from "...)
+		b = appendInt(b, c.From)
+		b = append(b, ": "...)
+		b = append(b, c.Text...)
+		b = append(b, '\n')
 	}
-	return []byte(b.String()), 1 + len(cs), nil
+	return b, 1 + len(cs), nil
 }
 
-func (db *Database) qAbout(id int) ([]byte, int, error) {
+func (db *Database) qAbout(b []byte, id int) ([]byte, int, error) {
 	if id < 0 || id >= len(db.users) {
-		return nil, 1, ErrNotFound
+		return b, 1, ErrNotFound
 	}
 	// "About me": the user's items, bids and comments — the heavy join.
-	var b strings.Builder
 	rows := 1
-	for _, it := range db.items {
-		if it.Seller == id {
-			fmt.Fprintf(&b, "selling %d|%s|%d\n", it.ID, it.Name, it.Price)
+	for i := range db.items {
+		if it := &db.items[i]; it.Seller == id {
+			b = append(b, "selling "...)
+			b = appendInt(b, it.ID)
+			b = append(b, '|')
+			b = append(b, it.Name...)
+			b = append(b, '|')
+			b = appendInt(b, it.Price)
+			b = append(b, '\n')
 		}
 		rows++
 	}
 	for _, cs := range db.comments[id] {
-		fmt.Fprintf(&b, "comment from %d\n", cs.From)
+		b = append(b, "comment from "...)
+		b = appendInt(b, cs.From)
+		b = append(b, '\n')
 		rows++
 	}
-	return []byte(b.String()), rows, nil
+	return b, rows, nil
 }
 
-func (db *Database) qPlaceBid(item, user, amount int) ([]byte, int, error) {
+func (db *Database) qPlaceBid(b []byte, item, user, amount int) ([]byte, int, error) {
 	if item < 0 || item >= len(db.items) || user < 0 || user >= len(db.users) {
-		return nil, 1, ErrNotFound
+		return b, 1, ErrNotFound
 	}
 	it := &db.items[item]
 	if amount <= it.Price {
-		return []byte("rejected: bid too low\n"), 2, nil
+		return append(b, "rejected: bid too low\n"...), 2, nil
 	}
 	db.nextBid++
 	db.bids[item] = append(db.bids[item], Bid{
@@ -368,13 +437,14 @@ func (db *Database) qPlaceBid(item, user, amount int) ([]byte, int, error) {
 	})
 	it.Price = amount
 	it.NumBids++
-	return []byte(fmt.Sprintf("accepted bid %d\n", db.nextBid)), 3, nil
+	b = append(b, "accepted bid "...)
+	return append(appendInt(b, db.nextBid), '\n'), 3, nil
 }
 
 // qSell lists a new item for seller in cat at the starting price.
-func (db *Database) qSell(seller, cat, price int) ([]byte, int, error) {
+func (db *Database) qSell(b []byte, seller, cat, price int) ([]byte, int, error) {
 	if seller < 0 || seller >= len(db.users) || cat < 0 || cat >= NumCategories || price <= 0 {
-		return nil, 1, ErrNotFound
+		return b, 1, ErrNotFound
 	}
 	id := len(db.items)
 	it := Item{
@@ -387,12 +457,14 @@ func (db *Database) qSell(seller, cat, price int) ([]byte, int, error) {
 	}
 	db.items = append(db.items, it)
 	db.byCat[cat] = append(db.byCat[cat], id)
-	return []byte(fmt.Sprintf("listed item %d\n", id)), 3, nil
+	b = append(b, "listed item "...)
+	return append(appendInt(b, id), '\n'), 3, nil
 }
 
 // qRegister creates a user account.
-func (db *Database) qRegister(nick string) ([]byte, int) {
+func (db *Database) qRegister(b []byte, nick string) ([]byte, int) {
 	id := len(db.users)
 	db.users = append(db.users, User{ID: id, Nick: nick})
-	return []byte(fmt.Sprintf("registered user %d\n", id)), 2
+	b = append(b, "registered user "...)
+	return append(appendInt(b, id), '\n'), 2
 }

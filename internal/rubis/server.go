@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"strings"
 	"time"
 
@@ -29,30 +30,33 @@ var ErrDBProto = errors.New("rubis: database protocol error")
 // --- database wire protocol: 4-byte length frames, response prefixed
 // with a status byte ---
 
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+// writeFrame sends frame, whose first 4 bytes it fills with the length of
+// the rest: the header in one Write, then the payload in another.
+func writeFrame(w io.Writer, frame []byte) error {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	if _, err := w.Write(frame[:4]); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	_, err := w.Write(frame[4:])
 	return err
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// readFrame reads one frame and appends its payload to dst.
+func readFrame(r io.Reader, dst []byte) ([]byte, error) {
+	n0 := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, dst[n0:]); err != nil {
+		return dst[:n0], err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(dst[n0:]))
 	if n > 4<<20 {
-		return nil, ErrDBProto
+		return dst[:n0], ErrDBProto
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	dst = slices.Grow(dst[:n0], n)[:n0+n]
+	if _, err := io.ReadFull(r, dst[n0:]); err != nil {
+		return dst[:n0], err
 	}
-	return payload, nil
+	return dst, nil
 }
 
 // DBServer serves the query protocol over a secio transport.
@@ -79,19 +83,21 @@ func (s *DBServer) Run(p *netsim.Proc) {
 			}
 			defer c.Close()
 			node := s.Transport.Stack.Node()
+			// The query and response frames are reused across the
+			// connection's queries.
+			var q, resp []byte
 			for {
-				q, err := readFrame(c)
-				if err != nil {
+				if q, err = readFrame(c, q[:0]); err != nil {
 					return
 				}
-				result, cost, qerr := s.DB.Execute(string(q))
+				resp = append(resp[:0], 0, 0, 0, 0, 0) // length, status
+				var cost time.Duration
+				var qerr error
+				resp, cost, qerr = s.DB.ExecuteAppend(resp, string(q))
 				node.CPU().Use(hp, cost)
-				resp := make([]byte, 1, 1+len(result))
 				if qerr != nil {
-					resp[0] = 1
-					resp = append(resp, []byte(qerr.Error())...)
-				} else {
-					resp = append(resp, result...)
+					resp = append(resp[:4], 1)
+					resp = append(resp, qerr.Error()...)
 				}
 				if err := writeFrame(c, resp); err != nil {
 					return
@@ -111,28 +117,31 @@ func NewDBClient(t *secio.Transport, addr netip.Addr, size int) *DBClient {
 	return &DBClient{pool: secio.NewPool(t, addr, DBPort, size)}
 }
 
-// Query executes one query through the pool. A connection whose write or
-// read failed is dropped from the pool, not handed to the next query.
-func (c *DBClient) Query(p *netsim.Proc, q string) ([]byte, error) {
+// Query executes one query through the pool and appends its result to
+// dst. A connection whose write or read failed is dropped from the pool,
+// not handed to the next query.
+func (c *DBClient) Query(p *netsim.Proc, dst []byte, q string) ([]byte, error) {
 	pc, err := c.pool.Acquire(p)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	var resp []byte
-	if err = writeFrame(pc, []byte(q)); err == nil {
-		resp, err = readFrame(pc.R)
+	// The query frame is built past dst's end: Write has copied it out
+	// before the response frame lands on the same bytes.
+	n := len(dst)
+	frame := append(append(dst, 0, 0, 0, 0), q...)
+	if err = writeFrame(pc, frame[n:]); err == nil {
+		dst, err = readFrame(pc.R, frame[:n])
 	}
 	c.pool.Release(pc, err != nil)
-	if err != nil {
-		return nil, err
+	switch {
+	case err != nil:
+		return dst, err
+	case len(dst) == n:
+		return dst, ErrDBProto
+	case dst[n] != 0:
+		return dst[:n], fmt.Errorf("rubis: query %q: %s", q, dst[n+1:])
 	}
-	if len(resp) == 0 {
-		return nil, ErrDBProto
-	}
-	if resp[0] != 0 {
-		return nil, fmt.Errorf("rubis: query %q: %s", q, resp[1:])
-	}
-	return resp[1:], nil
+	return append(dst[:n], dst[n+1:]...), nil // drop the status byte
 }
 
 // WebConfig tunes the web tier.
@@ -188,17 +197,24 @@ func (w *WebServer) Run(p *netsim.Proc) {
 			}
 			defer c.Close()
 			br := bufio.NewReader(c)
+			// The request and response, page included, are reused across
+			// the connection's requests: WriteResponse has copied the page
+			// into the connection before the next ReadRequestInto.
+			var req microhttp.Request
+			var resp microhttp.Response
+			headers := map[string]string{"Content-Type": "text/html", "X-Served-By": w.Name}
 			for {
-				req, err := microhttp.ReadRequest(br)
-				if err != nil {
+				if err := microhttp.ReadRequestInto(br, &req); err != nil {
 					return
 				}
 				start := hp.Now()
-				resp := w.handle(hp, req)
+				resp.Status, resp.Body = w.handle(hp, &req, resp.Body)
+				resp.Headers = headers
 				if resp.Status != 200 {
+					resp.Headers = nil
 					w.Errors++
 				}
-				if err := microhttp.WriteResponse(c, resp); err != nil {
+				if err := microhttp.WriteResponse(c, &resp); err != nil {
 					return
 				}
 				w.Served++
@@ -211,34 +227,29 @@ func (w *WebServer) Run(p *netsim.Proc) {
 	}
 }
 
-// handle maps an HTTP request to database queries and renders the page.
-func (w *WebServer) handle(p *netsim.Proc, req *microhttp.Request) *microhttp.Response {
+// handle maps an HTTP request to database queries and renders the
+// response body, a page or an error, in buf's array.
+func (w *WebServer) handle(p *netsim.Proc, req *microhttp.Request, buf []byte) (status int, body []byte) {
 	node := w.Transport.Stack.Node()
 	node.CPU().Use(p, w.Config.RequestCPU)
 	queries, status := routeToQueries(req.Path)
 	if status != 200 {
-		return &microhttp.Response{Status: status, Body: []byte("no such page")}
+		return status, append(buf[:0], "no such page"...)
 	}
-	var body []byte
+	// HTML wrapping around the query results.
+	page := append(buf[:0], "<html><body><!-- RUBiS "...)
+	page = append(page, w.Name...)
+	page = append(page, " -->"...)
 	for _, q := range queries {
-		result, err := w.DB.Query(p, q)
-		if err != nil {
-			return &microhttp.Response{Status: 502, Body: []byte(err.Error())}
+		var err error
+		if page, err = w.DB.Query(p, page, q); err != nil {
+			return 502, append(page[:0], err.Error()...)
 		}
-		body = append(body, result...)
 	}
-	// HTML wrapping.
-	page := make([]byte, 0, len(body)+w.Config.HTMLOverhead)
-	page = append(page, []byte("<html><body><!-- RUBiS "+w.Name+" -->")...)
-	page = append(page, body...)
 	page = append(page, make([]byte, w.Config.HTMLOverhead)...)
-	page = append(page, []byte("</body></html>")...)
+	page = append(page, "</body></html>"...)
 	node.CPU().Use(p, time.Duration(w.Config.RenderNsPerByte*float64(len(page))))
-	return &microhttp.Response{
-		Status:  200,
-		Headers: map[string]string{"Content-Type": "text/html", "X-Served-By": w.Name},
-		Body:    page,
-	}
+	return 200, page
 }
 
 // routeToQueries maps RUBiS URL paths to database query batches.

@@ -215,13 +215,16 @@ func (s *Stack) service() {
 	}
 	s.pending = s.pending[:0]
 	// Outbound for dirty conns, in marking order (determinism: a map
-	// range here would emit packets in randomized order).
-	for len(s.dirtyQ) > 0 {
-		c := s.dirtyQ[0]
-		s.dirtyQ = s.dirtyQ[1:]
+	// range here would emit packets in randomized order). Indexed, and
+	// reset rather than resliced from the front, so the queue keeps its
+	// array: a flush may mark more conns while we iterate.
+	for i := 0; i < len(s.dirtyQ); i++ {
+		c := s.dirtyQ[i]
+		s.dirtyQ[i] = nil
 		c.dirty = false
 		s.flush(c)
 	}
+	s.dirtyQ = s.dirtyQ[:0]
 	// Flushing charges send costs to debt; new inbound may have arrived
 	// via loopback. Either way, run another pass.
 	if s.debt > 0 || len(s.pending) > 0 || len(s.dirtyQ) > 0 {

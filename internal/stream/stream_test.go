@@ -439,7 +439,15 @@ type allocMeter struct {
 	last, send, recv uint64
 }
 
-func newAllocMeter() *allocMeter {
+// newAllocMeter starts metering. The meter reads the process-wide
+// TotalAlloc, and each ReadMemStats stops the world: restarting it may
+// start an OS thread to run an idle P, and that thread's runtime structures
+// (about 5 KiB) count as allocated bytes. With one P there is no idle P to
+// run, so newAllocMeter pins GOMAXPROCS to 1, as testing.AllocsPerRun
+// does, until the test ends.
+func newAllocMeter(t *testing.T) *allocMeter {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	m := &allocMeter{}
 	runtime.ReadMemStats(&m.ms)
 	m.last = m.ms.TotalAlloc
@@ -473,7 +481,7 @@ func TestWritePollMarshalAllocatesNothing(t *testing.T) {
 	}
 	const total = 8 << 20
 	start := l.moved
-	m := newAllocMeter()
+	m := newAllocMeter(t)
 	for l.moved-start < total {
 		l.round(m)
 	}

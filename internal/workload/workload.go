@@ -58,38 +58,37 @@ func (w *ClosedLoop) Run(sim *netsim.Sim) *Result {
 	for i := 0; i < w.Clients; i++ {
 		sim.Spawn("client", func(p *netsim.Proc) {
 			end := p.Now() + w.Duration
-			var conn secio.Conn
-			var br *bufio.Reader
+			c := newClient(sim, map[string]string{"Host": "rubis"})
 			defer func() {
-				if conn != nil {
-					conn.Close()
+				if c.conn != nil {
+					c.conn.Close()
 				}
 			}()
 			for p.Now() < end {
-				if conn == nil {
-					c, err := w.Transport.Dial(p, w.Target, w.Port)
+				if c.conn == nil {
+					conn, err := w.Transport.Dial(p, w.Target, w.Port)
 					if err != nil {
 						res.Errors++
 						p.Sleep(100 * time.Millisecond)
 						continue
 					}
-					conn = c
-					br = bufio.NewReader(c)
+					c.conn = conn
+					c.br = bufio.NewReader(conn)
 				}
 				start := p.Now()
-				req := &microhttp.Request{Method: "GET", Path: w.NextPath(), Headers: map[string]string{"Host": "rubis"}}
-				resp, err := roundTripTimeout(p, conn, br, req, timeout)
+				c.req.Path = w.NextPath()
+				err := c.roundTrip(p, timeout)
 				took := p.Now() - start
-				if err != nil || resp.Status != 200 {
+				if err != nil || c.resp.Status != 200 {
 					res.Errors++
-					conn.Close()
-					conn = nil
+					c.conn.Close()
+					c.conn = nil
 					continue
 				}
 				if p.Now()-0 >= w.Warmup {
 					res.Completed++
 					res.Latency.Add(took)
-					res.Bytes += uint64(len(resp.Body))
+					res.Bytes += uint64(len(c.resp.Body))
 				}
 			}
 		})
@@ -97,28 +96,45 @@ func (w *ClosedLoop) Run(sim *netsim.Sim) *Result {
 	return res
 }
 
-// roundTripTimeout performs one HTTP exchange, giving up after timeout.
-// Simulated reads have no deadline support at this layer, so the timeout
-// is enforced with a watchdog that aborts the connection. Abort (not
-// Close) is required: a graceful close never unblocks a reader stalled
-// on a dead server, so the client would hang instead of timing out.
-func roundTripTimeout(p *netsim.Proc, conn secio.Conn, br *bufio.Reader, req *microhttp.Request, timeout time.Duration) (*microhttp.Response, error) {
-	sim := p.Sim()
-	done := false
-	fired := false
-	sim.After(timeout, func() {
-		if !done {
-			fired = true
-			conn.Abort()
-		}
+// client is one client's connection and messages, reused across its
+// requests: a response body is valid until the client's next request.
+type client struct {
+	conn     secio.Conn
+	br       *bufio.Reader
+	req      microhttp.Request
+	resp     microhttp.Response
+	watchdog *netsim.Timer
+	fired    bool // the watchdog aborted the request in flight
+}
+
+func newClient(sim *netsim.Sim, headers map[string]string) *client {
+	c := &client{req: microhttp.Request{Method: "GET", Headers: headers}}
+	c.watchdog = sim.NewTimer(func() {
+		c.fired = true
+		c.conn.Abort()
 	})
-	resp, err := microhttp.RoundTrip(conn, br, req)
-	done = true
-	if fired && err == nil {
-		// The watchdog closed us mid-flight; treat as failure.
-		return nil, microhttp.ErrMalformed
+	return c
+}
+
+// roundTrip performs one HTTP exchange into c.resp, giving up after
+// timeout. Simulated reads have no deadline support at this layer, so the
+// timeout is enforced with a watchdog that aborts the connection. Abort
+// (not Close) is required: a graceful close never unblocks a reader
+// stalled on a dead server, so the client would hang instead of timing
+// out.
+func (c *client) roundTrip(p *netsim.Proc, timeout time.Duration) error {
+	c.fired = false
+	c.watchdog.Reset(p.Now() + timeout)
+	err := microhttp.WriteRequest(c.conn, &c.req)
+	if err == nil {
+		err = microhttp.ReadResponseInto(c.br, &c.resp)
 	}
-	return resp, err
+	c.watchdog.Stop()
+	if c.fired && err == nil {
+		// The watchdog closed us mid-flight; treat as failure.
+		return microhttp.ErrMalformed
+	}
+	return err
 }
 
 // OpenLoop issues requests at a fixed rate, a new connection per request
@@ -155,21 +171,17 @@ func (w *OpenLoop) Run(sim *netsim.Sim) *Result {
 					return
 				}
 				defer conn.Close()
-				br := bufio.NewReader(conn)
-				req := &microhttp.Request{
-					Method:  "GET",
-					Path:    w.NextPath(),
-					Headers: map[string]string{"Host": "rubis", "Connection": "close"},
-				}
-				resp, err := roundTripTimeout(p, conn, br, req, timeout)
-				if err != nil || resp.Status != 200 {
+				c := newClient(sim, map[string]string{"Host": "rubis", "Connection": "close"})
+				c.conn, c.br = conn, bufio.NewReader(conn)
+				c.req.Path = w.NextPath()
+				if err := c.roundTrip(p, timeout); err != nil || c.resp.Status != 200 {
 					res.Errors++
 					return
 				}
 				if start >= w.Warmup {
 					res.Completed++
 					res.Latency.Add(p.Now() - start)
-					res.Bytes += uint64(len(resp.Body))
+					res.Bytes += uint64(len(c.resp.Body))
 				}
 			})
 		})
