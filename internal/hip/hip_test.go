@@ -259,7 +259,7 @@ func TestBEXRetransmissionRecoversLoss(t *testing.T) {
 // TestRandSeedsEveryDraw: a host seeded from Config.Rand draws from all 32
 // bytes it reads. math/rand's own source keeps only seed mod 2^31-1, so two
 // seeds congruent modulo that gave two hosts one DH key and one puzzle
-// secret.
+// secret. A nil Rand once put every host on one seed.
 func TestRandSeedsEveryDraw(t *testing.T) {
 	seeded := func(v uint64) io.Reader {
 		b := bytes.Repeat([]byte{0x5a}, 32)
@@ -281,6 +281,26 @@ func TestRandSeedsEveryDraw(t *testing.T) {
 	if bytes.Equal(a.r1Secret, b.r1Secret) {
 		t.Fatal("hosts seeded with different bytes hold the same puzzle secret")
 	}
+
+	// A nil Rand seeds from the host's own identity: two identities draw
+	// two streams, and one identity built twice draws the same one.
+	unseeded := func(seed string) *Host {
+		h, err := NewHost(Config{Identity: identity.MustGenerateDeterministic(identity.AlgECDSA, seed), Locator: locA})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	c, d, c2 := unseeded("rand/c"), unseeded("rand/d"), unseeded("rand/c")
+	if bytes.Equal(c.dhPriv.PublicKey().Bytes(), d.dhPriv.PublicKey().Bytes()) {
+		t.Fatal("unseeded hosts with different identities hold the same DH key")
+	}
+	if bytes.Equal(c.r1Secret, d.r1Secret) {
+		t.Fatal("unseeded hosts with different identities hold the same puzzle secret")
+	}
+	if !bytes.Equal(c.dhPriv.PublicKey().Bytes(), c2.dhPriv.PublicKey().Bytes()) || !bytes.Equal(c.r1Secret, c2.r1Secret) {
+		t.Fatal("one identity built twice drew two streams")
+	}
 }
 
 // TestReEstablishAfterSilentPeerLoss: an initiator that lost its state
@@ -301,7 +321,8 @@ func TestReEstablishAfterSilentPeerLoss(t *testing.T) {
 	oldLocal, oldRemote := bb.SPIs()
 
 	// The initiator's state vanishes silently: a fresh host, same identity.
-	// A restarted daemon has fresh entropy (a default-seeded restart would
+	// A restarted daemon has fresh entropy (a nil-Rand restart of a
+	// deterministic identity draws the original stream again, so it would
 	// replay the original exchange byte for byte, which IS a duplicate).
 	a2h, err := NewHost(Config{
 		Identity: idA, Locator: locA,
