@@ -89,11 +89,7 @@ func (a *Association) armRetrans(h *Host, dst netip.Addr, pkt []byte, now time.D
 	a.retransTries = 0
 	// Jitter the very first retry too: in a synchronized herd it is the
 	// largest collision of all (every peer armed in the same instant).
-	first := h.cfg.RetransmitBase
-	if h.jitter != nil {
-		first = first/2 + time.Duration(float64(first)*h.jitter())
-	}
-	a.retransAt = now + first
+	a.retransAt = now + h.jittered(h.cfg.RetransmitBase)
 	a.retransDeadline = now + 16*h.cfg.RetransmitBase
 }
 

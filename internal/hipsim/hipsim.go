@@ -191,11 +191,6 @@ func NewWithUnderlay(node *netsim.Node, host *hip.Host, reg *Registry, ul Underl
 	f.serviceFn = f.service
 	f.chargeDoneFn = f.chargeDone
 	f.timer = sim.NewTimer(f.service)
-	// Backoff jitter draws from the simulation's shared RNG: determinism
-	// comes from deterministic event order, while sharing one source
-	// de-correlates synchronized peers (each per-host RNG defaults to the
-	// same seed, so per-host draws would stay in lockstep).
-	host.SetJitter(sim.Rand().Float64)
 	reg.Register(host.HIT(), ul.LocalAddr())
 	ul.Tap(netsim.ProtoHIP, f.onControl)
 	ul.Tap(netsim.ProtoESP, f.onData)

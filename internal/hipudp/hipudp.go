@@ -167,9 +167,8 @@ func NewStack(cfg hip.Config, listen string) (*Stack, error) {
 	return start(host, addr)
 }
 
-// start binds addr for host, hands the host its retransmit jitter and runs
-// the stack's goroutines. The jitter and the stream ISNs come from
-// math/rand/v2's runtime-seeded ChaCha8.
+// start binds addr for host and runs the stack's goroutines. The stream
+// ISNs come from math/rand/v2's runtime-seeded ChaCha8.
 func start(host *hip.Host, addr *net.UDPAddr) (*Stack, error) {
 	pc, err := net.ListenUDP("udp", addr)
 	if err != nil {
@@ -196,7 +195,6 @@ func start(host *hip.Host, addr *net.UDPAddr) (*Stack, error) {
 	}
 	s.cond.L = &s.mu
 	s.sender.cond.L = &s.sender.mu
-	host.SetJitter(rand.Float64)
 	for i := range s.rxArena {
 		s.rxArena[i] = netsim.GetBuf(64 * 1024)
 	}
