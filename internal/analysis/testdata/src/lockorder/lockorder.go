@@ -57,3 +57,31 @@ func indexThenJournal(j *journal, ix *index) {
 	j.mu.Lock() // want "closes a lock-order cycle"
 	j.mu.Unlock()
 }
+
+// --- one mutex spelled two ways ---
+
+// A class is the struct type that declares the mutex, not the path that
+// reaches it: o.s.mu and s.mu are one lock, so these two functions take
+// the same two locks in opposite orders.
+type owner struct {
+	mu sync.Mutex
+	s  *session
+}
+type session struct {
+	mu    sync.Mutex
+	owner *owner
+}
+
+func ownerThenSession(o *owner) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.s.mu.Lock() // want "closes a lock-order cycle"
+	o.s.mu.Unlock()
+}
+
+func sessionThenOwner(s *session) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.owner.mu.Lock() // want "closes a lock-order cycle"
+	s.owner.mu.Unlock()
+}
