@@ -100,7 +100,10 @@ func main() {
 
 	// The rival tenant tries to reach tenant A's DB directly: its HIT is
 	// not in the ACL, so the firewall (and the DB's own policy) refuse.
-	spyID := identity.MustGenerate(identity.AlgECDSA)
+	// Its identity is derived from a fixed seed, so the spy replays run to
+	// run, and its host is seeded from that identity: it holds its own DH
+	// key, not the victim's.
+	spyID := identity.MustGenerateDeterministic(identity.AlgECDSA, "multitenant/rival-spy")
 	spyHost, _ := hip.NewHost(hip.Config{Identity: spyID, Locator: spy.Addr(), Costs: costs})
 	spyT := &secio.Transport{Kind: secio.HIP, Stack: simtcp.NewStack(spy.Node, hipsim.New(spy.Node, spyHost, reg)), DialTimeout: 3 * time.Second}
 	var spyErr error
