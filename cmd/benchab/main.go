@@ -83,7 +83,7 @@ type metricResult struct {
 	Ratio   float64 `json:"ratio"`
 	Verdict string  `json:"verdict"`
 	// Paired is the per-pair log(head/base) effect with its 95 % sign-test
-	// interval, reported beside the verdict; the verdict does not read it.
+	// interval; the verdict reads the interval against the bound.
 	Paired *paired `json:"paired,omitempty"`
 }
 
@@ -231,8 +231,8 @@ func judge(m metricSpec, base, head []float64) metricResult {
 	if r.Base.Median != 0 {
 		r.Ratio = r.Head.Median / r.Base.Median
 	}
-	r.Verdict = verdict(m.Better, m.Bound, m.Name == "setup_s", r.Base, r.Head, r.Won, len(base))
 	r.Paired = pairedEffect(base, head)
+	r.Verdict = verdict(m.Better, m.Bound, m.Name == "setup_s", r.Base, r.Head, r.Won, len(base), r.Paired)
 	return r
 }
 

@@ -87,7 +87,8 @@ func worsening(dir string, base, head float64) float64 {
 
 // Verdicts, by the pair protocol: a gain needs nine pairs in ten and a
 // median moved by more than the base's own interquartile distance; a
-// regression or an unresolved spread is judged against the metric's bound.
+// regression or an unresolved spread is judged against the metric's bound
+// and the paired interval.
 const (
 	gain       = "gain"
 	regression = "regression"
@@ -98,13 +99,28 @@ const (
 // verdict judges one metric. bound <= 0 means the metric has none (a
 // per-layer metric), so it can be a gain or neutral only; spreadExempt
 // is setup_s, whose spread the benchmark does not hold against its
-// bound.
-func verdict(dir string, bound float64, spreadExempt bool, base, head side, won, pairs int) string {
+// bound. p is the metric's paired effect. With a bound, the bound line
+// is log(1+bound) on the worse side of log(head/base), and an interval
+// of 95 % coverage or more (six pairs or more) settles what the side
+// medians cannot: wholly beyond the line it is a regression even when
+// the medians do not show one, and a side spread wider than the bound
+// is unresolved only while the interval reaches past the line.
+func verdict(dir string, bound float64, spreadExempt bool, base, head side, won, pairs int, p *paired) string {
 	if bound > 0 {
-		if worsening(dir, base.Median, head.Median) > bound {
+		// lo and hi are the interval with the worse side up.
+		covered := p != nil && p.Coverage >= 0.95
+		var lo, hi float64
+		if covered {
+			lo, hi = p.Lo, p.Hi
+			if dir == "higher" {
+				lo, hi = -p.Hi, -p.Lo
+			}
+		}
+		line := math.Log1p(bound)
+		if worsening(dir, base.Median, head.Median) > bound || (covered && lo > line) {
 			return regression
 		}
-		if !spreadExempt && (base.spread() > bound || head.spread() > bound) {
+		if !spreadExempt && (base.spread() > bound || head.spread() > bound) && (!covered || hi > line) {
 			return unresolved
 		}
 	}

@@ -60,7 +60,7 @@ func TestVerdict(t *testing.T) {
 				won++
 			}
 		}
-		got := verdict(c.dir, c.bound, c.spreadExempt, summarize(c.base), summarize(c.head), won, len(c.base))
+		got := verdict(c.dir, c.bound, c.spreadExempt, summarize(c.base), summarize(c.head), won, len(c.base), pairedEffect(c.base, c.head))
 		if got != c.want {
 			t.Errorf("%s: verdict %q, want %q", c.name, got, c.want)
 		}
@@ -73,11 +73,66 @@ func TestVerdictNeedsNineInTen(t *testing.T) {
 	base := []float64{95, 96, 98, 99, 100, 100, 101, 102, 103, 105}
 	head := []float64{85, 86, 88, 89, 90, 90, 91, 92, 93, 95}
 	b, h := summarize(base), summarize(head)
-	if got := verdict("lower", 0.25, false, b, h, 9, 10); got != gain {
+	p := pairedEffect(base, head)
+	if got := verdict("lower", 0.25, false, b, h, 9, 10, p); got != gain {
 		t.Errorf("9/10: %q, want gain", got)
 	}
-	if got := verdict("lower", 0.25, false, b, h, 8, 10); got != neutral {
+	if got := verdict("lower", 0.25, false, b, h, 8, 10, p); got != neutral {
 		t.Errorf("8/10: %q, want neutral", got)
+	}
+}
+
+// TestVerdictReadsPairedInterval: with a bound of 0.25 the line is
+// log 1.25 ≈ 0.223 on the worse side of log(head/base). Each head is
+// base·exp(d) with the per-pair log ratios d given, so the interval is
+// [d(2), d(9)] of the sorted ten.
+func TestVerdictReadsPairedInterval(t *testing.T) {
+	// A base whose quartiles (950.7, 1381.25) lie 36 % of its median
+	// (1204) apart.
+	wideBase := []float64{954.1, 940.5, 928.8, 1372, 1409, 1235, 1412, 1173, 1133, 1259}
+	scale := func(vs, d []float64) []float64 {
+		out := make([]float64, len(vs))
+		for i, v := range vs {
+			out[i] = v * math.Exp(d[i])
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name       string
+		dir        string
+		base, head []float64
+		want       string
+	}{
+		{"a wide spread with the interval inside the line", "higher", wideBase,
+			scale(wideBase, []float64{0.03, -0.04, 0.01, 0.05, -0.02, 0, 0.02, -0.01, 0.04, -0.03}), neutral},
+		{"a wide spread with the interval reaching past the worse line", "higher", wideBase,
+			scale(wideBase, []float64{0.03, -0.3, 0.01, 0.05, -0.25, 0, 0.02, -0.01, 0.04, -0.03}), unresolved},
+		{"a wide spread and five pairs: no interval reaches 95 %", "higher", wideBase[:5],
+			scale(wideBase[:5], []float64{0.03, -0.04, 0.01, 0.05, -0.02}), unresolved},
+		// Medians 1204 -> 926 (23 % worse, inside the bound), but the
+		// interval [0.24, 0.29] lies past the line.
+		{"an interval wholly beyond the worse line", "higher", wideBase,
+			scale(wideBase, []float64{-0.24, -0.25, -0.26, -0.3, -0.27, -0.28, -0.29, -0.245, -0.255, -0.235}), regression},
+		{"the same interval on a lower-is-better metric", "lower", wideBase,
+			scale(wideBase, []float64{0.24, 0.25, 0.26, 0.3, 0.27, 0.28, 0.29, 0.245, 0.255, 0.235}), regression},
+		// sim_rubis ops_per_s of the RUBiS request-path change: parent
+		// runs 929–1412, 10/10 pairs won, interval [0.2228, 0.4091], a
+		// median move (457) past the base IQR (431). Its side spread alone
+		// read "unresolved".
+		{"the request-path change's sim_rubis shape", "higher", wideBase,
+			[]float64{1424, 1187, 1795, 1571, 1909, 1859, 1765, 1566, 1683, 1639}, gain},
+	} {
+		won := 0
+		for i := range c.base {
+			if better(c.dir, c.head[i], c.base[i]) {
+				won++
+			}
+		}
+		b, h := summarize(c.base), summarize(c.head)
+		got := verdict(c.dir, 0.25, false, b, h, won, len(c.base), pairedEffect(c.base, c.head))
+		if got != c.want {
+			t.Errorf("%s: verdict %q, want %q (paired %+v)", c.name, got, c.want, pairedEffect(c.base, c.head))
+		}
 	}
 }
 
