@@ -357,6 +357,64 @@ func TestReEstablishAfterSilentPeerLoss(t *testing.T) {
 	keysBalanced(t, start, a, a2, b) // the stale association was wiped when replaced
 }
 
+// An I2 captured from an earlier exchange, replayed from a third locator
+// while a later association with the same peer is live, must not replace
+// that association: the responder's stateless puzzle I is bound to the
+// live association, so the stale solution no longer verifies.
+func TestStaleI2CannotReplaceLiveAssociation(t *testing.T) {
+	start := len(keymat.KeysOutstanding())
+	w := newWire(t)
+	a := newHost(t, idA, locA)
+	b := newHost(t, idB, locB)
+	w.add(a, locA)
+	w.add(b, locB)
+	var captured []byte
+	w.loss = func(_, _ netip.Addr, data []byte) bool {
+		if p, err := hipwire.Parse(data); err == nil && p.Type == hipwire.I2 && captured == nil {
+			captured = append([]byte(nil), data...)
+		}
+		return false
+	}
+	establish(t, w, a, b)
+	w.loss = nil
+	if captured == nil {
+		t.Fatal("no I2 captured")
+	}
+	if err := a.Close(b.HIT(), w.now); err != nil {
+		t.Fatal(err)
+	}
+	w.pump()
+	if len(a.Associations()) != 0 || len(b.Associations()) != 0 {
+		t.Fatal("association survived its CLOSE")
+	}
+	w.advance(time.Hour)
+	establish(t, w, a, b)
+	live, _ := b.Association(a.HIT())
+
+	b.OnPacket(captured, locC, w.now)
+	out := b.Outgoing()
+	if len(out) != 1 || out[0].Dst != locC {
+		t.Fatalf("responder sent %d packets to the replayer, want one NOTIFY", len(out))
+	}
+	n, _ := hipwire.Parse(out[0].Data)
+	np, _ := n.Get(hipwire.ParamNotification)
+	if note, _ := hipwire.ParseNotification(np.Data); n.Type != hipwire.NOTIFY || note.Type != hipwire.NotifyInvalidPuzzleSol {
+		t.Fatalf("responder answered %v/%d, want NOTIFY INVALID_PUZZLE_SOLUTION", n.Type, note.Type)
+	}
+	if now, ok := b.Association(a.HIT()); !ok || now != live || now.PeerLocator != locA {
+		t.Fatal("stale I2 replaced the live association")
+	}
+	// The live peer's traffic still opens at the responder.
+	pkt, _, err := a.SealData(b.HIT(), []byte("still here"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if payload, peer, err := b.OpenData(pkt, false); err != nil || peer != a.HIT() || string(payload) != "still here" {
+		t.Fatalf("live peer's ESP after the replay: %q from %v, %v", payload, peer, err)
+	}
+	keysBalanced(t, start, a, b)
+}
+
 func TestBEXFailsAfterMaxRetries(t *testing.T) {
 	w := newWire(t)
 	a := newHost(t, idA, locA)

@@ -534,16 +534,23 @@ func (h *Host) SetBacklog(n int) { h.backlog = n }
 // without storing state: HMAC(secret, HIT-I | HIT-R | k) truncated to 64
 // bits. k is mixed in only when it differs from the base difficulty, so
 // an idle responder's I is unchanged, while an I2 that claims a smaller K
-// than its R1 carried no longer matches the I it echoes.
+// than its R1 carried no longer matches the I it echoes. While hitI has
+// an ESTABLISHED association, that association's local SPI is mixed in
+// too: a restarted peer solves an I issued while the association was live
+// and still gets in, but an I2 captured before it existed no longer
+// verifies, so a replay cannot replace it.
 func (h *Host) statelessPuzzleI(hitI, hitR netip.Addr, k uint8) uint64 {
 	m := hmac.New(sha256.New, h.r1Secret)
 	a, r := hitI.As16(), hitR.As16()
-	var b [17]byte // HIT-R, then k when it is mixed in
+	var b [21]byte // HIT-R, then k when it is mixed in, then the live SPI
 	copy(b[:], r[:])
 	in := b[:16]
 	if k != h.cfg.Puzzle.BaseK {
 		b[16] = k
-		in = b[:]
+		in = b[:17]
+	}
+	if as, ok := h.assocs[hitI]; ok && as.state == Established {
+		in = binary.BigEndian.AppendUint32(in, as.localSPI)
 	}
 	m.Write(a[:])
 	m.Write(in)
