@@ -24,14 +24,19 @@ var ErrTooHard = errors.New("puzzle: difficulty above acceptable bound")
 // budget (practically impossible for sane K).
 var ErrUnsolvable = errors.New("puzzle: no solution found")
 
-// digest computes SHA-256(I | HIT-I | HIT-R | J).
-func digest(i uint64, hitI, hitR netip.Addr, j uint64) [32]byte {
-	var buf [48]byte
+// input lays out I | HIT-I | HIT-R | J with J left zero.
+func input(i uint64, hitI, hitR netip.Addr) (buf [48]byte) {
 	binary.BigEndian.PutUint64(buf[0:], i)
 	a := hitI.As16()
 	copy(buf[8:24], a[:])
 	b := hitR.As16()
 	copy(buf[24:40], b[:])
+	return buf
+}
+
+// digest computes SHA-256(I | HIT-I | HIT-R | J).
+func digest(i uint64, hitI, hitR netip.Addr, j uint64) [32]byte {
+	buf := input(i, hitI, hitR)
 	binary.BigEndian.PutUint64(buf[40:], j)
 	return sha256.Sum256(buf[:])
 }
@@ -56,7 +61,9 @@ func lowBitsZero(sum [32]byte, k uint8) bool {
 
 // Solve finds J for the puzzle (i, k) between the two HITs, starting the
 // search at seed (callers pass a random seed so concurrent solvers
-// diverge). It returns the number of hash attempts alongside J.
+// diverge). It returns the number of hash attempts alongside J. The
+// input is laid out once and each attempt rewrites only J, through one
+// reused hash.
 func Solve(i uint64, k uint8, hitI, hitR netip.Addr, seed uint64) (j uint64, attempts uint64, err error) {
 	if k > MaxK {
 		return 0, 0, ErrTooHard
@@ -66,8 +73,15 @@ func Solve(i uint64, k uint8, hitI, hitR netip.Addr, seed uint64) (j uint64, att
 	if k == 0 {
 		return j, 1, nil
 	}
+	buf := input(i, hitI, hitR)
+	h := sha256.New()
+	var sum [sha256.Size]byte
 	for attempts = 1; attempts <= limit; attempts++ {
-		if lowBitsZero(digest(i, hitI, hitR, j), k) {
+		binary.BigEndian.PutUint64(buf[40:], j)
+		h.Reset()
+		h.Write(buf[:])
+		h.Sum(sum[:0])
+		if lowBitsZero(sum, k) {
 			return j, attempts, nil
 		}
 		j++

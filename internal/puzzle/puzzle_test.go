@@ -123,14 +123,6 @@ func TestSolveVerifyProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkSolveK8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Solve(uint64(i), 8, hitI, hitR, uint64(i)*7919); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkVerify(b *testing.B) {
 	j, _, _ := Solve(1, 10, hitI, hitR, 0)
 	b.ResetTimer()
@@ -139,4 +131,51 @@ func BenchmarkVerify(b *testing.B) {
 			b.Fatal("verify failed")
 		}
 	}
+}
+
+// Solve's J and attempt count are what the simulator charges a solver
+// for, so they are pinned: the goldens depend on them, whatever way the
+// search is computed.
+func TestSolvePinned(t *testing.T) {
+	hits := [][2]netip.Addr{
+		{hitI, hitR},
+		{netip.MustParseAddr("2001:2f:ab12::77"), netip.MustParseAddr("2001:2e:9::5")},
+	}
+	for _, c := range []struct {
+		i        uint64
+		k        uint8
+		hits     int
+		seed, j  uint64
+		attempts uint64
+	}{
+		{0x1234, 0, 0, 0x1, 0x1, 1},
+		{0x1234, 1, 0, 0x1, 0x1, 1},
+		{0x1234, 4, 0, 0x1, 0xb, 11},
+		{0x1234, 8, 0, 0x1, 0x30, 48},
+		{0xdeadbeefcafef00d, 10, 1, 0x63, 0x348, 742},
+		{0x2a, 12, 0, 0x7, 0xd21, 3355},
+		{0x8000000000000000, 16, 1, 0xfffffffffffffffb, 0x7924, 31018}, // J wraps past 2^64
+		{0x7, 3, 1, 0x0, 0x1f, 32},
+	} {
+		h := hits[c.hits]
+		j, attempts, err := Solve(c.i, c.k, h[0], h[1], c.seed)
+		if err != nil || j != c.j || attempts != c.attempts {
+			t.Errorf("Solve(%#x, %d, %v, %v, %#x) = %#x, %d, %v; want %#x, %d",
+				c.i, c.k, h[0], h[1], c.seed, j, attempts, err, c.j, c.attempts)
+		}
+	}
+}
+
+// BenchmarkSolve solves K=8 puzzles and reports the cost per attempt,
+// which is what a solver's ~2^K search multiplies.
+func BenchmarkSolve(b *testing.B) {
+	var attempts uint64
+	for n := 0; n < b.N; n++ {
+		_, att, err := Solve(uint64(n), 8, hitI, hitR, uint64(n)*7919)
+		if err != nil {
+			b.Fatal(err)
+		}
+		attempts += att
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(attempts), "ns/attempt")
 }
