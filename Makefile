@@ -63,14 +63,17 @@ build:
 # hipudp's socket engines are build-tagged files that change signature in
 # lockstep: batch_linux.go (sendmmsg/recvmmsg with UDP GSO/GRO, on
 # linux/amd64 and linux/arm64) and batch_portable.go (everything else).
-# `build` compiles only this machine's, so vet the package, its tests
-# included, and build the module for one platform of each other kind.
+# keymat's CTR kernel is split the same way: ctr_amd64.go/.s (AES-NI) and
+# ctr_noasm.go. `build` compiles only this machine's, so vet both
+# packages, their tests included (on amd64 that is asmdecl over the
+# kernel; elsewhere, that the portable file builds), and build the module
+# for one platform of each other kind.
 CROSS_TARGETS = linux/arm64 linux/386 darwin/amd64 windows/amd64
 
 cross:
 	@for t in $(CROSS_TARGETS); do \
 		echo "cross: $$t"; \
-		GOOS=$${t%/*} GOARCH=$${t#*/} $(GO) vet ./internal/hipudp && \
+		GOOS=$${t%/*} GOARCH=$${t#*/} $(GO) vet ./internal/hipudp ./internal/keymat && \
 		GOOS=$${t%/*} GOARCH=$${t#*/} $(GO) build ./... || exit 1; \
 	done
 
@@ -140,23 +143,27 @@ cover:
 # Fig2Request is one Figure 2 request per scenario on a warm simulated
 # deployment, client to proxy to web tier to database and back: about a
 # dozen allocs/op (the route's and the query's strings), so page, body,
-# header or packet garbage on the request path shows here.
+# header or packet garbage on the request path shows here. CTRXor is
+# keymat's AES-CTR keystream alone (the AES-NI kernel where the CPU has
+# it) and must read 0 allocs/op; Solve is the puzzle search, reported per
+# attempt.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Seal|OpenAppend|Record|EventThroughput|TimerResetFire|ProcSleepWake|ProcContextSwitch|CPUUse|LockstepBulk|PumpBulk|Fig2Request' \
+	$(GO) test -run=NONE -bench='Seal|OpenAppend|Record|CTRXor|Solve|EventThroughput|TimerResetFire|ProcSleepWake|ProcContextSwitch|CPUUse|LockstepBulk|PumpBulk|Fig2Request' \
 		-benchtime=10x -benchmem \
-		./internal/esp ./internal/tlslite ./internal/keymat ./internal/netsim ./internal/stream ./internal/hipudp ./internal/experiments
+		./internal/esp ./internal/tlslite ./internal/keymat ./internal/puzzle ./internal/netsim ./internal/stream ./internal/hipudp ./internal/experiments
 
 # Short fuzz pass over every fuzz target (go test allows one
 # -fuzz pattern per invocation, hence one line per target), so the
 # checked-in corpora and 30 s of fresh inputs run in the gate. esp.FuzzOpen
 # has no keys, so it stops at the ICV check; keymat.FuzzCipherOpen and
-# tlslite.FuzzOpenRecord hold the keys and fuzz what lies behind it. The
-# eleventh target, hipudp.FuzzFrameDemux, feeds datagrams to a live stack's
-# frame demux as an outsider would, split at an input-chosen UDP_GRO segment
-# size (appendSegments) into one vector for onFrames, as readLoop does; the
-# twelfth,
-# tlslite.FuzzHandshake, plays an arbitrary peer to Server and to Client;
-# the thirteenth, stream.FuzzTransfer, runs two stream conns through
+# tlslite.FuzzOpenRecord hold the keys and fuzz what lies behind it, and
+# keymat.FuzzCTRKeystream holds the CTR keystream (the AES-NI kernel where
+# the CPU has it) to cipher.NewCTR's over fuzz-chosen keys, IVs and
+# lengths. The twelfth target, hipudp.FuzzFrameDemux, feeds datagrams to
+# a live stack's frame demux as an outsider would, split at an
+# input-chosen UDP_GRO segment size (appendSegments) into one vector for
+# onFrames, as readLoop does; the thirteenth, tlslite.FuzzHandshake, plays
+# an arbitrary peer to Server and to Client; the fourteenth, stream.FuzzTransfer, runs two stream conns through
 # input-chosen loss, duplication, reordering and ACK coalescing
 # (stream.CoalesceACKs, as hipudp sends) and checks exactly-once,
 # in-order delivery and the lend invariant. Each new interesting input is
@@ -168,6 +175,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzOpen$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/esp
 	$(GO) test -run=NONE -fuzz=FuzzSealOpenRoundTrip$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/esp
 	$(GO) test -run=NONE -fuzz=FuzzCipherOpen$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/keymat
+	$(GO) test -run=NONE -fuzz=FuzzCTRKeystream$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/keymat
 	$(GO) test -run=NONE -fuzz=FuzzOpenRecord$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/tlslite
 	$(GO) test -run=NONE -fuzz=FuzzHandshake$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/tlslite
 	$(GO) test -run=NONE -fuzz=FuzzReadRequest$$ -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/microhttp

@@ -71,7 +71,9 @@ func NewAEAD(s Suite, encKey, authKey []byte, ivLen int) (AEAD, error) {
 	}
 	switch s {
 	case SuiteAESCTRSHA256:
-		return &ctrHMAC{etm: etm{mac: newMAC(authKey), block: block, ivLen: ivLen}}, nil
+		c := &ctrHMAC{etm: etm{mac: newMAC(authKey), block: block, ivLen: ivLen}}
+		c.expandKey(encKey)
+		return c, nil
 	case SuiteAESCBCSHA256:
 		return newCBCHMAC(etm{mac: newMAC(authKey), block: block, ivLen: ivLen}), nil
 	}

@@ -182,16 +182,24 @@ func (c *nullHMAC) Open(dst []byte, _ *[NonceLen]byte, sealed, aad []byte) ([]by
 	return append(dst, body...), nil
 }
 
-// ctrChunk is how many counter blocks ctrXor builds, encrypts and XORs
-// at a time.
-const ctrChunk = 64
+// ctrChunk is how many counter blocks the portable ctrXor builds,
+// encrypts and XORs at a time.
+const (
+	ctrChunk    = 64
+	ctrChunkLen = ctrChunk * aes.BlockSize
+)
 
-// ctrHMAC is SuiteAESCTRSHA256. ks is the keystream chunk ctrXor works
-// in: it crosses the cipher.Block interface, so it lives here like the
-// IV scratch.
+// ctrRoundKeyLen is the size of the AES-128 key schedule: 11 round keys.
+const ctrRoundKeyLen = 11 * aes.BlockSize
+
+// ctrHMAC is SuiteAESCTRSHA256. rk is the key schedule of the AES-NI
+// kernel, which expandKey fills (it stays zero where ctrAsm is off), and
+// ks is the keystream chunk both paths work in: it crosses the
+// cipher.Block interface, so it lives here like the IV scratch.
 type ctrHMAC struct {
 	etm
-	ks [ctrChunk * aes.BlockSize]byte
+	rk [ctrRoundKeyLen]byte
+	ks [ctrChunkLen]byte
 }
 
 func (c *ctrHMAC) Seal(dst []byte, _ *[NonceLen]byte, plaintext, aad []byte) []byte {
@@ -216,10 +224,16 @@ func (c *ctrHMAC) Open(dst []byte, _ *[NonceLen]byte, sealed, aad []byte) ([]byt
 // at all). Unlike cipher.NewCTR it allocates no stream state, so
 // per-packet encryption stays on the zero-allocation fast path. The
 // counter is the IV as a 128-bit big-endian integer, incremented per
-// block as cipher.NewCTR does. Each chunk of up to ctrChunk blocks takes
-// three passes over c.ks: write the counter blocks, encrypt them in
-// place, XOR the chunk into dst.
+// block as cipher.NewCTR does. Where ctrAsm is set the AES-NI kernel
+// does the work, eight blocks per pass (ctr_amd64.go). Otherwise each
+// chunk of up to ctrChunk blocks takes three passes over c.ks: write the
+// counter blocks, encrypt them in place through c.block, XOR the chunk
+// into dst.
 func (c *ctrHMAC) ctrXor(dst, src []byte) {
+	if ctrAsm {
+		c.ctrXorAsm(dst, src)
+		return
+	}
 	hi := binary.BigEndian.Uint64(c.iv[:8])
 	lo := binary.BigEndian.Uint64(c.iv[8:])
 	for off := 0; off < len(src); off += len(c.ks) {
@@ -246,9 +260,10 @@ func (c *ctrHMAC) ctrXor(dst, src []byte) {
 	}
 }
 
-// Zeroize also wipes the keystream chunk.
+// Zeroize also wipes the key schedule and the keystream chunk.
 func (c *ctrHMAC) Zeroize() {
 	c.etm.Zeroize()
+	c.rk = [len(c.rk)]byte{}
 	c.ks = [len(c.ks)]byte{}
 }
 

@@ -63,10 +63,16 @@ func TestCompositeZeroizeWipesScratch(t *testing.T) {
 	if c.ks == [len(c.ks)]byte{} || c.iv == [16]byte{} {
 		t.Fatal("test is vacuous: CTR scratch empty after a seal")
 	}
+	if ctrAsm && c.rk == [len(c.rk)]byte{} {
+		t.Fatal("test is vacuous: no AES-NI key schedule to wipe")
+	}
 	use(c)
 	base(t, &c.etm)
 	if c.ks != [len(c.ks)]byte{} {
 		t.Error("CTR keystream chunk retained")
+	}
+	if c.rk != [len(c.rk)]byte{} {
+		t.Error("CTR key schedule retained")
 	}
 
 	b := newTestAEAD(t, SuiteAESCBCSHA256, 16).(*cbcHMAC)
